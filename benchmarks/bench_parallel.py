@@ -21,6 +21,7 @@ import time
 import numpy as np
 
 from benchmarks.conftest import emit
+from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
@@ -54,19 +55,20 @@ def test_parallel_level(benchmark):
         lambda: _best(lambda: pdgefmm(a, b, c_p, cutoff=crit)),
         rounds=1, iterations=1,
     )
-    ws_s, ws_p = Workspace(), Workspace()
+    ws_s, ctx_p = Workspace(), ExecutionContext()
     dgefmm(a, b, c_s, cutoff=crit, workspace=ws_s)
-    pdgefmm(a, b, c_p, cutoff=crit, workspace=ws_p)
+    pdgefmm(a, b, c_p, cutoff=crit, ctx=ctx_p)
+    peak_p = ctx_p.stats["workspace_peak_bytes"]
     emit(
         "Parallel extension: pdgefmm vs dgefmm, m=768",
         f"serial {t_serial:.3f} s, parallel {t_par:.3f} s "
         f"(speedup {t_serial / t_par:.2f}x on {os.cpu_count()} cpus)\n"
         f"workspace: serial {ws_s.peak_elements / m**2:.3f} m^2, "
-        f"parallel {ws_p.peak_elements / m**2:.3f} m^2 "
+        f"parallel {peak_p / c_p.itemsize / m**2:.3f} m^2 "
         f"(the memory-for-parallelism trade)",
     )
     np.testing.assert_allclose(c_p, c_s, atol=1e-9)
-    assert ws_p.peak_bytes > 2 * ws_s.peak_bytes
+    assert peak_p > 2 * ws_s.peak_bytes
 
 
 def test_pooled_throughput(benchmark):
@@ -152,12 +154,13 @@ _GUARD_SLACK = 3.0
 def test_parallel_refactor_guard(benchmark):
     """Parallel plan compile + warm replay vs pre-refactor behaviour.
 
-    The traversal refactor rewrote ``_prun``/``_prun_mirror`` as
-    consumers of the shared decide() kernel; this guard asserts the
-    parallel mirror's compile time stayed within 3x of the pre-refactor
+    Parallel plans are compiled by the one DGEFMM walker plus the
+    parallel-level dispatch in :mod:`repro.plan.compiler`; this guard
+    asserts their compile time stayed within 3x of the pre-refactor
     measurement, and that a warm cached replay through ``pdgefmm`` is
-    no slower than re-deciding the recursion on every call (the whole
-    point of caching the traversal's output).
+    no slower than the uncached one-shot call, which compiles the plan
+    afresh every time (the whole point of caching the traversal's
+    output).
     """
     m = 192
     crit = SimpleCutoff(24)
@@ -176,12 +179,12 @@ def test_parallel_refactor_guard(benchmark):
     def replay():
         pdgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache)
 
-    def recursed():
+    def one_shot():
         pdgefmm(a, b, c, cutoff=crit, pool=pool)
 
     replay()  # compile + warm the arenas
     t_replay = _best(replay, 5)
-    t_recursed = benchmark.pedantic(lambda: _best(recursed, 5),
+    t_one_shot = benchmark.pedantic(lambda: _best(one_shot, 5),
                                     rounds=1, iterations=1)
 
     emit(
@@ -189,10 +192,10 @@ def test_parallel_refactor_guard(benchmark):
         f"parallel compile {t_compile * 1e3:.2f} ms (pre-refactor "
         f"{_PRE_REFACTOR_COMPILE_PARALLEL_S * 1e3:.2f} ms, "
         f"{t_compile / _PRE_REFACTOR_COMPILE_PARALLEL_S:.2f}x)\n"
-        f"warm replay {t_replay * 1e3:.2f} ms/call, re-deciding "
-        f"{t_recursed * 1e3:.2f} ms/call",
+        f"warm cached replay {t_replay * 1e3:.2f} ms/call, uncached "
+        f"one-shot {t_one_shot * 1e3:.2f} ms/call",
     )
     assert t_compile <= _GUARD_SLACK * _PRE_REFACTOR_COMPILE_PARALLEL_S
-    # warm replay must not be slower than walking the decision tree
+    # warm cached replay must not be slower than compiling the plan
     # fresh each call (1.2x tolerance for thread-pool noise)
-    assert t_replay <= 1.2 * t_recursed, (t_replay, t_recursed)
+    assert t_replay <= 1.2 * t_one_shot, (t_replay, t_one_shot)

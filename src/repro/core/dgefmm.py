@@ -16,8 +16,10 @@ algorithm whenever the cutoff criterion says a recursion level pays off:
    (``(mk + kn + mn)/3``) — the Table 1 "DGEFMM" row.
 
 All three choices are made per node by the shared traversal core
-(:func:`repro.core.traversal.decide`); this driver is one of its
-consumers — it binds the returned nodes to real kernels and workspace.
+(:func:`repro.core.traversal.decide`).  :func:`_rec` is the one walker
+of that recursion: a *binding* supplies its side effects — live kernels
+and workspace here, recording kernels in the plan compiler
+(:mod:`repro.plan.compiler`), which drives this same function.
 
 Example
 -------
@@ -35,7 +37,7 @@ True
 
 from __future__ import annotations
 
-from typing import Any, Optional
+from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.blas.addsub import kernels_for
 from repro.blas.dtypes import (
@@ -77,9 +79,8 @@ from repro.errors import DimensionError
 
 __all__ = ["dgefmm", "zgefmm", "DEFAULT_CUTOFF", "SCHEMES", "LEVEL_FNS"]
 
-#: Schedule functions by traversal level code.  The plan compiler
-#: replays these same functions with recording kernels, so the mapping
-#: is defined once, here, next to the driver that executes them live.
+#: Schedule functions by traversal level code, dispatched by
+#: :func:`_rec` under either binding (live or plan-recording).
 #: Hand-written schedules first; every registry level without one
 #: (e.g. "l23") gets the generic UVW interpreter built from its
 #: coefficients — a new registry scheme is executable with no driver
@@ -200,100 +201,13 @@ def dgefmm(
     engine.
     """
     ctx = ensure_context(ctx)
-    require_matrix("dgefmm", "a", a)
-    require_matrix("dgefmm", "b", b)
-    require_matrix("dgefmm", "c", c)
-    require_writable("dgefmm", "c", c)
-    dt = canonical_dtype(getattr(c, "dtype", None) or "float64")
-    if accuracy is None:
-        accuracy = default_accuracy(dt)
-    cfg = GemmConfig(
-        scheme=scheme, peel=peel,
-        cutoff=cutoff if cutoff is not None else DEFAULT_CUTOFF,
-        nb=nb, backend=backend, fuse=fuse,
-        dtype=dt, accuracy=accuracy,
+    call = _prologue(
+        "dgefmm", a, b, c, alpha, beta, transa, transb, ctx,
+        cutoff, scheme, peel, nb, backend, fuse, accuracy,
     )
-    if cfg.accuracy == "exact":
-        # Integral scalars ride through every layer as Python ints, so
-        # in-place integer scaling (``y *= beta``) never trips numpy's
-        # unsafe-cast refusal and object arrays stay arbitrary-precision.
-        alpha = require_integral_scalar("dgefmm", "alpha", alpha)
-        beta = require_integral_scalar("dgefmm", "beta", beta)
-    m, k = opshape(a, transa)
-    kb, n = opshape(b, transb)
-    if kb != k:
-        raise DimensionError(f"dgefmm: op(A) is {m}x{k} but op(B) is {kb}x{n}")
-    if tuple(c.shape) != (m, n):
-        raise DimensionError(
-            f"dgefmm: C has shape {tuple(c.shape)}, expected {(m, n)}"
-        )
-
-    # BLAS degenerate semantics, decided before any workspace or plan
-    # machinery spins up: an empty C is a no-op; k == 0 or alpha == 0
-    # forms no product and only scales C by beta (overwriting when
-    # beta == 0, so NaN/Inf garbage in C never propagates).
-    if m == 0 or n == 0:
-        ctx.stats_max("workspace_peak_bytes", 0)
+    if call is None:
         return c
-    if k == 0 or alpha == 0.0:
-        _scale_only(c, beta, ctx, cfg.accuracy)
-        ctx.stats_max("workspace_peak_bytes", 0)
-        return c
-
-    # Overlap guard: the schedules write C's quadrants mid-recursion
-    # while A/B are still live, so an output that shares memory with an
-    # input would be silently corrupted.  Any (conservatively detected)
-    # overlapping input is replaced by a private copy first — the
-    # documented copy-on-overlap fallback.
-    a, b = copy_on_overlap(c, a, b, ctx=ctx)
-
-    if (plan_cache is not None and not ctx.dry and workspace is None
-            and cfg.dtype != "object"):
-        # plan path: compile once per signature, replay bit-identically.
-        # Imported lazily — repro.plan imports this module for the
-        # scheme dispatch it compiles through.  Object-dtype problems
-        # never plan: plan temporaries are typed views over a byte
-        # arena, which object arrays cannot be.
-        from repro.plan.compiler import signature_for
-        from repro.plan.executor import execute_plan
-
-        sig = signature_for(
-            "serial", m, k, n, bool(transa), bool(transb),
-            alpha == 0.0, beta == 0.0, dt, cfg,
-        )
-        plan = plan_cache.get_or_compile(sig)
-        execute_plan(
-            plan, a.T if transa else a, b.T if transb else b, c,
-            alpha, beta, ctx=ctx, pool=pool,
-        )
-        ctx.stats_set("plan_cache", plan_cache.stats())
-        return c
-
-    pooled = False
-    if workspace is not None:
-        ws = workspace
-    elif pool is not None and not ctx.dry and cfg.dtype != "object":
-        # pooled arenas carve typed views out of a byte buffer — fine
-        # for every fixed-width dtype, impossible for object arrays,
-        # which fall back to a plain per-call workspace
-        ws = pool.checkout()
-        pooled = True
-    else:
-        ws = Workspace(dry=ctx.dry)
-    opa = a.T if transa else a
-    opb = b.T if transb else b
-
-    try:
-        _rec(opa, opb, c, alpha, beta, 0, cfg, cfg.scheme, ctx, ws)
-    except BaseException:
-        if pooled:
-            pool.release(ws)
-        raise
-
-    ctx.stats_max("workspace_peak_bytes", ws.peak_bytes)
-    if pooled:
-        pool.checkin(ws)
-    return c
+    return _serial(call, c, ctx, workspace, pool, plan_cache)
 
 
 def zgefmm(
@@ -322,52 +236,220 @@ def zgefmm(
     return dgefmm(a, b, c, alpha, beta, transa, transb, **kwargs)
 
 
-def _scale_only(
-    c: Any, beta: float, ctx: ExecutionContext, accuracy: str = "fast"
-) -> None:
-    """``C <- beta*C`` — the k == 0 / alpha == 0 degenerate GEMM."""
-    if c.shape[0] and c.shape[1]:
-        kernels_for(accuracy).axpby(0, c, beta, c, ctx=ctx)
+class _Call(NamedTuple):
+    """One validated, non-degenerate GEMM call, ready to walk or replay.
+
+    ``a``/``b`` are the transpose-resolved operand views (overlap with C
+    already resolved); ``alpha``/``beta`` are Python ints under exact
+    accuracy.
+    """
+
+    a: Any
+    b: Any
+    alpha: Any
+    beta: Any
+    transa: bool
+    transb: bool
+    cfg: GemmConfig
+
+    def signature(self, kind: str, max_parallel_depth: int = 0):
+        """The call's :class:`~repro.plan.compiler.PlanSignature`."""
+        # lazy import: repro.plan compiles through this module's walker
+        from repro.plan.compiler import signature_for
+
+        m, k = self.a.shape
+        return signature_for(
+            kind, m, k, self.b.shape[1], self.transa, self.transb,
+            False, self.beta == 0.0, self.cfg.dtype, self.cfg,
+            max_parallel_depth,
+        )
+
+
+def _prologue(
+    where: str,
+    a: Any,
+    b: Any,
+    c: Any,
+    alpha: Any,
+    beta: Any,
+    transa: bool,
+    transb: bool,
+    ctx: ExecutionContext,
+    cutoff: Optional[CutoffCriterion],
+    scheme: str,
+    peel: str,
+    nb: int,
+    backend: str,
+    fuse: bool,
+    accuracy: Optional[str],
+) -> Optional[_Call]:
+    """The drivers' shared front door; ``None`` when the call is done.
+
+    Validates the operands, resolves dtype and accuracy into one frozen
+    :class:`GemmConfig`, coerces the scalars to ints under exact
+    accuracy, and answers the BLAS degenerate cases before any
+    workspace or plan machinery spins up.
+    """
+    require_matrix(where, "a", a)
+    require_matrix(where, "b", b)
+    require_matrix(where, "c", c)
+    require_writable(where, "c", c)
+    dt = canonical_dtype(getattr(c, "dtype", None) or "float64")
+    cfg = GemmConfig(
+        scheme=scheme, peel=peel,
+        cutoff=cutoff if cutoff is not None else DEFAULT_CUTOFF,
+        nb=nb, backend=backend, fuse=fuse, dtype=dt,
+        accuracy=accuracy if accuracy is not None else default_accuracy(dt),
+    )
+    if cfg.accuracy == "exact":
+        # Integral scalars ride through every layer as Python ints, so
+        # in-place integer scaling (``y *= beta``) never trips numpy's
+        # unsafe-cast refusal and object arrays stay arbitrary-precision.
+        alpha = require_integral_scalar(where, "alpha", alpha)
+        beta = require_integral_scalar(where, "beta", beta)
+    m, k = opshape(a, transa)
+    kb, n = opshape(b, transb)
+    if kb != k:
+        raise DimensionError(
+            f"{where}: op(A) is {m}x{k} but op(B) is {kb}x{n}"
+        )
+    if tuple(c.shape) != (m, n):
+        raise DimensionError(
+            f"{where}: C has shape {tuple(c.shape)}, expected {(m, n)}"
+        )
+
+    # BLAS degenerate semantics: an empty C is a no-op; k == 0 or
+    # alpha == 0 forms no product and only scales C by beta (overwriting
+    # when beta == 0, so NaN/Inf garbage in C never propagates).
+    if m == 0 or n == 0 or k == 0 or alpha == 0.0:
+        if m and n:
+            kernels_for(cfg.accuracy).axpby(0, c, beta, c, ctx=ctx)
+        ctx.stats_max("workspace_peak_bytes", 0)
+        return None
+
+    # Overlap guard: the schedules write C's quadrants mid-recursion
+    # while A/B are still live, so an output that shares memory with an
+    # input would be silently corrupted.  Any (conservatively detected)
+    # overlapping input is replaced by a private copy first — the
+    # documented copy-on-overlap fallback.
+    a, b = copy_on_overlap(c, a, b, ctx=ctx)
+    return _Call(
+        a.T if transa else a, b.T if transb else b, alpha, beta,
+        bool(transa), bool(transb), cfg,
+    )
+
+
+def _serial(
+    call: _Call,
+    c: Any,
+    ctx: ExecutionContext,
+    workspace: Optional[Workspace],
+    pool: Optional["WorkspacePool"],
+    plan_cache: Optional["PlanCache"],
+) -> Any:
+    """``dgefmm``'s path after the prologue: cached-plan replay or walk."""
+    # pooled arenas and plan temporaries carve typed views out of a byte
+    # buffer — fine for every fixed-width dtype, impossible for object
+    # arrays (and pointless in dry mode, where temporaries cost nothing)
+    typed = not ctx.dry and call.cfg.dtype != "object"
+    if plan_cache is not None and workspace is None and typed:
+        # lazy import: repro.plan compiles through this module's walker
+        from repro.plan.executor import execute_plan
+
+        plan = plan_cache.get_or_compile(call.signature("serial"))
+        execute_plan(plan, call.a, call.b, c, call.alpha, call.beta,
+                     ctx=ctx, pool=pool)
+        ctx.stats_set("plan_cache", plan_cache.stats())
+        return c
+    if workspace is None:
+        if pool is not None and typed:
+            with pool.arena() as ws:
+                return _walk(call, c, ctx, ws)
+        workspace = Workspace(dry=ctx.dry)
+    return _walk(call, c, ctx, workspace)
+
+
+def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace) -> Any:
+    """Run :func:`_rec` with the numeric binding; report the peak."""
+    _rec(call.a, call.b, c, call.alpha, call.beta, 0, call.cfg.scheme,
+         _NumericBinding(call.cfg, ctx, ws))
+    ctx.stats_max("workspace_peak_bytes", ws.peak_bytes)
+    return c
+
+
+class _NumericBinding:
+    """Binds :func:`_rec` to live execution.
+
+    A binding supplies the walker's side effects: the block ``kernels``
+    and workspace ``ws`` the schedules draw on, the base-case ``gemm``,
+    the peeling ``fixup``, and the ``event`` sink; ``ctx`` is passed to
+    the schedules.  The plan compiler's recorder
+    (:mod:`repro.plan.compiler`) is the other binding.  ``dgemm`` and
+    ``apply_fixups``/``apply_fixups_head`` are looked up in this
+    module's globals at call time, so ``benchmarks/e2e/trace.py``
+    wrappers installed here see every walker call.
+    """
+
+    __slots__ = ("cfg", "ctx", "ws", "kernels")
+
+    def __init__(self, cfg: GemmConfig, ctx: ExecutionContext,
+                 ws: Workspace) -> None:
+        self.cfg = cfg
+        self.ctx = ctx
+        self.ws = ws
+        self.kernels = kernels_for(cfg.accuracy)
+
+    def event(self, action: str, m: int, k: int, n: int, depth: int,
+              scheme: str = "") -> None:
+        self.ctx.record(RecursionEvent(action, m, k, n, depth, scheme))
+
+    def gemm(self, a: Any, b: Any, c: Any, alpha: Any, beta: Any) -> None:
+        cfg = self.cfg
+        dgemm(a, b, c, alpha, beta, ctx=self.ctx, nb=cfg.nb,
+              backend=cfg.backend, accuracy=cfg.accuracy)
+
+    def fixup(self, a: Any, b: Any, c: Any, alpha: Any, beta: Any,
+              divisors: Tuple[int, int, int]) -> None:
+        fix = apply_fixups if self.cfg.peel == "tail" else apply_fixups_head
+        fix(a, b, c, alpha, beta, ctx=self.ctx, divisors=divisors)
 
 
 def _rec(
     a: Any,
     b: Any,
     c: Any,
-    alpha: float,
-    beta: float,
+    alpha: Any,
+    beta: Any,
     depth: int,
-    cfg: GemmConfig,
     scheme: str,
-    ctx: ExecutionContext,
-    ws: Workspace,
+    bind: Any,
 ) -> None:
-    """Recursive body: bind one traversal node to kernels and workspace.
+    """The DGEFMM walker: one traversal node, bound through ``bind``.
 
     ``scheme`` is the node's scheme (it changes down the tree per the
-    traversal's ``child_scheme``); everything else rides in ``cfg``.
-    ``depth`` may start above 0 — the parallel driver continues serial
-    subtrees below its parallel region at the subtree's true depth.
+    traversal's ``child_scheme``); ``bind`` carries the config and every
+    side effect (:class:`_NumericBinding` executes, the plan compiler's
+    recorder emits ops).  ``depth`` may start above 0 — parallel plans
+    compile the serial subtrees below their parallel region at the
+    subtree's true depth.
     """
     m, k = a.shape
     n = b.shape[1]
     if m == 0 or n == 0:
         return
     if k == 0 or alpha == 0.0:
-        _scale_only(c, beta, ctx, cfg.accuracy)
+        bind.kernels.axpby(0.0, c, beta, c, ctx=bind.ctx)
         return
+    cfg = bind.cfg
     node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
     if isinstance(node, Base):
-        ctx.record(RecursionEvent("base", m, k, n, depth))
-        dgemm(a, b, c, alpha, beta, ctx=ctx, nb=cfg.nb,
-              backend=cfg.backend, accuracy=cfg.accuracy)
+        bind.event("base", m, k, n, depth)
+        bind.gemm(a, b, c, alpha, beta)
         return
 
     if node.peeled:
-        ctx.record(RecursionEvent("peel", m, k, n, depth))
-    ctx.record(RecursionEvent(
-        "recurse", node.mp, node.kp, node.np_, depth, scheme=node.level
-    ))
+        bind.event("peel", m, k, n, depth)
+    bind.event("recurse", node.mp, node.kp, node.np_, depth, node.level)
 
     if node.peeled:
         core_a, core_b, core_c = core_views(
@@ -376,25 +458,19 @@ def _rec(
     else:
         core_a, core_b, core_c = a, b, c
 
-    def recurse(aa: Any, bb: Any, cc: Any, al: float, be: float) -> None:
-        _rec(aa, bb, cc, al, be, depth + 1, cfg, node.child_scheme, ctx, ws)
+    def recurse(aa: Any, bb: Any, cc: Any, al: Any, be: Any) -> None:
+        _rec(aa, bb, cc, al, be, depth + 1, node.child_scheme, bind)
 
-    em = kernels_for(cfg.accuracy)
     if node.level == "s1b0":
         strassen1_beta0_level(
-            core_a, core_b, core_c, alpha, ctx=ctx, ws=ws,
-            recurse=recurse, kernels=em,
+            core_a, core_b, core_c, alpha, ctx=bind.ctx, ws=bind.ws,
+            recurse=recurse, kernels=bind.kernels,
         )
     else:
         LEVEL_FNS[node.level](
             core_a, core_b, core_c, alpha, beta,
-            ctx=ctx, ws=ws, recurse=recurse, kernels=em,
+            ctx=bind.ctx, ws=bind.ws, recurse=recurse, kernels=bind.kernels,
         )
 
     if node.peeled:
-        if cfg.peel == "tail":
-            apply_fixups(a, b, c, alpha, beta, ctx=ctx,
-                         divisors=node.divisors)
-        else:
-            apply_fixups_head(a, b, c, alpha, beta, ctx=ctx,
-                              divisors=node.divisors)
+        bind.fixup(a, b, c, alpha, beta, node.divisors)

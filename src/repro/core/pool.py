@@ -22,9 +22,9 @@ Two classes implement the fix:
     given problem size, repeated calls perform **zero** new allocations.
 
 :class:`WorkspacePool`
-    A thread-safe check-out/check-in pool of such arenas.  Every worker
-    thread of the parallel driver checks out its own arena, so arenas
-    are never shared between concurrent multiplications; check-in makes
+    A thread-safe check-out/check-in pool of such arenas.  Every node of
+    a parallel plan replay checks out its own arena, so arenas are
+    never shared between concurrent multiplications; check-in makes
     the (grown) buffer available to the next call.
 
 Sizing comes from the paper's Table 1 bounds
@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import threading
 from contextlib import contextmanager
-from typing import Any, Iterator, List, Optional
+from typing import Any, Iterator, List
 
 import numpy as np
 
@@ -404,16 +404,3 @@ class WorkspacePool:
             f"idle={self.idle}, outstanding={self.outstanding}, "
             f"hint={self.size_hint_bytes}B)"
         )
-
-
-def _checkout_or_local(
-    pool: Optional[WorkspacePool], *, dry: bool = False
-) -> tuple:
-    """(workspace, pooled?) — helper for drivers with an optional pool.
-
-    Dry-run contexts never draw from a pool: phantom allocations cost
-    nothing and must not reset a real arena's watermark.
-    """
-    if pool is not None and not dry:
-        return pool.checkout(), True
-    return Workspace(dry=dry), False

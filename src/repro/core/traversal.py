@@ -2,14 +2,15 @@
 
 The paper's DGEFMM is a single algorithm — cutoff test (eq. 15),
 dynamic peeling of odd dimensions (Section 3.3), and
-STRASSEN1/STRASSEN2 scheme dispatch (Section 3.2) — but the repository
-grew five walkers of that recursion: the eager serial driver, the
-task-parallel driver, the plan compiler (serial and parallel mirrors),
-the closed-form recursion analytics, and the cost-model predictor.
-This module is the *only* place the per-node decision lives; every
-walker consumes :func:`decide` and interprets the returned node in its
-own way (execute kernels, record plan ops, tally counts, or sum model
-costs).
+STRASSEN1/STRASSEN2 scheme dispatch (Section 3.2).  Four walkers
+consume that recursion: the DGEFMM walker
+(:func:`repro.core.dgefmm._rec`, which executes live or records plan
+ops depending on its binding), the plan compiler's parallel-level
+dispatch, the closed-form recursion analytics, and the cost-model
+predictor.  This module is the *only* place the per-node decision
+lives; every walker consumes :func:`decide` and interprets the returned
+node in its own way (execute kernels, record plan ops, tally counts, or
+sum model costs).
 
 Schemes are no longer hard-wired 2x2: the level vocabulary comes from
 the declarative registry (:mod:`repro.core.schemes`), each level

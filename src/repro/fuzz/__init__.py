@@ -1,8 +1,8 @@
 """Differential fuzzing: the standing DGEMM-conformance harness.
 
 Three execution paths now produce every DGEFMM result — the recursive
-driver, the multi-level parallel driver, and compiled-plan replay — and
-all three must agree with the reference GEMM *and* (where the schedule
+driver, multi-level parallel plan replay, and compiled serial-plan
+replay — and all three must agree with the reference GEMM *and* (where the schedule
 is shared) with each other bit-for-bit.  This package draws randomized
 cases over the full knob space (shapes including degenerate zero/one
 dims, strides and memory orders including negative-stride views,

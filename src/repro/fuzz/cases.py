@@ -99,15 +99,6 @@ class FuzzCase:
             return int(self.alpha.real), int(self.beta.real)
         return float(self.alpha.real), float(self.beta.real)
 
-    @property
-    def parallel_applicable(self) -> bool:
-        """Every case exercises pdgefmm: the parallel driver accepts the
-        full scheme/peel knob set (schemes outside its parallel level
-        vocabulary — textbook, laderman — fall back to serial inside
-        the driver, which is itself worth differential coverage).
-        """
-        return True
-
 
 def _draw_dim(rng: np.random.Generator, max_dim: int) -> int:
     """Edge-heavy dimension draw: 0 and 1 with fixed probability."""

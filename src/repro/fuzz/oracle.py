@@ -1,32 +1,33 @@
 """The differential oracle: one case, every execution path, cross-checked.
 
-For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs up to four
+For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs four
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
 - ``plan``     — the same call through a :class:`~repro.plan.cache.PlanCache`
   (compiled-plan replay);
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
-  worker budget, parallel depth, and the full scheme/peel knob set
-  (the parallel driver has scheme/peel/backend parity with the serial
-  one);
-- ``parallel-plan`` — pdgefmm through a plan cache.
+  worker budget, parallel depth, and the full scheme/peel knob set,
+  with no cache: a parallel plan compiled for this call (or, when the
+  top node cannot run a parallel level, ``dgefmm``'s walk);
+- ``parallel-plan`` — pdgefmm through a plan cache, replaying the
+  cached plan.
 
 With ``fuse=True`` three more paths join: ``fused`` and
 ``fused-replay`` (dgefmm through a plan cache with the fusion pass on
-— the replay re-runs the same warm plan), and ``parallel-fused`` when
-the case is parallel-applicable.
+— the replay re-runs the same warm plan), and ``parallel-fused``.
 
 Checks, in decreasing strictness:
 
 1. ``serial`` vs ``plan`` and ``parallel`` vs ``parallel-plan`` must be
    **bit-identical** (a plan replays the same kernels on the same views
-   in the same order — any drift is a bug, not roundoff); ``fused`` vs
-   ``fused-replay`` must be bit-identical too — fused execution is
-   deterministic, it just isn't bit-identical to the *interpreted*
-   stream (the batched/direct ``np.matmul`` kernel accumulates in a
-   different order than the tiled substrate kernel), so the fused
-   paths are checked against the reference and against their own
+   in the same order as the walk, and a per-call compile must replay
+   exactly like the cached plan — any drift is a bug, not roundoff);
+   ``fused`` vs ``fused-replay`` must be bit-identical too — fused
+   execution is deterministic, it just isn't bit-identical to the
+   *interpreted* stream (the batched/direct ``np.matmul`` kernel
+   accumulates in a different order than the tiled substrate kernel),
+   so the fused paths are checked against the reference and against their own
    replay, never bit-compared to the interpreted paths;
 2. every path must match the numpy reference
    ``alpha*op(A)@op(B) + beta*C`` — computed in float64/complex128 with
@@ -158,16 +159,12 @@ def run_case(
     expect = reference_result(case, a, b, c0)
     atol = tolerance_for(case, expect)
 
-    paths = ["serial", "plan"]
-    if case.parallel_applicable:
-        paths += ["parallel", "parallel-plan"]
+    paths = ["serial", "plan", "parallel", "parallel-plan"]
     # fused programs are compiled for the fast kernels only (GemmConfig
     # rejects fuse with any other accuracy), so the fused paths join the
     # cross-check only for fast-discipline cases
     if fuse and case.accuracy == "fast":
-        paths += ["fused", "fused-replay"]
-        if case.parallel_applicable:
-            paths.append("parallel-fused")
+        paths += ["fused", "fused-replay", "parallel-fused"]
 
     failures: List[Dict[str, Any]] = []
     results: Dict[str, np.ndarray] = {}

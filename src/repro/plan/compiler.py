@@ -1,17 +1,22 @@
 """PlanCompiler: walk the DGEFMM recursion once, emit a flat plan.
 
-The compiler runs the *real* driver logic — the shared traversal core's
-recurse-vs-base decision at every level (:func:`repro.core.traversal.
-decide`: paper eq. 15 by default, dynamic peeling, scheme dispatch) and
-the actual STRASSEN1/STRASSEN2/textbook schedule functions — exactly
-once per problem signature, recording what the recursion *would do* as a
-flat tuple of typed ops (:mod:`repro.plan.ops`).
+The compiler runs the *real* driver logic — the one DGEFMM walker
+(:func:`repro.core.dgefmm._rec`: the shared traversal core's
+recurse-vs-base decision at every level, dynamic peeling, scheme
+dispatch, and the actual STRASSEN1/STRASSEN2/textbook schedule
+functions) — exactly once per problem signature, recording what the
+recursion *would do* as a flat tuple of typed ops
+(:mod:`repro.plan.ops`).
 
-Three substitutions make one execution of the control flow double as
-compilation, with zero duplicated schedule code:
+The walker takes a *binding* that supplies its side effects; the
+compiler passes a recorder (:class:`_Recorder`) instead of the live
+one, so one execution of the control flow doubles as compilation with
+zero duplicated schedule code:
 
 - **recording kernels** — a :class:`~repro.blas.addsub.BlockKernels` set
-  whose members append MADD/MSUB/ACCUM/AXPBY ops instead of computing;
+  whose members append MADD/MSUB/ACCUM/AXPBY ops instead of computing,
+  and base-GEMM, fix-up and event hooks that append GEMM/FIXUP/EVENT
+  ops;
 - **regions** — :class:`~repro.plan.ops.Region` operands that track the
   windowing the schedules perform on the call operands and temporaries;
 - **a recording workspace** — mirrors the pooled arena's bump-allocator
@@ -26,13 +31,13 @@ and beta are zero; nonzero scalars flow through compilation as
 :class:`~repro.plan.ops.SymScalar` placeholders resolved per call, so
 one plan serves every nonzero value bit-identically.
 
-Parallel plans mirror :func:`repro.core.parallel.pdgefmm`: a node's
+Parallel plans are the only form of parallel execution
+(:func:`repro.core.parallel.pdgefmm` replays them): a node's
 stage-(1)/(2) sums are its prologue, the seven independent products
 become *branches* (each a self-contained sub-plan over the branch's
 operand windows), and the stage-(4) U-tree plus any peeling fix-up form
-the epilogue.  The worker *budget* is an execution-time knob — exactly
-as in the live driver, where the recursion's structure depends only on
-``max_parallel_depth`` and the config.
+the epilogue.  The worker *budget* is an execution-time knob — the
+plan's structure depends only on ``max_parallel_depth`` and the config.
 """
 
 from __future__ import annotations
@@ -49,13 +54,14 @@ from repro.blas.dtypes import canonical_dtype
 from repro.blas.level3 import gemm_flops
 from repro.context import RecursionEvent
 from repro.core.config import GemmConfig
-from repro.core.dgefmm import LEVEL_FNS
+from repro.core.dgefmm import _rec
 from repro.core.parallel import (
     PARALLEL_LEVELS,
     _job_operands,
     _stage_combine,
     _stage_sums,
 )
+from repro.core.peeling import core_views
 from repro.core.pool import _align_up
 from repro.core.traversal import Base, decide
 from repro.errors import ArgumentError
@@ -392,9 +398,18 @@ class _RecordingWorkspace:
 
 
 class _Recorder:
-    """Op sink: interning region table, op lists, and predicted tallies."""
+    """The plan-recording binding of :func:`repro.core.dgefmm._rec`.
 
-    def __init__(self, dtype: Any) -> None:
+    Supplies recording ``kernels``, a recording workspace ``ws``, and
+    ``gemm``/``fixup``/``event`` hooks that append ops instead of
+    executing; ``ctx`` is ``None`` (recording kernels charge nothing).
+    Interns every operand region and keeps the predicted tallies.
+    """
+
+    ctx = None
+
+    def __init__(self, cfg: GemmConfig, dtype: Any) -> None:
+        self.cfg = cfg
         self.dtype = np.dtype(dtype)
         self.ws = _RecordingWorkspace()
         self.ops: List[tuple] = []
@@ -459,14 +474,18 @@ class _Recorder:
         )
         return y
 
-    # -- driver-level ops --------------------------------------------- #
-    def emit_event(self, action, m, k, n, depth, scheme="") -> None:
+    # -- walker hooks ------------------------------------------------- #
+    def event(self, action, m, k, n, depth, scheme="") -> None:
+        # every walked node emits a base or recurse event at its depth,
+        # so the event stream alone yields the node tallies
+        self.counts[action] += 1
+        if depth > self.counts["max_depth"]:
+            self.counts["max_depth"] = depth
         self._sink.append(
             (OP_EVENT, RecursionEvent(action, m, k, n, depth, scheme))
         )
 
-    def emit_gemm(self, a: Region, b: Region, c: Region,
-                  alpha, beta) -> None:
+    def gemm(self, a: Region, b: Region, c: Region, alpha, beta) -> None:
         m, k = a.shape
         n = b.shape[1]
         muls, adds = gemm_flops(m, k, n)
@@ -482,9 +501,8 @@ class _Recorder:
              encode_scalar(alpha), encode_scalar(beta))
         )
 
-    def emit_fixup(self, a: Region, b: Region, c: Region,
-                   alpha, beta, side: str,
-                   divisors: Tuple[int, int, int] = (2, 2, 2)) -> None:
+    def fixup(self, a: Region, b: Region, c: Region, alpha, beta,
+              divisors: Tuple[int, int, int] = (2, 2, 2)) -> None:
         m, k = a.shape
         n = b.shape[1]
         # predicted kernel tallies follow apply_fixups/apply_fixups_head
@@ -507,7 +525,8 @@ class _Recorder:
             self.add_flops_total += mo * max(0.0, float(n) * k - n)
         self._sink.append(
             (OP_FIXUP, self.reg(a), self.reg(b), self.reg(c),
-             encode_scalar(alpha), encode_scalar(beta), side, divisors)
+             encode_scalar(alpha), encode_scalar(beta), self.cfg.peel,
+             divisors)
         )
 
     # ------------------------------------------------------------------ #
@@ -517,10 +536,7 @@ class _Recorder:
         m: int,
         k: int,
         n: int,
-        nb: int,
-        backend: str,
         branches: Tuple[tuple, ...] = (),
-        accuracy: str = "fast",
     ) -> ExecutionPlan:
         charge = self.ws.peak + sum(
             child.charge_bytes for *_ids, child in branches
@@ -529,11 +545,12 @@ class _Recorder:
         counts["kernel_calls"] = Counter(self.kernel_calls)
         counts["mul_flops_total"] = self.mul_flops_total
         counts["add_flops_total"] = self.add_flops_total
+        cfg = self.cfg
         return ExecutionPlan(
-            signature, m, k, n, self.dtype, nb, backend,
+            signature, m, k, n, self.dtype, cfg.nb, cfg.backend,
             tuple(self.region_descs), tuple(self.ops), branches,
             tuple(self.epilogue), self.ws.required, self.ws.peak,
-            charge, counts, accuracy,
+            charge, counts, cfg.accuracy,
         )
 
 
@@ -544,85 +561,6 @@ def _roots(m: int, k: int, n: int, dtype: Any) -> tuple:
         Region(ROOT_B, 0, k, n, 0, 0, k, n, dtype),
         Region(ROOT_C, 0, m, n, 0, 0, m, n, dtype),
     )
-
-
-def _core_regions(
-    a: Region, b: Region, c: Region, side: str,
-    divisors: Tuple[int, int, int] = (2, 2, 2),
-) -> tuple:
-    """Divisor-exact core windows — same arithmetic as peeling.core_views."""
-    m, k = a.shape
-    n = b.shape[1]
-    dm, dk, dn = divisors
-    mo, ko, no = m % dm, k % dk, n % dn
-    if side == "tail":
-        return (
-            a[: m - mo, : k - ko], b[: k - ko, : n - no],
-            c[: m - mo, : n - no],
-        )
-    return a[mo:, ko:], b[ko:, no:], c[mo:, no:]
-
-
-class _SerialCompiler:
-    """Replays :func:`repro.core.dgefmm._rec` into a recorder.
-
-    The per-node decisions come from the same
-    :func:`repro.core.traversal.decide` the live driver consumes; this
-    class only binds the returned nodes to recording kernels instead of
-    numeric ones.
-    """
-
-    def __init__(self, cfg: GemmConfig, dtype: Any) -> None:
-        self.cfg = cfg
-        self.rec = _Recorder(dtype)
-
-    def run(self, a: Region, b: Region, c: Region,
-            alpha: Any, beta: Any, depth: int, scheme: str) -> None:
-        rec, cfg = self.rec, self.cfg
-        m, k = a.shape
-        n = b.shape[1]
-        if m == 0 or n == 0:
-            return
-        if k == 0 or alpha == 0.0:
-            if c.shape[0] and c.shape[1]:
-                rec.kernels.axpby(0.0, c, beta, c)
-            return
-        rec.counts["max_depth"] = max(rec.counts["max_depth"], depth)
-        node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
-        if isinstance(node, Base):
-            rec.counts["base"] += 1
-            rec.emit_event("base", m, k, n, depth)
-            rec.emit_gemm(a, b, c, alpha, beta)
-            return
-
-        if node.peeled:
-            rec.counts["peel"] += 1
-            rec.emit_event("peel", m, k, n, depth)
-        rec.counts["recurse"] += 1
-        rec.emit_event(
-            "recurse", node.mp, node.kp, node.np_, depth, scheme=node.level
-        )
-
-        if node.peeled:
-            core_a, core_b, core_c = _core_regions(
-                a, b, c, cfg.peel, node.divisors
-            )
-        else:
-            core_a, core_b, core_c = a, b, c
-
-        def recurse(aa, bb, cc, al, be):
-            self.run(aa, bb, cc, al, be, depth + 1, node.child_scheme)
-
-        fn = LEVEL_FNS[node.level]
-        if node.level == "s1b0":
-            fn(core_a, core_b, core_c, alpha, ctx=None, ws=rec.ws,
-               recurse=recurse, kernels=rec.kernels)
-        else:
-            fn(core_a, core_b, core_c, alpha, beta, ctx=None,
-               ws=rec.ws, recurse=recurse, kernels=rec.kernels)
-
-        if node.peeled:
-            rec.emit_fixup(a, b, c, alpha, beta, cfg.peel, node.divisors)
 
 
 def _compile_serial(
@@ -641,13 +579,12 @@ def _compile_serial(
 
     ``depth`` is 0 for whole serial plans; parallel plans compile their
     below-the-region serial children at the subtree's true depth, so
-    depth-sensitive criteria see the same recursion as the live driver.
+    depth-sensitive criteria see the same recursion as a serial call.
     """
-    sc = _SerialCompiler(cfg, dtype)
+    rec = _Recorder(cfg, dtype)
     a, b, c = _roots(m, k, n, dtype)
-    sc.run(a, b, c, alpha, beta, depth, scheme)
-    plan = sc.rec.build(signature, m, k, n, cfg.nb, cfg.backend,
-                        accuracy=cfg.accuracy)
+    _rec(a, b, c, alpha, beta, depth, scheme, rec)
+    plan = rec.build(signature, m, k, n)
     if cfg.fuse:
         plan.fused = fuse_plan(plan)
     return plan
@@ -668,11 +605,11 @@ def _compile_pnode(
     dtype: Any,
     signature: Optional["PlanSignature"] = None,
 ) -> ExecutionPlan:
-    """Mirror of parallel._prun for a node the traversal lets recurse."""
-    rec = _Recorder(dtype)
+    """One parallel level: stage sums, seven branches, U-tree + fix-up."""
+    rec = _Recorder(cfg, dtype)
     a, b, c = _roots(m, k, n, dtype)
     if node.peeled:
-        core_a, core_b, core_c = _core_regions(
+        core_a, core_b, core_c = core_views(
             a, b, c, cfg.peel, node.divisors
         )
     else:
@@ -681,14 +618,14 @@ def _compile_pnode(
     branches: List[tuple] = []
     with rec.ws.frame():
         s, t, ps = _stage_sums(
-            core_a, core_b, rec.ws, np.dtype(dtype), None, rec.kernels
+            core_a, core_b, rec.ws, np.dtype(dtype), rec.kernels
         )
         jobs = _job_operands(core_a, core_b, s, t, ps)
         for aa, bb, cc in jobs:
             jm, jk = aa.shape
             jn = bb.shape[1]
             if level < max_depth:
-                child = _prun_mirror(
+                child = _compile_parallel(
                     jm, jk, jn, 1.0, 0.0, level + 1, depth + 1, cfg,
                     node.child_scheme, max_depth, dtype,
                 )
@@ -699,15 +636,14 @@ def _compile_pnode(
                 )
             branches.append((rec.reg(aa), rec.reg(bb), rec.reg(cc), child))
         rec.begin_epilogue()
-        _stage_combine(ps, core_c, alpha, beta, None, rec.kernels)
+        _stage_combine(ps, core_c, alpha, beta, rec.kernels)
         if node.peeled:
-            rec.emit_fixup(a, b, c, alpha, beta, cfg.peel, node.divisors)
+            rec.fixup(a, b, c, alpha, beta, node.divisors)
 
-    return rec.build(signature, m, k, n, cfg.nb, cfg.backend,
-                     tuple(branches), accuracy=cfg.accuracy)
+    return rec.build(signature, m, k, n, tuple(branches))
 
 
-def _prun_mirror(
+def _compile_parallel(
     m: int,
     k: int,
     n: int,
@@ -721,19 +657,18 @@ def _prun_mirror(
     dtype: Any,
     signature: Optional["PlanSignature"] = None,
 ) -> ExecutionPlan:
-    """Mirror of parallel._prun's dispatch: parallel level or serial."""
-    if m == 0 or n == 0 or k == 0 or alpha == 0.0:
-        return _compile_serial(
-            m, k, n, alpha, beta, cfg, scheme, dtype, signature, depth,
-        )
-    node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
-    if isinstance(node, Base) or node.level not in PARALLEL_LEVELS:
-        return _compile_serial(
-            m, k, n, alpha, beta, cfg, scheme, dtype, signature, depth,
-        )
-    return _compile_pnode(
-        m, k, n, alpha, beta, level, depth, node, cfg, max_depth, dtype,
-        signature,
+    """The parallel walker's dispatch: a parallel level, or a serial
+    subtree where the traversal stops or resolves a level outside
+    :data:`~repro.core.parallel.PARALLEL_LEVELS`."""
+    if m and n and k and alpha != 0.0:
+        node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
+        if not isinstance(node, Base) and node.level in PARALLEL_LEVELS:
+            return _compile_pnode(
+                m, k, n, alpha, beta, level, depth, node, cfg, max_depth,
+                dtype, signature,
+            )
+    return _compile_serial(
+        m, k, n, alpha, beta, cfg, scheme, dtype, signature, depth,
     )
 
 
@@ -760,7 +695,7 @@ def compile_plan(signature: "PlanSignature") -> ExecutionPlan:
             signature.m, signature.k, signature.n, alpha, beta,
             cfg, cfg.scheme, signature.dtype, signature,
         )
-    return _prun_mirror(
+    return _compile_parallel(
         signature.m, signature.k, signature.n, alpha, beta, 1, 0,
         cfg, cfg.scheme, signature.max_parallel_depth, signature.dtype,
         signature,

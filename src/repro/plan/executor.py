@@ -22,9 +22,8 @@ new allocations and reuse the bound views via a per-buffer cache.
 Without a pool, a private aligned buffer per call keeps the path
 correct, just not amortized.
 
-Parallel plans replay under the live driver's worker-budget model:
-``workers`` splits level-by-level exactly like
-:func:`repro.core.parallel.pdgefmm` (structure fixed by the plan,
+Parallel plans are how :func:`repro.core.parallel.pdgefmm` runs: the
+``workers`` budget splits level-by-level (structure fixed by the plan,
 thread count by the budget), with private worker contexts merged in
 job order so instrumentation is thread-schedule-independent.
 """
@@ -252,8 +251,8 @@ def execute_plan(
     ``(m, k)`` / ``(k, n)`` matching the plan (the driver wrappers do
     this).  ``alpha``/``beta`` must belong to the zero/nonzero classes
     the plan was compiled for.  ``workers`` is the parallel replay
-    budget (ignored by serial plans), split level-by-level exactly like
-    the live parallel driver.  ``workspace`` (a quiescent
+    budget (ignored by serial plans), split level-by-level as described
+    in :mod:`repro.core.parallel`.  ``workspace`` (a quiescent
     :class:`~repro.core.pool.PooledWorkspace` the caller holds checked
     out) supplies the top node's arena directly, bypassing pool
     checkout — the serving engine's micro-batching hook: one arena is

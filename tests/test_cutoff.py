@@ -129,16 +129,6 @@ class TestDepth:
         with pytest.raises(Exception):
             c.depth = 3  # frozen dataclass
 
-    def test_descend_ascend_deprecated_noops(self):
-        c = DepthCutoff(2)
-        with pytest.warns(DeprecationWarning):
-            c.descend()
-        with pytest.warns(DeprecationWarning):
-            c.ascend()
-        # no state: the decision still depends only on the argument
-        assert not c.stop(0, 0, 0, depth=1)
-        assert c.stop(0, 0, 0, depth=2)
-
     def test_negative_depth_rejected(self):
         with pytest.raises(ValueError):
             DepthCutoff(-1)

@@ -207,8 +207,9 @@ class TestPlannedDifferential:
     @settings(max_examples=25, deadline=None)
     def test_planned_parallel_bit_identical(self, m, k, n, alpha, beta,
                                             workers, depth, seed):
-        """pdgefmm with a plan cache == pdgefmm without, bit for bit
-        (job merge order is deterministic in both drivers)."""
+        """pdgefmm through a plan cache == pdgefmm without, bit for bit:
+        a parallel plan compiled for one call replays exactly like the
+        cached plan (job merge order is deterministic)."""
         rng = np.random.default_rng(seed)
         a = np.asfortranarray(rng.standard_normal((m, k)))
         b = np.asfortranarray(rng.standard_normal((k, n)))

@@ -90,13 +90,14 @@ class TestStructure:
         a = np.asfortranarray(rng.standard_normal((m, m)))
         b = np.asfortranarray(rng.standard_normal((m, m)))
         c = np.zeros((m, m), order="F")
-        ws_p = Workspace()
-        pdgefmm(a, b, c, cutoff=SimpleCutoff(16), workspace=ws_p)
+        ctx_p = ExecutionContext()
+        pdgefmm(a, b, c, cutoff=SimpleCutoff(16), ctx=ctx_p)
+        peak_p = ctx_p.stats["workspace_peak_bytes"]
         ws_s = Workspace()
         dgefmm(a, b, c, cutoff=SimpleCutoff(16), workspace=ws_s)
-        assert ws_p.peak_bytes > ws_s.peak_bytes
+        assert peak_p > ws_s.peak_bytes
         # first-level footprint ~ mk + kn + 7mn/4 elements
-        assert ws_p.peak_elements >= (2 + 7 / 4) * (m / 2) ** 2 * 4 * 0.9
+        assert peak_p / c.itemsize >= (2 + 7 / 4) * (m / 2) ** 2 * 4 * 0.9
 
     def test_dry_mode_rejected(self):
         ctx = ExecutionContext(dry=True)
@@ -256,6 +257,35 @@ class TestSchemeParity:
             dgefmm(a, b, c_s, 0.5, 1.5, cutoff=CUT, scheme=scheme,
                    peel=peel)
             assert np.array_equal(outs[0], c_s)
+
+    @pytest.mark.parametrize("case", ["top-base", "textbook", "object"])
+    def test_non_parallel_calls_take_dgefmm_path(self, rng, monkeypatch,
+                                                 case):
+        """Only a top node in PARALLEL_LEVELS compiles a parallel plan;
+        a top-level base case, a scheme outside the set and an
+        object-dtype problem run dgefmm's walk, bit-identically."""
+        import repro.plan.compiler as compiler
+
+        def refuse(sig):
+            raise AssertionError(f"pdgefmm compiled {sig}")
+
+        monkeypatch.setattr(compiler, "compile_plan", refuse)
+        m, k, n = (6, 5, 7) if case == "top-base" else (40, 36, 44)
+        alpha, beta, knobs = 0.5, 1.5, {"cutoff": CUT}
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = np.asfortranarray(rng.standard_normal((k, n)))
+        c_s = np.asfortranarray(rng.standard_normal((m, n)))
+        if case == "textbook":
+            knobs["scheme"] = "textbook"
+        elif case == "object":
+            alpha, beta = 2, -1
+            a, b, c_s = (np.asfortranarray(
+                rng.integers(-9, 10, x.shape).astype(object))
+                for x in (a, b, c_s))
+        c_p = c_s.copy(order="F")
+        dgefmm(a, b, c_s, alpha, beta, **knobs)
+        pdgefmm(a, b, c_p, alpha, beta, workers=7, **knobs)
+        assert np.array_equal(c_s, c_p)
 
     def test_backend_kwarg_accepted(self, rng):
         m = 48

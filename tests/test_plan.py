@@ -151,6 +151,8 @@ class TestExactnessCrossCheck:
 class TestParallelPlans:
     @pytest.mark.parametrize("workers,depth", [(1, 1), (7, 1), (14, 2)])
     def test_parallel_plan_matches_pdgefmm(self, rng, workers, depth):
+        """Uncached pdgefmm is one compile plus one replay: it equals a
+        sequential replay of the explicitly compiled parallel plan."""
         m = k = n = 96
         crit = SimpleCutoff(16)
         a = np.asfortranarray(rng.standard_normal((m, k)))
@@ -160,13 +162,12 @@ class TestParallelPlans:
         ctx1, ctx2 = ExecutionContext(), ExecutionContext()
         pdgefmm(a, b, c1, 1.25, 0.5, cutoff=crit, workers=workers,
                 max_parallel_depth=depth, ctx=ctx1)
-        pdgefmm(a, b, c2, 1.25, 0.5, cutoff=crit, workers=workers,
-                max_parallel_depth=depth, ctx=ctx2,
-                plan_cache=PlanCache())
+        plan = compile_plan(_sig(m, k, n, 0.5, cutoff=crit,
+                                 kind="parallel", depth=depth))
+        execute_plan(plan, a, b, c2, 1.25, 0.5, ctx=ctx2, workers=1)
         assert np.array_equal(c1, c2)
         assert ctx1.kernel_calls == ctx2.kernel_calls
-        assert (ctx1.stats["workspace_peak_bytes"]
-                == ctx2.stats["workspace_peak_bytes"])
+        assert ctx1.stats["workspace_peak_bytes"] == plan.charge_bytes
 
     def test_parallel_plan_structure(self):
         plan = compile_plan(_sig(128, 128, 128, cutoff=SimpleCutoff(32),
