@@ -168,8 +168,8 @@ class BlockKernels(NamedTuple):
 
     The Strassen schedules (:mod:`repro.core.strassen1`,
     :mod:`repro.core.strassen2`, :mod:`repro.core.textbook`, and the
-    parallel level's stage helpers) take a ``kernels`` argument of this
-    shape.  The default, :data:`NUMERIC_KERNELS`, performs the numerics;
+    parallel level's fan-out and combine in :mod:`repro.core.uvw`) take
+    a ``kernels`` argument of this shape.  The default, :data:`NUMERIC_KERNELS`, performs the numerics;
     the plan compiler (:mod:`repro.plan.compiler`) substitutes a
     *recording* set that emits typed plan ops instead, so one schedule
     definition serves both live execution and plan compilation without

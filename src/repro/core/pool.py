@@ -84,10 +84,11 @@ def workspace_bound_bytes(
     ``scheme`` is any registry scheme name — the per-scheme element
     bounds (the paper's Table 1 figures, plus the registered non-2x2
     families) live in :func:`repro.core.schemes.bound_elements` — or
-    ``"parallel"``: one task-parallel level (all four S, four T and
-    seven quarter-size P blocks live at once) on top of a STRASSEN2
-    recursion inside each product.  The figure includes alignment slack
-    for the bump allocator, so an arena hinted with it never regrows.
+    ``"parallel"``: one task-parallel seven-product ⟨2,2,2;7⟩ level
+    (all four S, four T and seven quarter-size P blocks live at once) on
+    top of a STRASSEN2 recursion inside each product.  The figure
+    includes alignment slack for the bump allocator, so an arena hinted
+    with it never regrows.
     """
     if scheme == "parallel":
         mk, kn, mn = max(m * k, 1), max(k * n, 1), max(m * n, 1)

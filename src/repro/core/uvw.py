@@ -29,6 +29,9 @@ harness):
 Only three temporaries exist per level — one S, one T, one P block —
 so an ⟨mbar,kbar,nbar;R⟩ level costs ``mk/(mbar*kbar) + kn/(kbar*nbar)
 + mn/(mbar*nbar)`` extra elements regardless of R.
+
+A parallel level runs the same data: :func:`fan_out` gives each of the
+R products its own temporaries, and :func:`combine` writes C from them.
 """
 
 from __future__ import annotations
@@ -37,7 +40,7 @@ from typing import Any, Callable, Optional
 
 from repro.blas.addsub import NUMERIC_KERNELS, BlockKernels
 from repro.context import ExecutionContext
-from repro.core.schemes import get_scheme
+from repro.core.schemes import Scheme, get_scheme
 from repro.core.workspace import Workspace
 
 __all__ = ["make_uvw_level"]
@@ -45,20 +48,24 @@ __all__ = ["make_uvw_level"]
 RecurseFn = Callable[[Any, Any, Any, float, float], None]
 
 
+def split_blocks(x: Any, rows: int, cols: int) -> tuple:
+    """The ``rows`` x ``cols`` grid of equal blocks of ``x``, row-major."""
+    bm, bn = x.shape[0] // rows, x.shape[1] // cols
+    return tuple(x[i * bm:(i + 1) * bm, j * bn:(j + 1) * bn]
+                 for i in range(rows) for j in range(cols))
+
+
+def nonzero_rows(mat) -> tuple:
+    """Each row of a coefficient matrix as its ``(column, coef)`` nonzeros."""
+    return tuple(tuple((j, c) for j, c in enumerate(row) if c) for row in mat)
+
+
 def make_uvw_level(scheme_name: str):
     """Build a level function executing one registry scheme's UVW."""
     sch = get_scheme(scheme_name)
-    mb, kb, nb = sch.mbar, sch.kbar, sch.nbar
-    urows = tuple(
-        tuple((j, c) for j, c in enumerate(row) if c) for row in sch.u
-    )
-    vrows = tuple(
-        tuple((j, c) for j, c in enumerate(row) if c) for row in sch.v
-    )
-    dests = tuple(
-        tuple((ci, sch.w[ci][r]) for ci in range(mb * nb) if sch.w[ci][r])
-        for r in range(sch.r)
-    )
+    urows, vrows = nonzero_rows(sch.u), nonzero_rows(sch.v)
+    # per product: the (C block, coefficient) pairs it feeds
+    dests = nonzero_rows(zip(*sch.w))
 
     def uvw_level(
         a: Any,
@@ -73,28 +80,16 @@ def make_uvw_level(scheme_name: str):
         kernels: Optional[BlockKernels] = None,
     ) -> None:
         em = kernels if kernels is not None else NUMERIC_KERNELS
-        m, k = a.shape
-        n = b.shape[1]
-        cm, ck, cn = m // mb, k // kb, n // nb
-        ablk = tuple(
-            a[i * cm:(i + 1) * cm, j * ck:(j + 1) * ck]
-            for i in range(mb) for j in range(kb)
-        )
-        bblk = tuple(
-            b[i * ck:(i + 1) * ck, j * cn:(j + 1) * cn]
-            for i in range(kb) for j in range(nb)
-        )
-        cblk = tuple(
-            c[i * cm:(i + 1) * cm, j * cn:(j + 1) * cn]
-            for i in range(mb) for j in range(nb)
-        )
+        ablk = split_blocks(a, sch.mbar, sch.kbar)
+        bblk = split_blocks(b, sch.kbar, sch.nbar)
+        cblk = split_blocks(c, sch.mbar, sch.nbar)
         dt = getattr(c, "dtype", None) or "float64"
         neg_alpha = -alpha
         with ws.frame():
-            s = ws.alloc(cm, ck, dt)
-            t = ws.alloc(ck, cn, dt)
-            p = ws.alloc(cm, cn, dt)
-            touched = [False] * (mb * nb)
+            s = ws.alloc(*ablk[0].shape, dt)
+            t = ws.alloc(*bblk[0].shape, dt)
+            p = ws.alloc(*cblk[0].shape, dt)
+            touched = [False] * len(cblk)
             for r in range(sch.r):
                 sa = _operand(urows[r], ablk, s, em, ctx)
                 tb = _operand(vrows[r], bblk, t, em, ctx)
@@ -122,9 +117,44 @@ def make_uvw_level(scheme_name: str):
     return uvw_level
 
 
+def fan_out(sch: Scheme, a: Any, b: Any, ws: Any, dt: Any,
+            em: BlockKernels) -> tuple:
+    """``sch``'s R products as independent (S, T, P) triples: S is the A
+    block itself for a single-+1 U row, else its own ``ws`` temporary;
+    T likewise from V; P is always its own temporary."""
+    ablk = split_blocks(a, sch.mbar, sch.kbar)
+    bblk = split_blocks(b, sch.kbar, sch.nbar)
+
+    def operand(terms, blocks):
+        tmp = None if _is_block(terms) else ws.alloc(*blocks[0].shape, dt)
+        return _operand(terms, blocks, tmp, em, None)
+
+    p_shape = ablk[0].shape[0], bblk[0].shape[1]
+    return tuple(
+        (operand(ur, ablk), operand(vr, bblk), ws.alloc(*p_shape, dt))
+        for ur, vr in zip(nonzero_rows(sch.u), nonzero_rows(sch.v))
+    )
+
+
+def combine(sch: Scheme, jobs: tuple, c: Any, alpha: Any, beta: Any,
+            em: BlockKernels) -> None:
+    """``C_i <- alpha * sum_r W[i][r] * P_r + beta * C_i`` for the
+    :func:`fan_out` jobs; beta rides each block's first AXPBY."""
+    cblk = split_blocks(c, sch.mbar, sch.nbar)
+    for ci, terms in zip(cblk, nonzero_rows(sch.w)):
+        for i, (r, wc) in enumerate(terms):
+            em.axpby(alpha if wc > 0 else -alpha, jobs[r][2],
+                     1.0 if i else beta, ci)
+
+
+def _is_block(terms) -> bool:
+    """True when an S/T row is one block taken as-is (no temporary)."""
+    return len(terms) == 1 and terms[0][1] > 0
+
+
 def _operand(terms, blocks, tmp, em, ctx):
     """Materialise one S/T linear combination (or return the block)."""
-    if len(terms) == 1 and terms[0][1] > 0:
+    if _is_block(terms):
         return blocks[terms[0][0]]
     first = True
     for j, coef in terms:

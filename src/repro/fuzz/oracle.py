@@ -8,8 +8,9 @@ result-producing paths:
   (compiled-plan replay);
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
   worker budget, parallel depth, and the full scheme/peel knob set,
-  with no cache: a parallel plan compiled for this call (or, when the
-  top node cannot run a parallel level, ``dgefmm``'s walk);
+  with no cache: a parallel plan compiled for this call, whose levels
+  fan out the scheme's R products from its U/V/W (a top-level base
+  case or an object-dtype case takes ``dgefmm``'s walk);
 - ``parallel-plan`` — pdgefmm through a plan cache, replaying the
   cached plan.
 

@@ -29,15 +29,18 @@ zero duplicated schedule code:
 Scalars are compiled per *class*: the signature records whether alpha
 and beta are zero; nonzero scalars flow through compilation as
 :class:`~repro.plan.ops.SymScalar` placeholders resolved per call, so
-one plan serves every nonzero value bit-identically.
+one plan serves every nonzero value bit-identically.  Exact-accuracy
+plans store their literals as ``np.int64`` (:func:`_encode_exact`).
 
 Parallel plans are the only form of parallel execution
-(:func:`repro.core.parallel.pdgefmm` replays them): a node's
-stage-(1)/(2) sums are its prologue, the seven independent products
-become *branches* (each a self-contained sub-plan over the branch's
-operand windows), and the stage-(4) U-tree plus any peeling fix-up form
-the epilogue.  The worker *budget* is an execution-time knob — the
-plan's structure depends only on ``max_parallel_depth`` and the config.
+(:func:`repro.core.parallel.pdgefmm` replays them).  Every non-base
+node is built from its scheme's registry data: the U/V operand sums of
+:func:`repro.core.uvw.fan_out` are its prologue, the R independent
+products become *branches* (each a self-contained sub-plan over the
+branch's operand windows), and the W combine of
+:func:`repro.core.uvw.combine` plus any peeling fix-up form the
+epilogue.  The worker *budget* is an execution-time knob — the plan's
+structure depends only on ``max_parallel_depth`` and the config.
 """
 
 from __future__ import annotations
@@ -55,15 +58,11 @@ from repro.blas.level3 import gemm_flops
 from repro.context import RecursionEvent
 from repro.core.config import GemmConfig
 from repro.core.dgefmm import _rec
-from repro.core.parallel import (
-    PARALLEL_LEVELS,
-    _job_operands,
-    _stage_combine,
-    _stage_sums,
-)
 from repro.core.peeling import core_views
 from repro.core.pool import _align_up
+from repro.core.schemes import LEVEL_SCHEME, get_scheme
 from repro.core.traversal import Base, decide
+from repro.core.uvw import combine, fan_out
 from repro.errors import ArgumentError
 from repro.plan.fuse import fuse_plan
 from repro.plan.ops import (
@@ -397,6 +396,12 @@ class _RecordingWorkspace:
         return Region(ROOT_TEMP, start, m, n, 0, 0, m, n, dt)
 
 
+def _encode_exact(s: Any) -> Any:
+    """Exact plans' scalar encoder: literals become ``np.int64`` —
+    integral, and never the ``int`` class replay reads as a code."""
+    return s.code if isinstance(s, SymScalar) else np.int64(s)
+
+
 class _Recorder:
     """The plan-recording binding of :func:`repro.core.dgefmm._rec`.
 
@@ -427,6 +432,9 @@ class _Recorder:
         self.kernels = BlockKernels(
             self._madd, self._msub, self._accum, self._axpby
         )
+        # chosen once per plan: exact plans carry integral literals
+        self.scalar = (_encode_exact if cfg.accuracy == "exact"
+                       else encode_scalar)
 
     def begin_epilogue(self) -> None:
         self._sink = self.epilogue
@@ -449,7 +457,7 @@ class _Recorder:
         self._charge_add("madd", out)
         self._sink.append(
             (OP_MADD, self.reg(x), self.reg(y), self.reg(out),
-             encode_scalar(alpha))
+             self.scalar(alpha))
         )
         return out
 
@@ -457,7 +465,7 @@ class _Recorder:
         self._charge_add("msub", out)
         self._sink.append(
             (OP_MSUB, self.reg(x), self.reg(y), self.reg(out),
-             encode_scalar(alpha))
+             self.scalar(alpha))
         )
         return out
 
@@ -469,8 +477,8 @@ class _Recorder:
     def _axpby(self, alpha, x, beta, y, *, ctx=None):
         self._charge_add("axpby", y)
         self._sink.append(
-            (OP_AXPBY, encode_scalar(alpha), self.reg(x),
-             encode_scalar(beta), self.reg(y))
+            (OP_AXPBY, self.scalar(alpha), self.reg(x),
+             self.scalar(beta), self.reg(y))
         )
         return y
 
@@ -498,7 +506,7 @@ class _Recorder:
         shapes[key] = shapes.get(key, 0) + 1
         self._sink.append(
             (OP_GEMM, self.reg(a), self.reg(b), self.reg(c),
-             encode_scalar(alpha), encode_scalar(beta))
+             self.scalar(alpha), self.scalar(beta))
         )
 
     def fixup(self, a: Region, b: Region, c: Region, alpha, beta,
@@ -525,7 +533,7 @@ class _Recorder:
             self.add_flops_total += mo * max(0.0, float(n) * k - n)
         self._sink.append(
             (OP_FIXUP, self.reg(a), self.reg(b), self.reg(c),
-             encode_scalar(alpha), encode_scalar(beta), self.cfg.peel,
+             self.scalar(alpha), self.scalar(beta), self.cfg.peel,
              divisors)
         )
 
@@ -605,7 +613,7 @@ def _compile_pnode(
     dtype: Any,
     signature: Optional["PlanSignature"] = None,
 ) -> ExecutionPlan:
-    """One parallel level: stage sums, seven branches, U-tree + fix-up."""
+    """One parallel level: the scheme's R products from its U/V/W."""
     rec = _Recorder(cfg, dtype)
     a, b, c = _roots(m, k, n, dtype)
     if node.peeled:
@@ -615,12 +623,10 @@ def _compile_pnode(
     else:
         core_a, core_b, core_c = a, b, c
 
+    sch = get_scheme(LEVEL_SCHEME[node.level])
     branches: List[tuple] = []
     with rec.ws.frame():
-        s, t, ps = _stage_sums(
-            core_a, core_b, rec.ws, np.dtype(dtype), rec.kernels
-        )
-        jobs = _job_operands(core_a, core_b, s, t, ps)
+        jobs = fan_out(sch, core_a, core_b, rec.ws, rec.dtype, rec.kernels)
         for aa, bb, cc in jobs:
             jm, jk = aa.shape
             jn = bb.shape[1]
@@ -636,7 +642,7 @@ def _compile_pnode(
                 )
             branches.append((rec.reg(aa), rec.reg(bb), rec.reg(cc), child))
         rec.begin_epilogue()
-        _stage_combine(ps, core_c, alpha, beta, rec.kernels)
+        combine(sch, jobs, core_c, alpha, beta, rec.kernels)
         if node.peeled:
             rec.fixup(a, b, c, alpha, beta, node.divisors)
 
@@ -658,11 +664,10 @@ def _compile_parallel(
     signature: Optional["PlanSignature"] = None,
 ) -> ExecutionPlan:
     """The parallel walker's dispatch: a parallel level, or a serial
-    subtree where the traversal stops or resolves a level outside
-    :data:`~repro.core.parallel.PARALLEL_LEVELS`."""
+    subtree where the traversal stops."""
     if m and n and k and alpha != 0.0:
         node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
-        if not isinstance(node, Base) and node.level in PARALLEL_LEVELS:
+        if not isinstance(node, Base):
             return _compile_pnode(
                 m, k, n, alpha, beta, level, depth, node, cfg, max_depth,
                 dtype, signature,

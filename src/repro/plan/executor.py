@@ -34,6 +34,7 @@ from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional
 
 from repro.blas.addsub import NUMERIC_KERNELS, kernels_for
+from repro.blas.dtypes import require_integral_scalar
 from repro.blas.level3 import dgemm
 from repro.blas.validate import copy_on_overlap
 from repro.context import ExecutionContext
@@ -113,11 +114,11 @@ def _run_ops(ops, v, st, ctx, nb, backend,
              em=NUMERIC_KERNELS, accuracy="fast") -> None:
     """The flat replay loop.  ``v`` is the resolved region table; ``st``
     the scalar table ``(alpha, -alpha, beta, -beta)`` — int-coded op
-    scalars index it, float literals pass through.  ``em`` is the
-    accuracy-selected block-kernel table and ``accuracy`` the matching
-    base-case discipline, so plan replay dispatches the *same* kernels
-    the recursive driver would for that config (bit-identity per
-    accuracy, not just for "fast")."""
+    scalars index it, literals (float, or ``np.int64`` in exact plans)
+    pass through.  ``em`` is the accuracy-selected block-kernel table
+    and ``accuracy`` the matching base-case discipline, so plan replay
+    dispatches the *same* kernels the recursive driver would for that
+    config (bit-identity per accuracy, not just for "fast")."""
     madd, msub, accum, axpby = em
     for op in ops:
         code = op[0]
@@ -287,6 +288,10 @@ def execute_plan(
                 "execute_plan", "alpha/beta",
                 "scalar zero-class differs from the plan signature",
             )
+    if plan.accuracy == "exact":
+        # integral scalars, as the drivers' prologue coerces them
+        alpha = require_integral_scalar("execute_plan", "alpha", alpha)
+        beta = require_integral_scalar("execute_plan", "beta", beta)
     st = (alpha, -alpha, beta, -beta)
     _exec(plan, a, b, c, st, ctx, pool, workers, arena=workspace)
     ctx.stats_max("workspace_peak_bytes", plan.charge_bytes)

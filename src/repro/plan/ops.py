@@ -8,14 +8,15 @@ or a window of a temporary living at a precomputed byte offset inside
 the plan's workspace arena (the bump-allocator layout the pooled
 workspace would produce — see :class:`~repro.core.pool.PooledWorkspace`).
 
-Scalars inside ops are either Python floats (the literal 1.0 / -1.0 /
-0.0 coefficients the schedules hard-code) or one of four small integer
-codes standing for the call's ``alpha``/``beta``: the schedules only
-ever propagate ``±alpha`` and ``±beta``, so four codes cover every
-symbolic scalar a plan can contain.  The executor resolves a code ``s``
-as ``(alpha, -alpha, beta, -beta)[s]`` — computing ``-alpha`` exactly
-like the live schedules do, so planned and recursive execution are
-bit-identical.
+Scalars inside ops are either literals (the 1.0 / -1.0 / 0.0
+coefficients the schedules hard-code: Python floats, or ``np.int64`` in
+exact-accuracy plans so integer buffers are never scaled by a float) or
+one of four small ``int`` codes standing for the call's
+``alpha``/``beta``: the schedules only ever propagate ``±alpha`` and
+``±beta``, so four codes cover every symbolic scalar a plan can
+contain.  The executor resolves a code ``s`` as ``(alpha, -alpha, beta,
+-beta)[s]`` — computing ``-alpha`` exactly like the live schedules do,
+so planned and recursive execution are bit-identical.
 """
 
 from __future__ import annotations
@@ -129,7 +130,7 @@ def scalar_repr(s: Any) -> str:
     """Human-readable scalar for ``plan explain`` output."""
     if s.__class__ is int:
         return _SC_NAMES[s]
-    return repr(s)
+    return str(s)
 
 
 class Region:

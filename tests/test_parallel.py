@@ -8,6 +8,7 @@ from repro.core.cutoff import DepthCutoff, NeverRecurse, SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import parallel_arena_count, pdgefmm
 from repro.core.pool import WorkspacePool
+from repro.core.schemes import SCHEME_NAMES
 from repro.core.workspace import Workspace
 from repro.errors import ArgumentError, DimensionError
 from repro.phantom import Phantom
@@ -181,12 +182,10 @@ class TestDepthCutoff:
 
 
 class TestSchemeParity:
-    """pdgefmm accepts the full serial knob set and its results are
-    bit-identical to the serial driver's structure-compatible paths."""
+    """pdgefmm accepts the full serial knob set for every registry
+    scheme; its results are schedule-independent and match numpy."""
 
-    @pytest.mark.parametrize("scheme", ["auto", "strassen1",
-                                        "strassen1_general", "strassen2",
-                                        "textbook"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     @pytest.mark.parametrize("peel", ["tail", "head"])
     def test_matches_numpy_all_knobs(self, rng, scheme, peel):
         m, k, n = 45, 37, 53
@@ -196,16 +195,15 @@ class TestSchemeParity:
         expect = 0.5 * (a @ b) + 1.5 * c
         pdgefmm(a, b, c, 0.5, 1.5, cutoff=CUT, scheme=scheme, peel=peel)
         np.testing.assert_allclose(c, expect, atol=1e-9)
-
-    def test_textbook_falls_back_to_serial_bit_identically(self, rng):
-        m = 40
-        a = np.asfortranarray(rng.standard_normal((m, m)))
-        b = np.asfortranarray(rng.standard_normal((m, m)))
-        c_s = np.zeros((m, m), order="F")
-        c_p = np.zeros((m, m), order="F")
-        dgefmm(a, b, c_s, cutoff=CUT, scheme="textbook")
-        pdgefmm(a, b, c_p, cutoff=CUT, scheme="textbook")
-        assert np.array_equal(c_s, c_p)
+        # the exact dtypes equal numpy exactly
+        ai, bi, ci = (rng.integers(-99, 100, x.shape) for x in (a, b, c))
+        for dt in (np.int64, object):
+            got = np.asfortranarray(ci.astype(dt))
+            pdgefmm(np.asfortranarray(ai.astype(dt)),
+                    np.asfortranarray(bi.astype(dt)), got, 3, -2,
+                    cutoff=CUT, scheme=scheme, peel=peel)
+            assert np.array_equal(got.astype(np.int64),
+                                  3 * (ai @ bi) - 2 * ci), dt
 
     @pytest.mark.parametrize("scheme", ["auto", "strassen1", "strassen2"])
     def test_kernel_counts_invariant_under_hammer(self, rng, scheme):
@@ -251,19 +249,13 @@ class TestSchemeParity:
             outs = list(tp.map(one, range(8)))
         for c in outs[1:]:
             assert np.array_equal(outs[0], c)
-        # textbook has no parallel level: bit-identical to serial dgefmm
-        if scheme == "textbook":
-            c_s = c0.copy(order="F")
-            dgefmm(a, b, c_s, 0.5, 1.5, cutoff=CUT, scheme=scheme,
-                   peel=peel)
-            assert np.array_equal(outs[0], c_s)
 
-    @pytest.mark.parametrize("case", ["top-base", "textbook", "object"])
+    @pytest.mark.parametrize("case", ["top-base", "object"])
     def test_non_parallel_calls_take_dgefmm_path(self, rng, monkeypatch,
                                                  case):
-        """Only a top node in PARALLEL_LEVELS compiles a parallel plan;
-        a top-level base case, a scheme outside the set and an
-        object-dtype problem run dgefmm's walk, bit-identically."""
+        """pdgefmm compiles no parallel plan on exactly two routes: a
+        top-level base case and an object-dtype problem both run
+        dgefmm's walk, bit-identically."""
         import repro.plan.compiler as compiler
 
         def refuse(sig):
@@ -275,9 +267,7 @@ class TestSchemeParity:
         a = np.asfortranarray(rng.standard_normal((m, k)))
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c_s = np.asfortranarray(rng.standard_normal((m, n)))
-        if case == "textbook":
-            knobs["scheme"] = "textbook"
-        elif case == "object":
+        if case == "object":
             alpha, beta = 2, -1
             a, b, c_s = (np.asfortranarray(
                 rng.integers(-9, 10, x.shape).astype(object))
@@ -286,6 +276,21 @@ class TestSchemeParity:
         dgefmm(a, b, c_s, alpha, beta, **knobs)
         pdgefmm(a, b, c_p, alpha, beta, workers=7, **knobs)
         assert np.array_equal(c_s, c_p)
+
+    @pytest.mark.parametrize("peel", ["tail", "head"])
+    @pytest.mark.parametrize("m,k,n", [(36, 36, 36), (37, 35, 33),
+                                       (29, 31, 41)])
+    def test_int64_bdpz_peel_below_parallel_level(self, rng, peel, m, k,
+                                                  n):
+        """Regression: a BDPZ level negates its branch's literal alpha,
+        and the peeling fix-up below it scaled an int64 buffer by -1.0
+        (UFuncTypeError).  Exact plans carry integral literals."""
+        a = np.asfortranarray(rng.integers(-99, 100, (m, k)))
+        b = np.asfortranarray(rng.integers(-99, 100, (k, n)))
+        c = np.zeros((m, n), dtype=np.int64, order="F")
+        pdgefmm(a, b, c, scheme="bdpz", peel=peel, cutoff=SimpleCutoff(4),
+                workers=2)
+        assert np.array_equal(c, a @ b)
 
     def test_backend_kwarg_accepted(self, rng):
         m = 48

@@ -348,6 +348,23 @@ class TestServedAccuracy:
         assert got.dtype == np.int64
         assert np.array_equal(got, a @ b)
 
+    @pytest.mark.parametrize("peel", ["tail", "head"])
+    def test_int64_bdpz_served_with_float_scalars(self, rng, peel):
+        """Regression: the service replays plans with the submitted
+        scalars (floats by default); a BDPZ level's -alpha then reached
+        a peeling fix-up as -1.0 and failed on the int64 buffer.  Exact
+        plan replay takes the scalars as ints."""
+        from repro.serve.service import GemmService
+
+        a, b, c = _operands(rng, "int64", 37, 35, 33)
+        svc = GemmService(workers=1)
+        try:
+            got = svc.submit(a, b, c, 1.0, 2.0, scheme="bdpz", peel=peel,
+                             cutoff=CUT).result(timeout=30.0)
+        finally:
+            svc.close()
+        assert np.array_equal(got, a @ b + 2 * c)
+
 
 class TestWireAccuracy:
     def test_header_roundtrip(self):

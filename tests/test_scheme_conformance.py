@@ -9,11 +9,13 @@ profile from ``LEVEL_PROFILE``, workspace bound from
 subject to all of these checks with zero new test code:
 
 1. the coefficient matrices satisfy the bilinear identity exactly;
-2. numeric results match numpy over a hypothesis-driven shape/scalar
-   space (peeling, rectangles, both beta classes);
+2. numeric results, serial and parallel, match numpy over a
+   hypothesis-driven shape/scalar space (peeling, rectangles, both
+   beta classes);
 3. a depth-``d`` recursion issues exactly ``R^d`` base kernels — in the
-   closed-form profile, in a live instrumented run, and in the compiled
-   plan's event trace, all agreeing with each other;
+   closed-form profile, in a live instrumented run, in the compiled
+   plan's event trace, and in a parallel-plan ``pdgefmm`` run at any
+   worker budget, all agreeing with each other;
 4. the op-count model (:func:`repro.core.opcount.scheme_ops`) equals
    the compiled plan's multiply+add tallies and the live context's
    charged flops *exactly* on divisor-exact dimensions;
@@ -37,6 +39,7 @@ from repro.core.config import GemmConfig
 from repro.core.cutoff import DepthCutoff, SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.opcount import scheme_ops
+from repro.core.parallel import pdgefmm
 from repro.core.pool import workspace_bound_bytes
 from repro.core.recursion import recursion_profile
 from repro.core.schemes import (
@@ -49,6 +52,7 @@ from repro.core.schemes import (
     get_scheme,
 )
 from repro.core.workspace import Workspace
+import repro.plan.compiler as compiler
 from repro.plan import PlanCache, compile_plan
 from repro.plan.compiler import signature_for
 
@@ -150,11 +154,12 @@ def test_dispatch_tables_are_consistent(scheme):
 )
 def test_numeric_matches_numpy(scheme, m, k, n, alpha, beta, tau, seed):
     a, b, c0 = _operands(m, k, n, seed)
-    c = c0.copy(order="F")
-    dgefmm(a, b, c, alpha, beta, cutoff=SimpleCutoff(tau), scheme=scheme)
     expect = alpha * (a @ b) + beta * c0
     scale = max(1.0, float(np.max(np.abs(expect))))
-    assert np.allclose(c, expect, atol=1e-9 * scale)
+    for drive in (dgefmm, pdgefmm):
+        c = c0.copy(order="F")
+        drive(a, b, c, alpha, beta, cutoff=SimpleCutoff(tau), scheme=scheme)
+        assert np.allclose(c, expect, atol=1e-9 * scale), drive.__name__
 
 
 # --------------------------------------------------------------------- #
@@ -164,7 +169,7 @@ def test_numeric_matches_numpy(scheme, m, k, n, alpha, beta, tau, seed):
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 @pytest.mark.parametrize("depth", [1, 2])
-def test_base_kernel_count_is_r_to_the_d(scheme, depth):
+def test_base_kernel_count_is_r_to_the_d(scheme, depth, monkeypatch):
     dm, dk, dn = _divisors_of(scheme)
     lvl_b0, _ = _levels_of(scheme)
     r = LEVELS[lvl_b0]
@@ -186,6 +191,25 @@ def test_base_kernel_count_is_r_to_the_d(scheme, depth):
     assert tc["base"] == r**depth
     assert tc["kernel_calls"]["dgemm"] == r**depth
     assert tc["mul_flops"] == prof["mul_flops"]
+
+    # pdgefmm replays a parallel plan for every scheme; the worker
+    # budget never changes what runs
+    kinds = []
+
+    def spy(sig):
+        kinds.append(sig.kind)
+        return compile_plan(sig)
+
+    monkeypatch.setattr(compiler, "compile_plan", spy)
+    counters = set()
+    for workers in (1, 7):
+        ctx = ExecutionContext()
+        pdgefmm(a, b, c0.copy(order="F"), 1.0, 0.0, cutoff=crit,
+                scheme=scheme, ctx=ctx, workers=workers)
+        assert ctx.kernel_calls["dgemm"] == r**depth
+        counters.add(tuple(sorted(ctx.kernel_calls.items())))
+    assert kinds == ["parallel", "parallel"]
+    assert len(counters) == 1
 
 
 # --------------------------------------------------------------------- #

@@ -473,7 +473,7 @@ class TestGemmService:
         first request while the rest sit queued when close() fires.
         """
         rng = np.random.default_rng(12)
-        big = rng.standard_normal((600, 600))
+        big = rng.standard_normal((200, 200))
         svc = GemmService(workers=1, cutoff=CUT)
         futs = [svc.submit(big, big)]
         futs += [
