@@ -132,9 +132,10 @@ def _rec(
                 RecursionEvent("recurse", pm, pk, pn, depth, scheme="s1b0")
             )
             strassen1_beta0_level(
-                pa, pb, pc, alpha, ctx=ctx, ws=ws, recurse=recurse
+                pa, pb, pc, alpha, 0.0, ctx=ctx, ws=ws, recurse=recurse
             )
             mcopy(pc[:m, :n], c, ctx=ctx)
     else:
         ctx.record(RecursionEvent("recurse", m, k, n, depth, scheme="s1b0"))
-        strassen1_beta0_level(a, b, c, alpha, ctx=ctx, ws=ws, recurse=recurse)
+        strassen1_beta0_level(a, b, c, alpha, 0.0, ctx=ctx, ws=ws,
+                              recurse=recurse)

@@ -127,7 +127,8 @@ def _rec_even(
     def recurse(aa: Any, bb: Any, cc: Any, al: float, be: float) -> None:
         _rec_even(aa, bb, cc, al, depth + 1, crit, ctx, ws)
 
-    strassen1_beta0_level(a, b, c, alpha, ctx=ctx, ws=ws, recurse=recurse)
+    strassen1_beta0_level(a, b, c, alpha, 0.0, ctx=ctx, ws=ws,
+                          recurse=recurse)
 
 
 def essl_dgemms_general(

@@ -461,16 +461,10 @@ def _rec(
     def recurse(aa: Any, bb: Any, cc: Any, al: Any, be: Any) -> None:
         _rec(aa, bb, cc, al, be, depth + 1, node.child_scheme, bind)
 
-    if node.level == "s1b0":
-        strassen1_beta0_level(
-            core_a, core_b, core_c, alpha, ctx=bind.ctx, ws=bind.ws,
-            recurse=recurse, kernels=bind.kernels,
-        )
-    else:
-        LEVEL_FNS[node.level](
-            core_a, core_b, core_c, alpha, beta,
-            ctx=bind.ctx, ws=bind.ws, recurse=recurse, kernels=bind.kernels,
-        )
+    LEVEL_FNS[node.level](
+        core_a, core_b, core_c, alpha, beta,
+        ctx=bind.ctx, ws=bind.ws, recurse=recurse, kernels=bind.kernels,
+    )
 
     if node.peeled:
         bind.fixup(a, b, c, alpha, beta, node.divisors)

@@ -65,6 +65,7 @@ def strassen1_beta0_level(
     b: Any,
     c: Any,
     alpha: float,
+    beta: float,
     *,
     ctx: ExecutionContext,
     ws: Workspace,
@@ -73,9 +74,11 @@ def strassen1_beta0_level(
 ) -> None:
     """One STRASSEN1 level for ``C <- alpha*A*B`` (beta = 0), even dims.
 
-    C's quadrants are written freely (their prior content is dead), so
-    they host four of the seven products; R1/R2 host the S/T chains and
-    the two products that cannot live in C.
+    Takes ``beta`` like every other level function, but is only ever
+    dispatched with ``beta == 0``, so it never reads it.  C's quadrants
+    are written freely (their prior content is dead), so they host four
+    of the seven products; R1/R2 host the S/T chains and the two
+    products that cannot live in C.
     """
     em = kernels if kernels is not None else NUMERIC_KERNELS
     m, k = a.shape

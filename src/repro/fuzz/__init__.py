@@ -1,14 +1,14 @@
 """Differential fuzzing: the standing DGEMM-conformance harness.
 
-Three execution paths now produce every DGEFMM result — the recursive
-driver, multi-level parallel plan replay, and compiled serial-plan
-replay — and all three must agree with the reference GEMM *and* (where the schedule
-is shared) with each other bit-for-bit.  This package draws randomized
-cases over the full knob space (shapes including degenerate zero/one
-dims, strides and memory orders including negative-stride views,
-dtypes, alpha/beta classes, transposes, schemes, peeling sides, worker
-budgets, plan-cache and pool toggles, operand aliasing, NaN-poisoned
-outputs) and cross-checks every path per case:
+Four execution paths now produce every DGEFMM result — the recursive
+driver, multi-level parallel plan replay, compiled serial-plan replay,
+and the serving engine — and all four must agree with the reference
+GEMM *and* (where the schedule is shared) with each other bit-for-bit.
+This package draws randomized cases over the full knob space (shapes
+including degenerate zero/one dims, strides and memory orders including
+negative-stride views, dtypes, alpha/beta classes, transposes, schemes,
+peeling sides, worker budgets, plan-cache and pool toggles, operand
+aliasing, NaN-poisoned outputs) and cross-checks every path per case:
 
 - :mod:`repro.fuzz.cases` — the case space: drawing, materialization,
   JSON (de)serialization for failing-case replay;

@@ -1,6 +1,6 @@
 """The differential oracle: one case, every execution path, cross-checked.
 
-For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs four
+For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs five
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
@@ -12,11 +12,18 @@ result-producing paths:
   fan out the scheme's R products from its U/V/W (a top-level base
   case or an object-dtype case takes ``dgefmm``'s walk);
 - ``parallel-plan`` — pdgefmm through a plan cache, replaying the
-  cached plan.
+  cached plan;
+- ``served`` — the case submitted to a
+  :class:`~repro.serve.service.GemmService` with the case's knobs and
+  fuse off: admission through the drivers' prologue, then plan replay
+  (or ``dgefmm``'s walk) into the service's private output.
 
 With ``fuse=True`` three more paths join: ``fused`` and
 ``fused-replay`` (dgefmm through a plan cache with the fusion pass on
 — the replay re-runs the same warm plan), and ``parallel-fused``.
+Fused *serving* stays out: the service writes a fresh Fortran-ordered
+output, and the fused batched ``np.matmul`` follows the output's
+layout, so it need not match a ``fused`` call on the caller's C.
 
 Checks, in decreasing strictness:
 
@@ -29,7 +36,10 @@ Checks, in decreasing strictness:
    *interpreted* stream (the batched/direct ``np.matmul`` kernel
    accumulates in a different order than the tiled substrate kernel),
    so the fused paths are checked against the reference and against their own
-   replay, never bit-compared to the interpreted paths;
+   replay, never bit-compared to the interpreted paths; ``served`` vs
+   ``serial`` must be bit-identical unless C aliases an input (the
+   service then reads the aliased view where ``dgefmm`` reads its
+   contiguous copy-on-overlap copy, which may round differently);
 2. every path must match the numpy reference
    ``alpha*op(A)@op(B) + beta*C`` — computed in float64/complex128 with
    the BLAS overwrite semantics (``beta == 0`` never reads C) — within a
@@ -51,6 +61,7 @@ from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.fuzz.cases import FuzzCase, materialize
+from repro.serve.service import GemmService
 
 __all__ = ["run_case", "reference_result", "tolerance_for"]
 
@@ -105,11 +116,18 @@ def reference_result(case: FuzzCase, a, b, c0) -> np.ndarray:
     return expect
 
 
-def _run_path(case: FuzzCase, path: str, plan_cache, pool):
+def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
     """Execute one path on freshly materialized operands; returns C."""
     a, b, c, _c0 = materialize(case)
     alpha, beta = case.scalars()
     crit = SimpleCutoff(case.tau)
+    if path == "served":
+        # the service never writes the caller's C: it returns a new array
+        return service.call(
+            a, b, c, alpha, beta, case.transa, case.transb,
+            cutoff=crit, scheme=case.scheme, peel=case.peel,
+            fuse=False, accuracy=case.accuracy,
+        )
     if path in ("serial", "plan", "fused", "fused-replay"):
         fused = path in ("fused", "fused-replay")
         dgefmm(
@@ -137,6 +155,7 @@ def run_case(
     plan_cache: Optional[Any] = None,
     pool: Optional[Any] = None,
     fuse: bool = False,
+    service: Optional[GemmService] = None,
 ) -> List[Dict[str, Any]]:
     """Run every applicable path for ``case``; return divergence records.
 
@@ -145,7 +164,8 @@ def run_case(
     ``"bit-divergence"``), and a human-readable ``detail``.  ``fuse``
     adds the fused-execution paths (module docstring) — checked
     against the reference tolerance and for replay determinism, not
-    bit-compared to the interpreted paths.
+    bit-compared to the interpreted paths.  ``service`` runs the
+    ``served`` path (default: a one-worker service for this case).
     """
     if plan_cache is None:
         from repro.plan import PlanCache
@@ -155,12 +175,15 @@ def run_case(
         from repro.core.pool import WorkspacePool
 
         pool = WorkspacePool()
+    if service is None:
+        with GemmService(workers=1) as own:
+            return run_case(case, plan_cache, pool, fuse, own)
 
     a, b, _c, c0 = materialize(case)
     expect = reference_result(case, a, b, c0)
     atol = tolerance_for(case, expect)
 
-    paths = ["serial", "plan", "parallel", "parallel-plan"]
+    paths = ["serial", "plan", "parallel", "parallel-plan", "served"]
     # fused programs are compiled for the fast kernels only (GemmConfig
     # rejects fuse with any other accuracy), so the fused paths join the
     # cross-check only for fast-discipline cases
@@ -171,7 +194,8 @@ def run_case(
     results: Dict[str, np.ndarray] = {}
     for path in paths:
         try:
-            results[path] = _run_path(case, path, plan_cache, pool)
+            results[path] = _run_path(case, path, plan_cache, pool,
+                                      service)
         except Exception as exc:  # noqa: BLE001 — every crash is a finding
             failures.append({
                 "path": path, "kind": "exception",
@@ -199,8 +223,11 @@ def run_case(
                           + ("" if finite else " (non-finite entries)"),
             })
 
-    for lhs, rhs in (("serial", "plan"), ("parallel", "parallel-plan"),
-                     ("fused", "fused-replay")):
+    pairs = [("serial", "plan"), ("parallel", "parallel-plan"),
+             ("fused", "fused-replay")]
+    if case.alias == "none":
+        pairs.append(("serial", "served"))
+    for lhs, rhs in pairs:
         if lhs in results and rhs in results and not np.array_equal(
             results[lhs], results[rhs]
         ):

@@ -8,8 +8,9 @@ Failing cases are appended to a JSON-lines replay file (one
 ``--replay <file>`` re-executes exactly those cases — the triage loop is
 fuzz, fix, replay, then re-fuzz.
 
-One :class:`~repro.plan.cache.PlanCache` and one
-:class:`~repro.core.pool.WorkspacePool` are shared across the whole
+One :class:`~repro.plan.cache.PlanCache`, one
+:class:`~repro.core.pool.WorkspacePool` and one
+:class:`~repro.serve.service.GemmService` are shared across the whole
 campaign, deliberately: cross-case cache reuse is itself under test
 (a stale or under-keyed plan signature shows up as a divergence on the
 *second* case that hits it, which per-case caches would never catch).
@@ -29,6 +30,7 @@ from repro.core.pool import WorkspacePool
 from repro.fuzz.cases import FuzzCase, case_from_dict, case_to_dict, draw_case
 from repro.fuzz.oracle import run_case
 from repro.plan import PlanCache
+from repro.serve.service import GemmService
 
 __all__ = ["FuzzReport", "run_fuzz", "load_replay", "save_failures"]
 
@@ -158,18 +160,22 @@ def run_fuzz(
             ))
         todo = pinned
 
-    for idx, case in enumerate(todo):
-        report.cases += 1
-        report._cover(case)
-        failures = run_case(case, plan_cache=plan_cache, pool=pool,
-                            fuse=fuse)
-        if failures:
-            report.divergent += 1
-            report.failures.append(
-                {"case": case_to_dict(case), "failures": failures}
-            )
-        if progress is not None:
-            progress(idx + 1, len(todo), report.divergent)
+    service = GemmService(workers=1)
+    try:
+        for idx, case in enumerate(todo):
+            report.cases += 1
+            report._cover(case)
+            failures = run_case(case, plan_cache=plan_cache, pool=pool,
+                                fuse=fuse, service=service)
+            if failures:
+                report.divergent += 1
+                report.failures.append(
+                    {"case": case_to_dict(case), "failures": failures}
+                )
+            if progress is not None:
+                progress(idx + 1, len(todo), report.divergent)
+    finally:
+        service.close()
 
     if failures_path and report.failures:
         save_failures(failures_path, report.failures)

@@ -1,13 +1,16 @@
 """Requests and futures: the unit of work the serving engine moves.
 
-A :class:`GemmRequest` is one validated ``C <- alpha*op(A)*op(B) +
-beta*C`` problem plus the knobs that shape its execution plan; its
-:attr:`~GemmRequest.signature` is the :class:`~repro.plan.compiler.
-PlanSignature` the micro-batcher groups by — requests that share a
-signature replay one compiled plan back-to-back from one workspace
-arena.  Degenerate problems (empty output, ``k == 0``, ``alpha == 0``)
-carry no signature: they never reach the plan machinery (matching the
-drivers' early-outs) and are served solo through ``dgefmm``.
+A :class:`GemmRequest` is one admitted ``C <- alpha*op(A)*op(B) +
+beta*C`` problem.  Admission runs the drivers' own front door
+(:func:`repro.core.dgefmm._prologue`) on the request's private output,
+so operand validation, dtype and accuracy resolution, exact-scalar
+coercion and the degenerate cases are exactly ``dgefmm``'s.  The
+request keeps the prologue's call, that output, and the call's serial
+:class:`~repro.plan.compiler.PlanSignature` — the key the micro-batcher
+groups by: requests that share a signature replay one compiled plan
+back-to-back from one workspace arena.  Degenerate problems (empty
+output, ``k == 0``, ``alpha == 0``) are answered by the prologue at
+admission; they carry no call and no signature, so each queues alone.
 
 A :class:`GemmFuture` is the caller's handle: ``result(timeout)`` blocks
 until the worker publishes the output array or the failure
@@ -22,16 +25,17 @@ from __future__ import annotations
 
 import threading
 import time
+from dataclasses import replace
 from typing import Any, Optional
 
 import numpy as np
 
 from repro.blas.level3 import DEFAULT_TILE
 from repro.blas.validate import opshape, require_matrix
-from repro.core.config import GemmConfig
+from repro.context import ExecutionContext, ensure_context
 from repro.core.cutoff import CutoffCriterion
-from repro.errors import ArgumentError, DimensionError, ServiceTimeout
-from repro.plan.compiler import signature_for
+from repro.core.dgefmm import _prologue
+from repro.errors import ServiceTimeout
 
 __all__ = ["GemmFuture", "GemmRequest"]
 
@@ -100,16 +104,22 @@ class GemmRequest:
     Built by :meth:`~repro.serve.service.GemmService.submit`; not
     normally constructed directly.  Operands are held by reference —
     the caller must not mutate ``a``/``b`` until the future resolves.
-    ``c0`` is the service's private snapshot of the initial C content
-    (None when ``beta == 0``: conformant GEMM never reads C then), so
-    the caller's C operand is never written and repeated submissions of
-    one logical request stay independent.
+    ``out`` is the request's private output: a fresh Fortran-ordered
+    array typed by A and B when ``beta == 0`` (conformant GEMM never
+    reads C then, its dtype included), else a copy of C — so the
+    caller's C is never written and repeated submissions of one logical
+    request stay independent.  ``call`` is the prologue's validated
+    call (None for a degenerate problem, whose ``out`` already holds
+    the answer) and ``ctx`` takes the prologue's charges.
+
+    ``fuse=None`` is a *defaulted* fuse: it fuses only when the
+    resolved accuracy is ``"fast"`` (fused programs exist for the fast
+    kernels only), whereas an explicit ``fuse=True`` conflict is a
+    validation error.
     """
 
-    __slots__ = ("a", "b", "c0", "alpha", "beta", "transa", "transb",
-                 "m", "k", "n", "dtype", "cutoff", "scheme", "peel",
-                 "nb", "backend", "fuse", "accuracy", "signature",
-                 "future", "deadline", "seq", "t_submit")
+    __slots__ = ("call", "out", "signature", "future", "deadline", "seq",
+                 "t_submit")
 
     def __init__(
         self,
@@ -126,68 +136,35 @@ class GemmRequest:
         peel: str = "tail",
         nb: int = DEFAULT_TILE,
         backend: str = "substrate",
-        fuse: bool = False,
-        accuracy: str = "fast",
+        fuse: Optional[bool] = False,
+        accuracy: Optional[str] = None,
         deadline: Optional[float] = None,
+        ctx: Optional[ExecutionContext] = None,
     ) -> None:
-        require_matrix("GemmService.submit", "a", a)
-        require_matrix("GemmService.submit", "b", b)
-        m, k = opshape(a, transa)
-        kb, n = opshape(b, transb)
-        if kb != k:
-            raise DimensionError(
-                f"GemmService.submit: op(A) is {m}x{k} but op(B) is "
-                f"{kb}x{n}"
-            )
-        if beta != 0.0:
-            if c is None:
-                raise ArgumentError(
-                    "GemmService.submit", "c",
-                    f"is required when beta != 0 (got beta={beta})",
-                )
-            require_matrix("GemmService.submit", "c", c)
-            if tuple(c.shape) != (m, n):
-                raise DimensionError(
-                    f"GemmService.submit: C has shape {tuple(c.shape)}, "
-                    f"expected {(m, n)}"
-                )
-            # private snapshot: the caller's C is read once, here, and
-            # never written — the response is a fresh array
-            self.c0 = np.array(c, copy=True)
+        where = "GemmService.submit"
+        if beta == 0.0:
+            # typed errors before the operands' shapes size the output
+            require_matrix(where, "a", a)
+            require_matrix(where, "b", b)
+            out = np.zeros((opshape(a, transa)[0], opshape(b, transb)[1]),
+                           dtype=np.result_type(a, b), order="F")
         else:
-            self.c0 = None
-
-        self.a, self.b = a, b
-        self.alpha, self.beta = alpha, beta
-        self.transa, self.transb = bool(transa), bool(transb)
-        self.m, self.k, self.n = m, k, n
-        dt = np.result_type(a, b) if c is None else np.asarray(c).dtype
-        self.dtype = np.dtype(dt)
-        # one validation point for all behaviour knobs, the observed
-        # operand dtype included — illegal (dtype, accuracy, scheme)
-        # combinations are rejected here, before the request queues
-        cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=cutoff,
-                         nb=nb, backend=backend, fuse=fuse,
-                         dtype=self.dtype.name, accuracy=accuracy)
-        self.cutoff = cutoff
-        self.scheme, self.peel = scheme, peel
-        self.nb, self.backend = nb, backend
-        self.fuse = bool(fuse)
-        self.accuracy = accuracy
+            require_matrix(where, "c", c)
+            out = np.array(c, copy=True)
+        call = _prologue(
+            where, a, b, out, alpha, beta, transa, transb,
+            ensure_context(ctx), cutoff, scheme, peel, nb, backend,
+            False if fuse is None else fuse, accuracy,
+        )
+        if fuse is None and call is not None and call.cfg.accuracy == "fast":
+            call = call._replace(cfg=replace(call.cfg, fuse=True))
+        self.call = call
+        self.out = out
+        self.signature = None if call is None else call.signature("serial")
         self.deadline = deadline
         self.future = GemmFuture()
         self.seq = -1            # assigned at admission
         self.t_submit = time.monotonic()
-
-        # Degenerate problems (the drivers' pre-plan early-outs) are
-        # unbatchable: signature None routes them solo through dgefmm.
-        if m == 0 or n == 0 or k == 0 or alpha == 0.0:
-            self.signature = None
-        else:
-            self.signature = signature_for(
-                "serial", m, k, n, self.transa, self.transb,
-                False, beta == 0.0, str(self.dtype), cfg,
-            )
 
     def expired(self, now: Optional[float] = None) -> bool:
         """True when the request's deadline has passed."""
@@ -196,8 +173,4 @@ class GemmRequest:
         return (time.monotonic() if now is None else now) > self.deadline
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"GemmRequest({self.m}x{self.k}x{self.n}, "
-            f"dtype={self.dtype}, alpha={self.alpha}, beta={self.beta}, "
-            f"batchable={self.signature is not None})"
-        )
+        return f"GemmRequest({self.signature or 'degenerate'})"

@@ -13,10 +13,14 @@ live in amortizing packing and workspace across invocations).
 
 Life of a request::
 
-    submit() -> validate -> AdmissionQueue (policy: reject/block/shed)
+    submit() -> resolve knobs (explicit > tuned profile > default)
+             -> GemmRequest: private output + the drivers' prologue
+                (validation, dtype/accuracy, degenerate answers)
+             -> AdmissionQueue (policy: reject/block/shed)
              -> worker takes an oldest-first same-signature batch
              -> one PlanCache fetch + one pooled arena for the batch
-             -> execute_plan per request (bit-identical to dgefmm)
+             -> execute_plan per request (bit-identical to dgefmm);
+                object dtype takes dgefmm's walk instead
              -> future resolves; metrics record wait/compute/latency
 
 Results are **bit-identical** to a direct :func:`~repro.core.dgefmm.
@@ -43,7 +47,7 @@ import numpy as np
 from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext
 from repro.core.cutoff import CutoffCriterion
-from repro.core.dgefmm import DEFAULT_CUTOFF, dgefmm
+from repro.core.dgefmm import DEFAULT_CUTOFF, _serial
 from repro.core.pool import WorkspacePool
 from repro.errors import (
     ArgumentError,
@@ -164,7 +168,9 @@ class GemmService:
         self._sig_meta: Dict[str, Dict[str, Any]] = {}
 
         # per-worker accumulation + merge: private contexts on the hot
-        # path, merged into a fresh aggregate whenever a reader asks
+        # path, merged into a fresh aggregate whenever a reader asks;
+        # admission (degenerate answers) charges one shared context
+        self._admit_ctx = ExecutionContext(threadsafe=True)
         self._worker_ctxs: List[ExecutionContext] = []
         self._threads: List[threading.Thread] = []
         for i in range(workers):
@@ -202,9 +208,10 @@ class GemmService:
         """Queue ``C <- alpha*op(A)*op(B) + beta*C``; returns a future.
 
         ``c`` supplies the initial C content when ``beta != 0`` (it is
-        snapshotted, never written — the future resolves to a *new*
-        array).  ``timeout`` is the request's service deadline in
-        seconds: if it has not finished executing by then it fails with
+        copied, never written — the future resolves to a *new* array);
+        with ``beta == 0`` C is ignored, its dtype included.
+        ``timeout`` is the request's service deadline in seconds: if it
+        has not finished executing by then it fails with
         :class:`~repro.errors.ServiceTimeout`.  ``block_timeout`` bounds
         the submitter's wait under the ``"block"`` policy.  Operands
         ``a``/``b`` are held by reference and must not be mutated until
@@ -223,18 +230,20 @@ class GemmService:
 
         ``accuracy`` is the request's accuracy SLO (one of
         :data:`repro.core.config.ACCURACIES`); unset, it defaults to
-        the profile's, else to the dtype's natural discipline
-        (``"exact"`` for integer/object operands, ``"fast"``
-        otherwise).  A non-``"fast"`` resolution silently drops a
-        *defaulted* fuse knob (fused programs are compiled for the fast
-        kernels only) — an *explicit* ``fuse=True`` conflict is
-        rejected at validation instead.
+        the profile's, else — in the drivers' prologue — to the dtype's
+        natural discipline (``"exact"`` for integer/object operands,
+        ``"fast"`` otherwise).  A non-``"fast"`` resolution silently
+        drops a *defaulted* fuse knob (fused programs are compiled for
+        the fast kernels only) — an *explicit* ``fuse=True`` conflict
+        is rejected at validation instead.
 
-        Raises :class:`~repro.errors.ServiceOverloaded` (full queue,
-        ``"reject"`` policy or ``"block"`` timeout),
-        :class:`~repro.errors.ServiceClosed`, or a validation error
-        for malformed operands — admission failures are synchronous,
-        execution failures arrive through the future.
+        Admission runs ``dgefmm``'s own prologue, so every validation
+        error it raises — malformed operands, illegal knobs, a
+        non-integral scalar under exact accuracy — is raised here,
+        synchronously; so are :class:`~repro.errors.ServiceOverloaded`
+        (full queue, ``"reject"`` policy or ``"block"`` timeout) and
+        :class:`~repro.errors.ServiceClosed`.  Execution failures
+        arrive through the future.
         """
         if self._closed:
             raise ServiceClosed("service is closed")
@@ -244,30 +253,10 @@ class GemmService:
         prof = self._resolve_profile(a, b, c, transa, transb, beta)
         if prof is not None:
             self._m_profile.inc()
-        # accuracy SLO: explicit > tuned profile > dtype default
-        resolved_accuracy = accuracy
-        if resolved_accuracy is None and prof is not None:
-            resolved_accuracy = getattr(prof, "accuracy", None)
-        if resolved_accuracy is None:
-            try:
-                from repro.blas.dtypes import (
-                    canonical_dtype,
-                    default_accuracy,
-                )
-
-                dt = (np.asarray(c).dtype if c is not None and beta != 0.0
-                      else np.result_type(a, b))
-                resolved_accuracy = default_accuracy(canonical_dtype(dt))
-            except Exception:  # noqa: BLE001 — let GemmRequest diagnose
-                resolved_accuracy = "fast"
-        resolved_fuse = fuse if fuse is not None else (
-            prof.fuse if prof is not None else self.fuse
-        )
-        if fuse is None and resolved_accuracy != "fast":
-            # fused programs exist for the fast kernels only; a
-            # defaulted fuse yields to the accuracy SLO (an explicit
-            # fuse=True conflict is a validation error downstream)
-            resolved_fuse = False
+        # a fuse defaulted on (by the profile or the service) stays
+        # None: the request fuses it only if the accuracy is "fast"
+        if fuse is None and not (prof.fuse if prof is not None else self.fuse):
+            fuse = False
         req = GemmRequest(
             a, b, c, alpha, beta, transa, transb,
             cutoff=cutoff if cutoff is not None else (
@@ -283,9 +272,12 @@ class GemmService:
                 prof.nb if prof is not None else DEFAULT_TILE
             ),
             backend=prof.backend if prof is not None else "substrate",
-            fuse=resolved_fuse,
-            accuracy=resolved_accuracy,
+            fuse=fuse,
+            # accuracy SLO: explicit > tuned profile > dtype default
+            accuracy=accuracy if accuracy is not None else getattr(
+                prof, "accuracy", None),
             deadline=deadline,
+            ctx=self._admit_ctx,
         )
         self._h_queue_depth.observe(self._queue.depth)
         try:
@@ -385,7 +377,9 @@ class GemmService:
         pooled = False
         sig = live[0].signature
         try:
-            if sig is not None:
+            # degenerate requests were answered at admission, and object
+            # arrays cannot be planned (arenas are byte buffers)
+            if sig is not None and sig.dtype != "object":
                 # the whole point of batching: ONE cache fetch and ONE
                 # arena reservation cover every request in the batch
                 plan = self.plan_cache.get_or_compile(sig)
@@ -423,7 +417,7 @@ class GemmService:
                 self._h_compute.observe(fut.compute_s * 1e3)
                 latency_ms = (t1 - req.t_submit) * 1e3
                 self._h_latency.observe(latency_ms)
-                self._record_signature(req, latency_ms)
+                self._record_signature(req.signature, latency_ms)
                 self._m_completed.inc()
                 fut._set_result(out)
         finally:
@@ -431,24 +425,24 @@ class GemmService:
                 self.pool.release(arena)
 
     @staticmethod
-    def _sig_label(req: GemmRequest) -> str:
+    def _sig_label(sig: Optional[Any]) -> str:
         """Compact stable label for one plan signature's traffic."""
-        if req.signature is None:
+        if sig is None:
             return "degenerate"
-        b = "b0" if req.beta == 0.0 else "bg"
-        f = "fused" if req.fuse else "interp"
+        b = "b0" if sig.beta_zero else "bg"
+        f = "fused" if sig.fuse else "interp"
         return (
-            f"{req.m}x{req.k}x{req.n}:{req.dtype}:{b}:{req.scheme}:{f}"
-            f":{req.accuracy}"
+            f"{sig.m}x{sig.k}x{sig.n}:{sig.dtype}:{b}:{sig.scheme}:{f}"
+            f":{sig.accuracy}"
         )
 
-    def _record_signature(self, req: GemmRequest, latency_ms: float) -> None:
+    def _record_signature(self, sig: Optional[Any], latency_ms: float) -> None:
         """Charge one completion to its signature's traffic breakdown.
 
         The histogram family bounds label cardinality itself; the meta
         map mirrors that bound so both stay in step.
         """
-        label = self._sig_label(req)
+        label = self._sig_label(sig)
         with self._sig_lock:
             meta = self._sig_meta.get(label)
             if meta is None:
@@ -456,15 +450,17 @@ class GemmService:
                     label = "__overflow__"
                     meta = self._sig_meta.get(label)
                 if meta is None:
-                    meta = self._sig_meta[label] = {
-                        "m": req.m, "k": req.k, "n": req.n,
-                        "dtype": str(req.dtype),
-                        "beta_zero": req.beta == 0.0,
-                        "scheme": req.scheme,
-                        "fuse": req.fuse,
-                        "accuracy": req.accuracy,
-                        "count": 0,
+                    # a degenerate request has no signature to describe
+                    meta = {} if sig is None else {
+                        "m": sig.m, "k": sig.k, "n": sig.n,
+                        "dtype": sig.dtype,
+                        "beta_zero": sig.beta_zero,
+                        "scheme": sig.scheme,
+                        "fuse": sig.fuse,
+                        "accuracy": sig.accuracy,
                     }
+                    meta["count"] = 0
+                    self._sig_meta[label] = meta
             meta["count"] += 1
         self._f_sig_latency.observe(label, latency_ms)
 
@@ -475,22 +471,14 @@ class GemmService:
         arena: Optional[Any],
         wctx: ExecutionContext,
     ) -> np.ndarray:
-        if req.beta != 0.0:
-            out = np.array(req.c0, copy=True)
-        else:
-            out = np.zeros((req.m, req.n), dtype=req.dtype, order="F")
-        if plan is None:
-            # degenerate problem: the driver's conformant early-outs
-            dgefmm(req.a, req.b, out, req.alpha, req.beta,
-                   req.transa, req.transb, cutoff=req.cutoff,
-                   scheme=req.scheme, peel=req.peel,
-                   accuracy=req.accuracy, ctx=wctx)
-        else:
-            opa = req.a.T if req.transa else req.a
-            opb = req.b.T if req.transb else req.b
-            execute_plan(plan, opa, opb, out, req.alpha, req.beta,
-                         ctx=wctx, workspace=arena)
-        return out
+        call = req.call
+        if plan is not None:
+            execute_plan(plan, call.a, call.b, req.out, call.alpha,
+                         call.beta, ctx=wctx, workspace=arena)
+        elif call is not None:
+            # object dtype: dgefmm's walk (no plan, no pooled arena)
+            _serial(call, req.out, wctx, None, None, None)
+        return req.out
 
     # ------------------------------------------------------------------ #
     # lifecycle & introspection
@@ -549,7 +537,7 @@ class GemmService:
         was taken; after :meth:`close` it is exact.
         """
         agg = ExecutionContext(threadsafe=True)
-        for wctx in self._worker_ctxs:
+        for wctx in (self._admit_ctx, *self._worker_ctxs):
             agg.merge_child(wctx)
         return agg
 

@@ -13,6 +13,7 @@ These are the races the serving subsystem leans on being fixed:
   counters must stay consistent (no lost entries, no double eviction).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -134,6 +135,35 @@ class TestSharedContextExactness:
         assert plain.stats["peak"] == 5
         plain.stats_set("snap", {"x": 1})
         assert plain.stats["snap"] == {"x": 1}
+
+    def test_service_admission_charges_exact(self):
+        """GemmService answers degenerate requests at admission, so every
+        submitter thread charges one shared threadsafe context: no
+        charge may be lost under concurrent submission."""
+        from repro.serve.service import GemmService
+
+        a, b, c = np.ones((6, 5)), np.ones((5, 4)), np.ones((6, 4))
+        with GemmService(workers=1) as ref:
+            ref.call(a, b, c, 0.0, 2.0)
+            one = ref.stats()["work"]
+        n, per = self.N_THREADS, 25
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with GemmService(workers=2, capacity=n * per) as svc:
+                def submit(i):
+                    futs = [svc.submit(a, b, c, 0.0, 2.0)
+                            for _ in range(per)]
+                    for fut in futs:
+                        fut.result(timeout=30.0)
+
+                _run_threads(n, submit)
+                work = svc.stats()["work"]
+        finally:
+            sys.setswitchinterval(old)
+        assert one["kernel_calls"]["axpby"] == 1
+        assert work["kernel_calls"]["axpby"] == n * per
+        assert work["flops"] == n * per * one["flops"]
 
     def test_merge_child_into_threadsafe(self):
         parent = ExecutionContext(threadsafe=True)

@@ -336,16 +336,22 @@ class TestServedAccuracy:
         finally:
             svc.close()
 
-    def test_int64_served_exact(self, rng):
+    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("dtype", ["int64", "object"])
+    def test_int64_served_exact(self, rng, dtype, fuse):
+        """Exact dtypes are served under their default accuracy,
+        ``"exact"``: object operands take dgefmm's walk (they cannot be
+        planned), and a fuse-by-default service drops its defaulted
+        fuse rather than rejecting the request."""
         from repro.serve.service import GemmService
 
-        a, b, _ = _operands(rng, "int64", 20, 20, 20)
-        svc = GemmService(workers=1)
+        a, b, _ = _operands(rng, dtype, 20, 20, 20)
+        svc = GemmService(workers=1, fuse=fuse)
         try:
             got = svc.submit(a, b).result(timeout=30.0)
         finally:
             svc.close()
-        assert got.dtype == np.int64
+        assert got.dtype == np.dtype(dtype)
         assert np.array_equal(got, a @ b)
 
     @pytest.mark.parametrize("peel", ["tail", "head"])

@@ -331,19 +331,28 @@ class TestGemmService:
     def test_transposes_and_dtypes(self):
         rng = np.random.default_rng(3)
         m, k, n = 13, 21, 9
+        # beta == 0 ignores C, its dtype included: a float64 C passed
+        # with narrower or exact operands must not type the output
+        c64 = np.zeros((m, n))
         with GemmService(workers=2, cutoff=CUT) as svc:
             for transa in (False, True):
                 for transb in (False, True):
-                    for dt in (np.float64, np.complex128):
+                    for dt, c in ((np.float64, None), (np.complex128, None),
+                                  (np.float32, c64), (np.int64, c64)):
                         a = rng.standard_normal(
                             (k, m) if transa else (m, k)).astype(dt)
                         b = rng.standard_normal(
                             (n, k) if transb else (k, n)).astype(dt)
-                        got = svc.call(a, b, None, 1.0, 0.0,
+                        got = svc.call(a, b, c, 1.0, 0.0,
                                        transa, transb, timeout=30.0)
                         ref = _direct(a, b, None, 1.0, 0.0,
                                       transa, transb)
+                        assert got.dtype == dt
                         assert np.array_equal(got, ref)
+                        if dt is np.int64:
+                            opa = a.T if transa else a
+                            opb = b.T if transb else b
+                            assert np.array_equal(got, opa @ opb)
 
     def test_degenerate_requests_served(self):
         rng = np.random.default_rng(1)
@@ -358,6 +367,16 @@ class TestGemmService:
             got = svc.call(np.zeros((6, 0)), np.zeros((0, 4)),
                            timeout=30.0)
             assert got.shape == (6, 4) and not got.any()
+
+    def test_non_integral_exact_scalar_raised_by_submit(self):
+        """Exact accuracy admits only integral scalars; submit itself
+        raises, before any request is queued."""
+        a = np.arange(16, dtype=np.int64).reshape(4, 4)
+        with GemmService(workers=1, cutoff=CUT) as svc:
+            with pytest.raises(ArgumentError):
+                svc.submit(a, a, alpha=1.5)
+            st = svc.stats()
+        assert st["counters"]["requests_submitted"] == 0
 
     def test_caller_c_never_mutated(self):
         rng = np.random.default_rng(2)

@@ -11,6 +11,7 @@ import pytest
 
 from repro.blas.level3 import dgemm
 from repro.context import ExecutionContext
+from repro.core.dgefmm import LEVEL_FNS
 from repro.core.strassen1 import (
     strassen1_beta0_level,
     strassen1_general_level,
@@ -77,7 +78,7 @@ class TestStrassen1Beta0Level:
         a, b, c = mats(m, k, n)
         expect = alpha * (a @ b)
         ctx = ExecutionContext()
-        strassen1_beta0_level(a, b, c, alpha, ctx=ctx, ws=ws,
+        strassen1_beta0_level(a, b, c, alpha, 0.0, ctx=ctx, ws=ws,
                               recurse=base_recurse(ctx))
         np.testing.assert_allclose(c, expect, atol=1e-11)
 
@@ -86,7 +87,7 @@ class TestStrassen1Beta0Level:
         m, k, n = 8, 12, 16
         a, b, c = mats(m, k, n)
         ctx = ExecutionContext()
-        strassen1_beta0_level(a, b, c, 1.0, ctx=ctx, ws=ws,
+        strassen1_beta0_level(a, b, c, 1.0, 0.0, ctx=ctx, ws=ws,
                               recurse=base_recurse(ctx))
         expect = (m * max(k, n) + k * n) / 4
         assert ws.peak_elements == expect
@@ -96,8 +97,19 @@ class TestStrassen1Beta0Level:
         a, b, c = mats(8, 8, 8)
         c[:] = np.nan
         ctx = ExecutionContext()
-        strassen1_beta0_level(a, b, c, 1.0, ctx=ctx, ws=ws,
+        strassen1_beta0_level(a, b, c, 1.0, 0.0, ctx=ctx, ws=ws,
                               recurse=base_recurse(ctx))
+        np.testing.assert_allclose(c, a @ b, atol=1e-11)
+
+    @pytest.mark.parametrize("level", sorted(LEVEL_FNS))
+    def test_every_level_takes_the_uniform_call(self, mats, ws, level):
+        """The walker dispatches every level function one way — this
+        beta = 0 schedule included — so each computes A @ B from
+        ``(a, b, c, alpha, beta, *, ctx, ws, recurse)``."""
+        a, b, c = mats(6, 6, 6)
+        ctx = ExecutionContext()
+        LEVEL_FNS[level](a, b, c, 1.0, 0.0, ctx=ctx, ws=ws,
+                         recurse=base_recurse(ctx))
         np.testing.assert_allclose(c, a @ b, atol=1e-11)
 
 
@@ -142,7 +154,8 @@ class TestScheduleAddCounts:
         assert self.count_adds(strassen2_level, mats, (1.0, 1.0)) == 14
 
     def test_strassen1_beta0_eighteen_block_adds(self, mats):
-        assert self.count_adds(strassen1_beta0_level, mats, (1.0,)) == 18
+        assert self.count_adds(strassen1_beta0_level, mats,
+                               (1.0, 0.0)) == 18
 
     def test_strassen1_general_nineteen_block_adds(self, mats):
         # 15 tree adds would need unbounded product temps; the 6-temporary
