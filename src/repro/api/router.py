@@ -47,11 +47,9 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.shm import ShmArena, ShmLease
 from repro.api.worker import worker_main
-from repro.blas.dtypes import default_accuracy
 from repro.blas.level3 import DEFAULT_TILE
-from repro.core.config import GemmConfig
+from repro.core.config import resolve_config
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import DEFAULT_CUTOFF
 from repro.errors import (
     ArgumentError,
     ServiceClosed,
@@ -118,23 +116,22 @@ def routing_signature(g: Dict[str, Any]) -> str:
     """The ring key for one validated gemm request.
 
     Batchable requests key on the **exact PlanSignature** their shard's
-    service will group and cache by (constructed with the same
-    ``signature_for`` the in-process path uses, wire defaults for
-    ``nb``/``backend``), so shard-affinity and plan-cache keying can
-    never drift apart.  Degenerate problems (zero dims, ``alpha == 0``)
-    never reach the plan machinery; they key on their coordinates just
-    to spread across shards.
+    service will group and cache by (resolved through the same
+    ``resolve_config`` and ``signature_for`` the in-process path uses,
+    wire defaults for ``nb``/``backend``), so shard-affinity and
+    plan-cache keying can never drift apart, and a repeated request
+    builds neither a config nor a signature.  Degenerate problems (zero
+    dims, ``alpha == 0``) never reach the plan machinery; they key on
+    their coordinates just to spread across shards.
     """
     m, k, n = g["m"], g["k"], g["n"]
     if m == 0 or n == 0 or k == 0 or g["alpha"] == 0:
         return f"solo:{m}x{k}x{n}:{g['dtype']}"
-    cutoff = DEFAULT_CUTOFF if g["tau"] is None else SimpleCutoff(g["tau"])
-    accuracy = g.get("accuracy")
-    if accuracy is None:
-        accuracy = default_accuracy(g["dtype"])
-    cfg = GemmConfig(scheme=g["scheme"], peel=g["peel"], cutoff=cutoff,
-                     nb=DEFAULT_TILE, backend="substrate",
-                     dtype=g["dtype"], accuracy=accuracy)
+    cfg = resolve_config(
+        g["scheme"], g["peel"],
+        None if g["tau"] is None else SimpleCutoff(g["tau"]),
+        DEFAULT_TILE, "substrate", False, g["dtype"], g.get("accuracy"),
+    )
     sig = signature_for(
         "serial", m, k, n, g["transa"], g["transb"],
         False, g["beta"] == 0, g["dtype"], cfg,

@@ -85,6 +85,13 @@ UNIT_ROUNDOFF = {
 }
 
 
+#: Most dtype spellings :func:`canonical_dtype` answers from its table.
+CANONICAL_MEMO_MAX = 256
+
+#: valid spelling -> canonical name, filled by :func:`canonical_dtype`
+_CANONICAL: dict = {}
+
+
 def canonical_dtype(dtype) -> str:
     """The canonical name of ``dtype`` (``np.dtype`` accepted spellings:
     ``"float64"``, ``np.float32``, a dtype instance, ``"O"``, ...).
@@ -93,7 +100,19 @@ def canonical_dtype(dtype) -> str:
     :data:`DTYPES` — the compute stack supports exactly this universe,
     and an early loud failure beats a kernel-level ``UFuncTypeError``
     three recursion levels down.
+
+    Every front door canonicalises per call, and ``np.dtype(x).name``
+    costs microseconds, so each valid hashable spelling is resolved once
+    and then answered from a table of at most
+    :data:`CANONICAL_MEMO_MAX` entries.  Invalid spellings are never
+    stored: they take the slow path and raise on every call.
     """
+    try:
+        return _CANONICAL[dtype]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
     try:
         name = np.dtype(dtype).name
     except TypeError:
@@ -104,6 +123,11 @@ def canonical_dtype(dtype) -> str:
         raise ArgumentError(
             "dtype", "dtype", f"must be one of {DTYPES}, got {name!r}"
         )
+    if hashable:
+        _CANONICAL[dtype] = name
+        if len(_CANONICAL) > CANONICAL_MEMO_MAX:
+            # full: undo, so racing inserts cannot outgrow the bound
+            _CANONICAL.pop(dtype, None)
     return name
 
 

@@ -91,10 +91,8 @@ def overlaps(x: Any, y: Any) -> bool:
     :func:`copy_on_overlap`; a false negative would cost correctness.
     Empty operands never overlap.
     """
-    if is_phantom(x) or is_phantom(y):
-        return False
     if not isinstance(x, np.ndarray) or not isinstance(y, np.ndarray):
-        return False
+        return False  # phantoms included: they are not arrays
     if x.size == 0 or y.size == 0:
         return False
     return bool(np.may_share_memory(x, y))

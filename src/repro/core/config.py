@@ -8,9 +8,10 @@ this module each entry point (``dgefmm``,
 its own copies of those knobs and hand-listed them into
 :class:`~repro.plan.compiler.PlanSignature`; drift between the copies
 was guarded only by convention (and a test).  :class:`GemmConfig` is the
-single validation point: construct it once per call, and every layer —
-drivers, traversal, plan compiler, serving engine — reads the same
-frozen object.
+single validation point: the front doors resolve it through
+:func:`resolve_config`, which builds one per knob tuple and interns it,
+and every layer — drivers, traversal, plan compiler, serving engine —
+reads the same frozen object.
 
 The field order is load-bearing: :class:`~repro.plan.compiler.
 PlanSignature` is *derived structurally* from ``fields(GemmConfig)``
@@ -22,8 +23,16 @@ Signature completeness is a property of the type, not an audit.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Any, Optional
 
-from repro.blas.dtypes import ACCURACIES, DTYPES, is_exact_dtype
+import numpy as np
+
+from repro.blas.dtypes import (
+    ACCURACIES,
+    DTYPES,
+    default_accuracy,
+    is_exact_dtype,
+)
 from repro.blas.level3 import BACKENDS, DEFAULT_TILE
 from repro.core.cutoff import CutoffCriterion, HybridCutoff
 from repro.core.schemes import SCHEME_NAMES
@@ -114,9 +123,11 @@ class GemmConfig:
                 "GemmConfig", "cutoff",
                 f"must be a CutoffCriterion, got {type(self.cutoff).__name__}",
             )
-        if self.nb < 1:
+        if (not isinstance(self.nb, (int, np.integer))
+                or isinstance(self.nb, bool) or self.nb < 1):
             raise ArgumentError(
-                "GemmConfig", "nb", f"must be >= 1, got {self.nb}"
+                "GemmConfig", "nb",
+                f"must be an integer >= 1, got {self.nb!r}",
             )
         if self.backend not in BACKENDS:
             raise ArgumentError(
@@ -159,3 +170,57 @@ class GemmConfig:
                 f"plan fusion requires accuracy 'fast', "
                 f"got {self.accuracy!r}",
             )
+
+
+#: Most knob tuples :func:`resolve_config` interns.
+CONFIG_MEMO_MAX = 1024
+
+#: typed knob tuple -> the validated GemmConfig built for it
+_CONFIGS: dict = {}
+
+
+def resolve_config(
+    scheme: Any,
+    peel: Any,
+    cutoff: Optional[CutoffCriterion],
+    nb: Any,
+    backend: Any,
+    fuse: Any,
+    dtype: Any,
+    accuracy: Optional[str],
+) -> GemmConfig:
+    """The validated :class:`GemmConfig` for one call's knobs, interned.
+
+    ``cutoff=None`` takes :data:`DEFAULT_CUTOFF` and ``accuracy=None``
+    the dtype's default (:func:`~repro.blas.dtypes.default_accuracy`).
+    Every front door resolves its knobs here, so a repeated call builds
+    no config: the first one built for a knob tuple is returned again,
+    from a memo of at most :data:`CONFIG_MEMO_MAX` entries.  The key
+    holds each knob's type next to its value, so an input
+    ``GemmConfig`` rejects (``fuse=1``) never finds an accepted,
+    hash-equal twin (``fuse=True``), and only configs that passed
+    validation are stored.  Knobs that cannot be hashed (a criterion
+    with ``__hash__ = None``) are validated and built on every call.
+    """
+    key = (scheme, peel, cutoff, nb, backend, fuse, dtype, accuracy,
+           scheme.__class__, peel.__class__, cutoff.__class__,
+           nb.__class__, backend.__class__, fuse.__class__,
+           dtype.__class__, accuracy.__class__)
+    try:
+        return _CONFIGS[key]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
+    cfg = GemmConfig(
+        scheme=scheme, peel=peel,
+        cutoff=DEFAULT_CUTOFF if cutoff is None else cutoff,
+        nb=nb, backend=backend, fuse=fuse, dtype=dtype,
+        accuracy=default_accuracy(dtype) if accuracy is None else accuracy,
+    )
+    if hashable:
+        _CONFIGS[key] = cfg
+        if len(_CONFIGS) > CONFIG_MEMO_MAX:
+            # full: undo, so racing inserts cannot outgrow the bound
+            _CONFIGS.pop(key, None)
+    return cfg

@@ -40,11 +40,7 @@ from __future__ import annotations
 from typing import Any, NamedTuple, Optional, Tuple
 
 from repro.blas.addsub import kernels_for
-from repro.blas.dtypes import (
-    canonical_dtype,
-    default_accuracy,
-    require_integral_scalar,
-)
+from repro.blas.dtypes import canonical_dtype, require_integral_scalar
 from repro.blas.level3 import DEFAULT_TILE, dgemm
 from repro.blas.validate import (
     copy_on_overlap,
@@ -57,7 +53,12 @@ from repro.context import (
     RecursionEvent,
     ensure_context,
 )
-from repro.core.config import DEFAULT_CUTOFF, SCHEMES, GemmConfig
+from repro.core.config import (
+    DEFAULT_CUTOFF,
+    SCHEMES,
+    GemmConfig,
+    resolve_config,
+)
 from repro.core.cutoff import CutoffCriterion
 from repro.core.peeling import (
     apply_fixups,
@@ -195,10 +196,11 @@ def dgefmm(
         operands, ``"fast"`` otherwise — so existing float callers and
         integer callers both keep working unannotated.
 
-    The scheme/peel/cutoff/nb/backend/dtype/accuracy knobs are validated
-    once, as a :class:`~repro.core.config.GemmConfig`; the same frozen
-    config drives the traversal, the plan signature, and the serving
-    engine.
+    The scheme/peel/cutoff/nb/backend/fuse/dtype/accuracy knobs are
+    validated as a :class:`~repro.core.config.GemmConfig`, built the
+    first time a knob tuple is seen and interned after that
+    (:func:`~repro.core.config.resolve_config`); the same frozen config
+    drives the traversal, the plan signature, and the serving engine.
     """
     ctx = ensure_context(ctx)
     call = _prologue(
@@ -253,7 +255,8 @@ class _Call(NamedTuple):
     cfg: GemmConfig
 
     def signature(self, kind: str, max_parallel_depth: int = 0):
-        """The call's :class:`~repro.plan.compiler.PlanSignature`."""
+        """The call's :class:`~repro.plan.compiler.PlanSignature`
+        (interned per call shape by ``signature_for``)."""
         # lazy import: repro.plan compiles through this module's walker
         from repro.plan.compiler import signature_for
 
@@ -286,8 +289,8 @@ def _prologue(
     """The drivers' shared front door; ``None`` when the call is done.
 
     Validates the operands, resolves dtype and accuracy into one frozen
-    :class:`GemmConfig`, coerces the scalars to ints under exact
-    accuracy, and answers the BLAS degenerate cases before any
+    (interned) :class:`GemmConfig`, coerces the scalars to ints under
+    exact accuracy, and answers the BLAS degenerate cases before any
     workspace or plan machinery spins up.
     """
     require_matrix(where, "a", a)
@@ -295,12 +298,8 @@ def _prologue(
     require_matrix(where, "c", c)
     require_writable(where, "c", c)
     dt = canonical_dtype(getattr(c, "dtype", None) or "float64")
-    cfg = GemmConfig(
-        scheme=scheme, peel=peel,
-        cutoff=cutoff if cutoff is not None else DEFAULT_CUTOFF,
-        nb=nb, backend=backend, fuse=fuse, dtype=dt,
-        accuracy=accuracy if accuracy is not None else default_accuracy(dt),
-    )
+    cfg = resolve_config(scheme, peel, cutoff, nb, backend, fuse, dt,
+                         accuracy)
     if cfg.accuracy == "exact":
         # Integral scalars ride through every layer as Python ints, so
         # in-place integer scaling (``y *= beta``) never trips numpy's

@@ -147,6 +147,13 @@ PlanSignature.__doc__ = """The cache key: everything the plan's structure depend
     """
 
 
+#: Most call shapes :func:`signature_for` interns.
+SIGNATURE_MEMO_MAX = 1024
+
+#: call shape -> the PlanSignature built for it
+_SIGNATURES: dict = {}
+
+
 def signature_for(
     kind: str,
     m: int,
@@ -160,7 +167,7 @@ def signature_for(
     config: GemmConfig,
     max_parallel_depth: int = 0,
 ) -> "PlanSignature":
-    """Build a :class:`PlanSignature` from a problem and a ``GemmConfig``.
+    """The :class:`PlanSignature` of a problem and a ``GemmConfig``.
 
     The drivers construct their cache keys through this helper so the
     knob fields are copied from the frozen config structurally — never
@@ -169,14 +176,33 @@ def signature_for(
     dtype/accuracy validation) so the signature's ``dtype`` field always
     reflects what the kernels will actually see, even when the caller's
     config still carries the float64 default.
+
+    Signatures are interned per call shape — the arguments, config
+    included — in a memo of at most :data:`SIGNATURE_MEMO_MAX` entries,
+    so a repeated call builds none.  A config that cannot be hashed
+    skips the memo and gets a fresh signature, as before.
     """
+    key = (kind, m, k, n, transa, transb, alpha_zero, beta_zero, dtype,
+           config, max_parallel_depth)
+    try:
+        return _SIGNATURES[key]
+    except KeyError:
+        hashable = True
+    except TypeError:
+        hashable = False
     if canonical_dtype(dtype) != config.dtype:
         config = replace(config, dtype=canonical_dtype(dtype))
-    return PlanSignature(
+    sig = PlanSignature(
         kind, m, k, n, transa, transb, alpha_zero, beta_zero,
         *(getattr(config, f.name) for f in fields(GemmConfig)),
         max_parallel_depth,
     )
+    if hashable:
+        _SIGNATURES[key] = sig
+        if len(_SIGNATURES) > SIGNATURE_MEMO_MAX:
+            # full: undo, so racing inserts cannot outgrow the bound
+            _SIGNATURES.pop(key, None)
+    return sig
 
 
 class ExecutionPlan:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import threading
 import time
-from dataclasses import replace
 from typing import Any, Optional
 
 import numpy as np
@@ -33,6 +32,7 @@ import numpy as np
 from repro.blas.level3 import DEFAULT_TILE
 from repro.blas.validate import opshape, require_matrix
 from repro.context import ExecutionContext, ensure_context
+from repro.core.config import resolve_config
 from repro.core.cutoff import CutoffCriterion
 from repro.core.dgefmm import _prologue
 from repro.errors import ServiceTimeout
@@ -157,7 +157,11 @@ class GemmRequest:
             False if fuse is None else fuse, accuracy,
         )
         if fuse is None and call is not None and call.cfg.accuracy == "fast":
-            call = call._replace(cfg=replace(call.cfg, fuse=True))
+            cfg = call.cfg
+            call = call._replace(cfg=resolve_config(
+                cfg.scheme, cfg.peel, cfg.cutoff, cfg.nb, cfg.backend, True,
+                cfg.dtype, cfg.accuracy,
+            ))
         self.call = call
         self.out = out
         self.signature = None if call is None else call.signature("serial")

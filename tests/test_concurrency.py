@@ -19,11 +19,14 @@ import threading
 import numpy as np
 import pytest
 
+from repro.blas import dtypes
 from repro.context import ExecutionContext
+from repro.core import config
 from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
+from repro.plan import compiler
 from repro.plan.cache import PlanCache
 from repro.plan.compiler import compile_plan, signature_for
 
@@ -193,9 +196,12 @@ class TestPlanCacheConcurrency:
             ))
         return sigs
 
-    def test_concurrent_churn_consistent_accounting(self):
+    def test_concurrent_churn_consistent_accounting(self, monkeypatch):
         """N threads churn mixed signatures through a byte-bound cache:
-        counters must balance exactly and the bounds must hold."""
+        counters must balance exactly and the bounds must hold.  Then
+        they churn more distinct call shapes through
+        ``dgefmm(plan_cache=)`` than the front doors' memos hold: results
+        and kernel tallies stay exact and every memo stays bounded."""
         sigs = self._signatures(12)
         # size the byte bound to force evictions: hold ~4 plans' worth
         nbytes = sorted(compile_plan(s).nbytes for s in sigs)
@@ -224,6 +230,47 @@ class TestPlanCacheConcurrency:
         assert st["evictions"] > 0, "byte bound never engaged"
         assert 0.0 <= st["hit_rate"] <= 1.0
         assert len(cache) == st["plans"]
+
+        # small bounds and empty memos, so the churn overflows them all
+        bounds = {dtypes: ("_CANONICAL", "CANONICAL_MEMO_MAX", 2),
+                  config: ("_CONFIGS", "CONFIG_MEMO_MAX", 4),
+                  compiler: ("_SIGNATURES", "SIGNATURE_MEMO_MAX", 32)}
+        for module, (memo, limit, value) in bounds.items():
+            monkeypatch.setattr(module, memo, {})
+            monkeypatch.setattr(module, limit, value)
+        kinds = ("float64", "float32", "complex128")
+        shapes_per_thread = 8
+
+        def front_door(i):
+            rng = np.random.default_rng(200 + i)
+            dt = kinds[i % len(kinds)]
+            for j in range(shapes_per_thread):
+                m, k, n = 9 + i, 10 + j, 12      # distinct across threads
+                a = np.asfortranarray(rng.standard_normal((m, k)).astype(dt))
+                b = np.asfortranarray(rng.standard_normal((k, n)).astype(dt))
+                knobs = dict(cutoff=SimpleCutoff(8), nb=4 + i)
+                walked, planned = ExecutionContext(), ExecutionContext()
+                ref = np.zeros((m, n), dtype=dt, order="F")
+                out = np.zeros((m, n), dtype=dt, order="F")
+                dgefmm(a, b, ref, ctx=walked, **knobs)
+                dgefmm(a, b, out, ctx=planned, plan_cache=cache, **knobs)
+                assert np.array_equal(out, ref)
+                assert planned.kernel_calls == walked.kernel_calls
+                assert planned.flops == walked.flops
+
+        old = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            _run_threads(n_threads, front_door)
+        finally:
+            sys.setswitchinterval(old)
+        assert n_threads * shapes_per_thread > compiler.SIGNATURE_MEMO_MAX
+        for module, (memo, limit, _) in bounds.items():
+            assert 0 < len(getattr(module, memo)) <= getattr(module, limit)
+        st = cache.stats()
+        assert st["hits"] + st["misses"] == (
+            lookups + n_threads * shapes_per_thread)
+        assert st["misses"] == st["evictions"] + st["cleared"] + st["plans"]
 
     def test_concurrent_churn_with_clears(self):
         """clear() racing get_or_compile keeps the same balance, with the

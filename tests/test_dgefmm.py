@@ -14,6 +14,7 @@ from repro.core.dgefmm import SCHEMES, dgefmm
 from repro.core.workspace import Workspace
 from repro.errors import ArgumentError, DimensionError
 from repro.phantom import Phantom
+from repro.plan.cache import PlanCache
 
 CUT = SimpleCutoff(8)
 
@@ -114,6 +115,42 @@ class TestValidation:
         dgefmm(a, b, c, transa=True, cutoff=CUT)  # ok
         with pytest.raises(DimensionError):
             dgefmm(a, b, c, transa=False, cutoff=CUT)
+
+    def test_interning_accepts_and_rejects_as_before(self, rng):
+        """Warm memos (dtype names, configs, signatures) accept and
+        reject exactly what a cold call does.  Each case runs twice,
+        after calls with its accepted hash-equal twins (``fuse=True``,
+        ``nb=32``) have filled the memos."""
+        a = np.asfortranarray(rng.standard_normal((18, 22)))
+        b = np.asfortranarray(rng.standard_normal((22, 14)))
+        expect = a @ b
+        cache = PlanCache()
+
+        def call(**kw):
+            c = np.zeros((18, 14), order="F")
+            dgefmm(a, b, c, cutoff=CUT, **kw)
+            np.testing.assert_allclose(c, expect, atol=1e-12)
+
+        call(fuse=True, plan_cache=cache)
+        call(nb=32)
+        for _ in range(2):
+            with pytest.raises(ArgumentError):
+                call(fuse=1, plan_cache=cache)
+            half = np.zeros((4, 4), dtype=np.float16)
+            with pytest.raises(ArgumentError):
+                dgefmm(half, half, half.copy())
+            call(scheme=np.str_("auto"))
+            call(nb=np.int64(32), plan_cache=cache)
+
+        class Unhashable(SimpleCutoff):
+            __hash__ = None
+
+        for _ in range(2):
+            c = np.zeros((18, 14), order="F")
+            dgefmm(a, b, c, cutoff=Unhashable(8))   # the walk runs
+            np.testing.assert_allclose(c, expect, atol=1e-12)
+            with pytest.raises(TypeError):   # PlanCache hashes the key
+                dgefmm(a, b, c, cutoff=Unhashable(8), plan_cache=cache)
 
 
 class TestRecursionStructure:

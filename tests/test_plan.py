@@ -500,3 +500,155 @@ class TestSignatureCompleteness:
         pdgefmm(a, b, c, cutoff=SimpleCutoff(4), workers=5,
                 max_parallel_depth=2, plan_cache=cache)
         assert cache.hits == 1 and cache.misses == 2
+
+
+class TestWarmFrontDoors:
+    """A warm repeat through any front door rebuilds nothing.
+
+    Counts ``GemmConfig`` validations, ``PlanSignature`` constructions
+    and the ``np.dtype`` lookups of :mod:`repro.blas.dtypes` during one
+    repeat of a call that has already run twice.  The memos start empty,
+    so what earlier tests interned cannot have filled them.
+    """
+
+    @pytest.fixture
+    def tally(self, monkeypatch):
+        from collections import Counter
+
+        from repro.blas import dtypes
+        from repro.core import config
+        from repro.plan import compiler
+
+        monkeypatch.setattr(dtypes, "_CANONICAL", {})
+        monkeypatch.setattr(config, "_CONFIGS", {})
+        monkeypatch.setattr(compiler, "_SIGNATURES", {})
+        counts = Counter()
+        post_init = GemmConfig.__post_init__
+        sig_init = PlanSignature.__init__
+
+        def counted_post_init(self):
+            counts["config"] += 1
+            post_init(self)
+
+        def counted_sig_init(self, *args, **kwargs):
+            counts["signature"] += 1
+            sig_init(self, *args, **kwargs)
+
+        class CountingNumpy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            def dtype(self, spelling):
+                counts["dtype"] += 1
+                return np.dtype(spelling)
+
+        monkeypatch.setattr(GemmConfig, "__post_init__", counted_post_init)
+        monkeypatch.setattr(PlanSignature, "__init__", counted_sig_init)
+        monkeypatch.setattr(dtypes, "np", CountingNumpy())
+        return counts
+
+    @staticmethod
+    def _repeat(tally, fn):
+        fn()
+        fn()
+        before = dict(tally)
+        fn()
+        assert dict(tally) == before, "a warm repeat rebuilt something"
+        return before
+
+    def test_library_front_doors(self, tally, rng):
+        a = np.asfortranarray(rng.standard_normal((49, 21)))
+        b = np.asfortranarray(rng.standard_normal((21, 78)))
+        c = np.zeros((49, 78), order="F")
+        big = np.asfortranarray(rng.standard_normal((40, 40)))
+        out = np.zeros((40, 40), order="F")
+        cache = PlanCache()
+        pool = WorkspacePool()
+        calls = {
+            "walk": lambda: dgefmm(a, b, c),
+            "planned": lambda: dgefmm(a, b, c, plan_cache=cache, pool=pool),
+            "fused": lambda: dgefmm(a, b, c, plan_cache=cache, pool=pool,
+                                    fuse=True),
+            "vendor": lambda: dgefmm(a, b, c, backend="vendor"),
+            "pdgefmm-base": lambda: pdgefmm(a, b, c, workers=2),
+            "pdgefmm-parallel": lambda: pdgefmm(
+                big, big, out, 1.0, 0.5, cutoff=CUT, workers=2,
+                plan_cache=cache, pool=pool),
+        }
+        for name, fn in calls.items():
+            warm = self._repeat(tally, fn)
+            assert warm, f"{name}: the first calls built nothing to count"
+
+    @pytest.mark.parametrize("fuse", [False, True])
+    def test_service_admission(self, tally, rng, fuse):
+        from repro.serve import GemmService
+
+        a = rng.standard_normal((7, 96)).astype(np.float32)
+        b = rng.standard_normal((96, 26)).astype(np.float32)
+        c = rng.standard_normal((7, 26)).astype(np.float32)
+        with GemmService(workers=1, fuse=fuse) as svc:
+            self._repeat(tally, lambda: svc.submit(a, b, c, 1.0, 0.5)
+                         .result(timeout=30))
+
+    def test_routing_signature(self, tally):
+        from repro.api.router import routing_signature
+
+        g = dict(m=49, k=21, n=78, transa=False, transb=True, alpha=1.0,
+                 beta=0.0, dtype="complex128", scheme="auto", peel="tail",
+                 tau=16, accuracy=None)
+        self._repeat(tally, lambda: routing_signature(g))
+
+
+#: routing keys of serve-small requests, pinned byte for byte (and their
+#: shard on a two-shard ring): a changed key moves a signature's shard
+ROUTING_KEYS = [
+    (dict(m=7, k=96, n=26, transa=False, transb=False, beta=0.0,
+          dtype="float64"), 1,
+     "PlanSignature(kind='serial', m=7, k=96, n=26, transa=False, "
+     "transb=False, alpha_zero=False, beta_zero=True, scheme='auto', "
+     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
+     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
+    (dict(m=31, k=7, n=20, transa=True, transb=True, beta=0.5,
+          dtype="float64"), 1,
+     "PlanSignature(kind='serial', m=31, k=7, n=20, transa=True, "
+     "transb=True, alpha_zero=False, beta_zero=False, scheme='auto', "
+     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
+     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
+    (dict(m=34, k=48, n=10, transa=False, transb=False, beta=0.5,
+          dtype="float32"), 0,
+     "PlanSignature(kind='serial', m=34, k=48, n=10, transa=False, "
+     "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
+     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
+     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "dtype='float32', accuracy='fast', max_parallel_depth=0)"),
+    (dict(m=49, k=15, n=59, transa=True, transb=False, beta=0.5,
+          dtype="complex128"), 0,
+     "PlanSignature(kind='serial', m=49, k=15, n=59, transa=True, "
+     "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
+     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
+     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "dtype='complex128', accuracy='fast', max_parallel_depth=0)"),
+    (dict(m=12, k=30, n=7, transa=False, transb=True, beta=0.5,
+          dtype="float32", scheme="strassen2", peel="head", tau=8,
+          accuracy="compensated"), None,
+     "PlanSignature(kind='serial', m=12, k=30, n=7, transa=False, "
+     "transb=True, alpha_zero=False, beta_zero=False, "
+     "scheme='strassen2', peel='head', cutoff=SimpleCutoff(tau=8), "
+     "nb=160, backend='substrate', fuse=False, dtype='float32', "
+     "accuracy='compensated', max_parallel_depth=0)"),
+]
+
+
+@pytest.mark.parametrize("fields,shard,key", ROUTING_KEYS)
+def test_routing_keys_pinned(fields, shard, key):
+    from repro.api.router import HashRing, routing_signature
+
+    g = dict(alpha=1.0, scheme="auto", peel="tail", tau=None,
+             accuracy=None)
+    g.update(fields)
+    for _ in range(2):                 # cold, then from the memos
+        assert routing_signature(g) == key
+    if shard is not None:
+        assert HashRing(2).lookup(key) == shard

@@ -244,6 +244,11 @@ class TestExactDiscipline:
             GemmConfig(dtype="float16")
         with pytest.raises(ArgumentError):
             GemmConfig(accuracy="sloppy")
+        # nb is a tile edge: an integer (not a bool) of at least 1
+        for nb in (2.5, "8", True, 0, np.float64(8.0)):
+            with pytest.raises(ArgumentError):
+                GemmConfig(nb=nb)
+        assert GemmConfig(nb=np.int64(8)).nb == 8
 
     def test_default_accuracy_follows_dtype(self):
         assert default_accuracy("int64") == "exact"

@@ -268,6 +268,14 @@ class TestRequestValidation:
             GemmRequest(a, b, cutoff=CUT, scheme="nope")
         with pytest.raises(ArgumentError):
             GemmRequest(a, b, cutoff=CUT, peel="sideways")
+        for nb in (2.5, "8", True):
+            with pytest.raises(ArgumentError):
+                GemmRequest(a, b, cutoff=CUT, nb=nb)
+        # raised by submit itself, not later through the future
+        a20 = np.ones((20, 20))
+        with GemmService(workers=1) as svc:
+            with pytest.raises(ArgumentError):
+                svc.submit(a20, a20, nb=2.5)
 
     def test_degenerate_signature_none(self):
         assert _req(m=0).signature is None
