@@ -728,28 +728,33 @@ def _cmd_calibrate(args) -> int:
 
 
 def _cmd_tune_measure(args) -> int:
+    from repro.blas.level3 import BACKENDS
     from repro.tune.measure import measure_crossover
 
-    rep = measure_crossover(
-        lo=args.lo, hi=args.hi, step=args.step, repeats=args.repeats,
-    )
+    # one scan per leaf kernel: the substrate's crossover and the one
+    # over np.matmul that BLAS_CUTOFF comes from
+    reps = [
+        measure_crossover(lo=args.lo, hi=args.hi, step=args.step,
+                          repeats=args.repeats, backend=backend)
+        for backend in BACKENDS
+    ]
     if args.json:
-        _print_bench_json(
-            "tune_measure", dict(rep["scan"]),
-            [rep],
-        )
+        _print_bench_json("tune_measure", dict(reps[0]["scan"]), reps)
         return 0
-    if rep["measured"] is not None:
-        m = rep["measured"]
-        print(f"measured square crossover: first win {m['first']}, "
-              f"always from {m['always']}, recommended tau {m['recommended']}")
-    else:
-        print(f"measured square crossover: none ({rep['reason']})")
-    for name, tau in rep["predicted"].items():
-        err = (rep["error"] or {}).get(name)
-        tail = (f"  (error {err['abs']} / {err['rel']:.0%})"
-                if err else "")
-        print(f"predicted ({name}): {tau}{tail}")
+    for rep in reps:
+        print(f"[{rep['backend']}]")
+        if rep["measured"] is not None:
+            m = rep["measured"]
+            print(f"  measured square crossover: first win {m['first']}, "
+                  f"always from {m['always']}, "
+                  f"recommended tau {m['recommended']}")
+        else:
+            print(f"  measured square crossover: none ({rep['reason']})")
+        for name, tau in rep["predicted"].items():
+            err = (rep["error"] or {}).get(name)
+            tail = (f"  (error {err['abs']} / {err['rel']:.0%})"
+                    if err else "")
+            print(f"  predicted ({name}): {tau}{tail}")
     return 0
 
 
@@ -1130,7 +1135,8 @@ def main(argv=None) -> int:
     tune_sub = p.add_subparsers(dest="action", required=True)
 
     q = tune_sub.add_parser(
-        "measure", help="measured vs predicted crossover on this host"
+        "measure",
+        help="measured vs predicted crossover on this host, per leaf kernel"
     )
     q.add_argument("--lo", type=int, default=64)
     q.add_argument("--hi", type=int, default=384)

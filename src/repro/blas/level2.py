@@ -106,7 +106,10 @@ def dger(
     )
     if ctx.dry or m == 0 or n == 0 or alpha == 0.0:
         return a
-    outer = np.multiply.outer(x, y)
+    # the outer product is built in A's own memory order, so the add
+    # below streams both operands the same way
+    outer = np.empty_like(a, dtype=np.result_type(x, y))
+    np.multiply(x[:, None], y, out=outer)
     if alpha != 1.0:
         outer *= alpha
     a += outer

@@ -178,11 +178,18 @@ def dgemm(
       never computes ``0*C``, so NaN/Inf garbage in ``C`` is discarded);
     - ``beta == 0`` in the general path assigns the product into ``C``
       without reading ``C``'s prior content;
-    - operands may be non-contiguous or negative-stride views; and the
-      product is materialized before ``C`` is written, so this base-case
-      kernel is overlap-safe by construction (the recursive drivers
-      guard overlap themselves — see
+    - operands may be non-contiguous or negative-stride views, and ``C``
+      may overlap them: the substrate materializes the product before
+      ``C`` is written, and the vendor kernel's ``np.matmul(..., out=C)``
+      (taken when ``alpha == 1``, ``beta == 0`` and the product dtype is
+      ``C``'s) is buffered by numpy whenever ``out`` overlaps an input,
+      so either way the result equals the non-aliased call's (the
+      recursive drivers guard overlap themselves — see
       :func:`repro.blas.validate.copy_on_overlap`).
+
+    The vendor kernel forms every other product in a Fortran-ordered
+    temporary, also with ``np.matmul``, and applies ``alpha`` and
+    ``beta`` from there exactly as the substrate does.
     """
     ctx = ensure_context(ctx)
     if backend not in BACKENDS:
@@ -239,18 +246,25 @@ def dgemm(
         # wide dtype, round once at the C write.
         opa = opa.astype(wide)
         opb = opb.astype(wide)
+    pdt = np.result_type(opa, opb)
+    if accuracy == "exact" and pdt.kind not in "iuO":
+        raise ArgumentError(
+            "dgemm", "accuracy",
+            f"exact accuracy requires integer/object operands, "
+            f"product dtype is {pdt}",
+        )
     if backend == "vendor":
-        prod = np.asfortranarray(opa @ opb)
+        if alpha == 1.0 and beta == 0.0 and pdt == c.dtype:
+            # C <- op(A) op(B): the BLAS writes C itself (a wide
+            # promotion never gets here: its product dtype is not C's)
+            np.matmul(opa, opb, out=c)
+            return c
+        prod = np.empty((m, n), dtype=pdt, order="F")
+        np.matmul(opa, opb, out=prod)
     elif accuracy == "compensated" and wide is None:
         prod = _standard_product_kahan(opa, opb, nb)
     else:
         prod = _standard_product(opa, opb, nb)
-    if accuracy == "exact" and np.dtype(prod.dtype).kind not in "iuO":
-        raise ArgumentError(
-            "dgemm", "accuracy",
-            f"exact accuracy requires integer/object operands, "
-            f"product dtype is {prod.dtype}",
-        )
     if alpha != 1.0:
         prod *= alpha
     if wide is not None:

@@ -26,7 +26,8 @@ from repro.blas.level3 import dgemm
 from repro.blas.validate import require_matrix, require_writable
 from repro.context import ExecutionContext, ensure_context
 from repro.core.cutoff import CutoffCriterion
-from repro.core.dgefmm import DEFAULT_CUTOFF, dgefmm
+from repro.core.config import default_cutoff
+from repro.core.dgefmm import dgefmm
 from repro.core.workspace import Workspace
 from repro.errors import DimensionError
 
@@ -67,7 +68,7 @@ def dsyrk_fast(
         )
     if block < 1:
         raise DimensionError(f"dsyrk_fast: block={block} must be >= 1")
-    crit = cutoff if cutoff is not None else DEFAULT_CUTOFF
+    crit = cutoff if cutoff is not None else default_cutoff()
     ws = workspace if workspace is not None else Workspace(dry=ctx.dry)
     opa = a.T if trans else a  # n-by-k view
     _syrk_rec(opa, c, alpha, beta, crit, block, ctx, ws)
@@ -154,7 +155,7 @@ def dsyr2k_fast(
         )
     if block < 1:
         raise DimensionError(f"dsyr2k_fast: block={block} must be >= 1")
-    crit = cutoff if cutoff is not None else DEFAULT_CUTOFF
+    crit = cutoff if cutoff is not None else default_cutoff()
     ws = workspace if workspace is not None else Workspace(dry=ctx.dry)
     _syr2k_rec(a, b, c, alpha, beta, crit, block, ctx, ws)
     return c
@@ -231,7 +232,7 @@ def dtrmm_fast(
         )
     if block < 1:
         raise DimensionError(f"dtrmm_fast: block={block} must be >= 1")
-    crit = cutoff if cutoff is not None else DEFAULT_CUTOFF
+    crit = cutoff if cutoff is not None else default_cutoff()
     ws = workspace if workspace is not None else Workspace(dry=ctx.dry)
     _trmm_rec(t, b, alpha, crit, block, ctx, ws)
     return b

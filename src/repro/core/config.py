@@ -38,14 +38,35 @@ from repro.core.cutoff import CutoffCriterion, HybridCutoff
 from repro.core.schemes import SCHEME_NAMES
 from repro.errors import ArgumentError
 
-__all__ = ["GemmConfig", "DEFAULT_CUTOFF", "SCHEMES", "PEELS",
-           "DTYPES", "ACCURACIES"]
+__all__ = ["GemmConfig", "DEFAULT_CUTOFF", "BLAS_CUTOFF",
+           "default_cutoff", "SCHEMES", "PEELS", "DTYPES", "ACCURACIES"]
 
-#: Default cutoff for hosts where no calibration has been run.  The tau
-#: values are deliberately conservative for a numpy-kernel substrate; the
-#: calibration example (examples/cutoff_tuning.py) shows how to measure
-#: machine-specific parameters the way Section 4.2 does.
+#: Default cutoff over the substrate's leaves (the package's own
+#: standard-algorithm kernel), for hosts where no calibration has been
+#: run.  The tau values are deliberately conservative for a numpy-kernel
+#: substrate; the calibration example (examples/cutoff_tuning.py) shows
+#: how to measure machine-specific parameters the way Section 4.2 does.
 DEFAULT_CUTOFF = HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96)
+
+#: Default cutoff over ``np.matmul`` leaves (``backend="vendor"`` or
+#: fused replay), set by the Section 3.4 crossover scan over the vendor
+#: kernel with one BLAS thread (``benchmarks/bench_crossover.py``,
+#: ``BENCH_crossover.json``).  On the 2-vCPU reference host (OpenBLAS
+#: 0.3.31) no order of the scan won: from 512 to 4096 in steps of 512,
+#: one level took 1.02-1.65x the time of the kernel alone (1.05x at
+#: 2560, 1.02x at 4096, median of 5).  When no order wins, tau is the
+#: top of the scan, 4096.  The plane parameters keep
+#: :data:`DEFAULT_CUTOFF`'s ratio of 3/4 tau.
+BLAS_CUTOFF = HybridCutoff(tau=4096, tau_m=3072, tau_k=3072, tau_n=3072)
+
+
+def default_cutoff(backend: str = "substrate",
+                   fuse: bool = False) -> CutoffCriterion:
+    """The cutoff a call gets when it names none: it follows the leaf
+    kernel.  :data:`BLAS_CUTOFF` when the leaves are ``np.matmul`` (the
+    vendor backend, or fused replay), else :data:`DEFAULT_CUTOFF`."""
+    return BLAS_CUTOFF if backend == "vendor" or fuse else DEFAULT_CUTOFF
+
 
 #: Recognised values of the ``scheme`` argument — "auto" plus every
 #: entry of the scheme registry (:mod:`repro.core.schemes`).
@@ -67,7 +88,8 @@ class GemmConfig:
         ``"head"``.
     ``cutoff``
         A :class:`~repro.core.cutoff.CutoffCriterion` deciding
-        recurse-vs-base at every level.
+        recurse-vs-base at every level.  Left as None it takes
+        :func:`default_cutoff` of the config's ``backend`` and ``fuse``.
     ``nb``
         Tile edge for the base-case standard-algorithm kernel.
     ``backend``
@@ -100,7 +122,7 @@ class GemmConfig:
 
     scheme: str = "auto"
     peel: str = "tail"
-    cutoff: CutoffCriterion = DEFAULT_CUTOFF
+    cutoff: Optional[CutoffCriterion] = None
     nb: int = DEFAULT_TILE
     backend: str = "substrate"
     fuse: bool = False
@@ -108,6 +130,9 @@ class GemmConfig:
     accuracy: str = "fast"
 
     def __post_init__(self) -> None:
+        if self.cutoff is None:
+            object.__setattr__(self, "cutoff",
+                               default_cutoff(self.backend, self.fuse))
         if self.scheme not in SCHEMES:
             raise ArgumentError(
                 "GemmConfig", "scheme",
@@ -191,8 +216,9 @@ def resolve_config(
 ) -> GemmConfig:
     """The validated :class:`GemmConfig` for one call's knobs, interned.
 
-    ``cutoff=None`` takes :data:`DEFAULT_CUTOFF` and ``accuracy=None``
-    the dtype's default (:func:`~repro.blas.dtypes.default_accuracy`).
+    ``cutoff=None`` takes :func:`default_cutoff` of the call's
+    ``backend`` and ``fuse``, and ``accuracy=None`` the dtype's default
+    (:func:`~repro.blas.dtypes.default_accuracy`).
     Every front door resolves its knobs here, so a repeated call builds
     no config: the first one built for a knob tuple is returned again,
     from a memo of at most :data:`CONFIG_MEMO_MAX` entries.  The key
@@ -213,8 +239,7 @@ def resolve_config(
     except TypeError:
         hashable = False
     cfg = GemmConfig(
-        scheme=scheme, peel=peel,
-        cutoff=DEFAULT_CUTOFF if cutoff is None else cutoff,
+        scheme=scheme, peel=peel, cutoff=cutoff,
         nb=nb, backend=backend, fuse=fuse, dtype=dtype,
         accuracy=default_accuracy(dtype) if accuracy is None else accuracy,
     )

@@ -143,9 +143,14 @@ def dgefmm(
     transa, transb:
         Apply the operation to ``A^T`` / ``B^T`` (views; nothing copied).
     cutoff:
-        A :class:`~repro.core.cutoff.CutoffCriterion`; default
-        :data:`DEFAULT_CUTOFF`.  Recursion also stops whenever a dimension
-        drops below 2.
+        A :class:`~repro.core.cutoff.CutoffCriterion`.  None (the
+        default) follows the leaf kernel
+        (:func:`~repro.core.config.default_cutoff`):
+        :data:`DEFAULT_CUTOFF` over the substrate, and
+        :data:`~repro.core.config.BLAS_CUTOFF` over ``np.matmul``
+        leaves, i.e. with ``backend="vendor"`` or ``fuse=True``.  An
+        explicit criterion always wins.  Recursion also stops whenever a
+        dimension drops below 2.
     scheme:
         ``"auto"`` (the paper's DGEFMM dispatch: STRASSEN1 when beta = 0,
         STRASSEN2 otherwise), or force any registry scheme
@@ -177,7 +182,8 @@ def dgefmm(
         Base-case kernel backend (see :data:`repro.blas.level3.BACKENDS`):
         ``"substrate"`` (default, the package's own standard-algorithm
         kernel) or ``"vendor"`` (numpy's BLAS matmul) for modern-host
-        practicality experiments.
+        practicality experiments.  The backend picks the defaulted
+        ``cutoff``.
     plan_cache:
         A :class:`~repro.plan.cache.PlanCache`.  When given (and not in
         dry mode, and no explicit ``workspace`` is supplied), the call
@@ -187,6 +193,11 @@ def dgefmm(
         also all allocation.  Results are bit-identical to the
         recursive path; cache counters land in
         ``ctx.stats["plan_cache"]``.
+    fuse:
+        Replay the cached plan fused (:mod:`repro.plan.fuse`): batched
+        and direct ``np.matmul`` leaves.  Only the plan path fuses; the
+        walk ignores the knob, except that a defaulted ``cutoff`` is
+        still :data:`~repro.core.config.BLAS_CUTOFF`.
     accuracy:
         Accuracy mode (:data:`repro.blas.dtypes.ACCURACIES`): ``"fast"``
         (native rounding), ``"compensated"`` (wide-promoted / Kahan

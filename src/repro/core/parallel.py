@@ -159,7 +159,10 @@ def pdgefmm(
     serial knob set — ``cutoff``, ``scheme``, ``peel``, ``nb``,
     ``backend``, ``fuse``, ``accuracy`` — and shares
     :func:`~repro.core.dgefmm.dgefmm`'s prologue (validation, degenerate
-    cases, copy-on-overlap).
+    cases, copy-on-overlap).  As there, ``cutoff=None`` follows the leaf
+    kernel (:func:`~repro.core.config.default_cutoff`): the substrate's
+    ``DEFAULT_CUTOFF``, or ``BLAS_CUTOFF`` with ``backend="vendor"`` or
+    ``fuse=True``.
 
     The call replays a parallel plan: fetched from ``plan_cache`` (a
     :class:`~repro.plan.cache.PlanCache`) when one is given, compiled

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from typing import Dict, Optional
 
-from repro.core.config import DEFAULT_CUTOFF
+from repro.core.config import default_cutoff
 from repro.core.cutoff import CutoffCriterion
 from repro.core.traversal import Base, decide
 
@@ -43,7 +43,7 @@ def recursion_profile(
     partition shape.  (The structure is beta-independent, so the
     profile holds for every scalar class.)
     """
-    crit = criterion if criterion is not None else DEFAULT_CUTOFF
+    crit = criterion if criterion is not None else default_cutoff()
     prof = {
         "recurse": 0,
         "base": 0,

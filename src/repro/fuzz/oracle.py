@@ -1,11 +1,15 @@
 """The differential oracle: one case, every execution path, cross-checked.
 
-For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs five
+For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs seven
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
 - ``plan``     — the same call through a :class:`~repro.plan.cache.PlanCache`
   (compiled-plan replay);
+- ``vendor`` and ``vendor-plan`` — the walk and the plan replay again
+  with ``backend="vendor"``: every leaf is numpy's BLAS ``np.matmul``,
+  which writes C directly when it can, so the leaf meets the case's
+  aliasing, NaN-poisoned C and strided layouts;
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
   worker budget, parallel depth, and the full scheme/peel knob set,
   with no cache: a parallel plan compiled for this call, whose levels
@@ -27,10 +31,11 @@ layout, so it need not match a ``fused`` call on the caller's C.
 
 Checks, in decreasing strictness:
 
-1. ``serial`` vs ``plan`` and ``parallel`` vs ``parallel-plan`` must be
-   **bit-identical** (a plan replays the same kernels on the same views
-   in the same order as the walk, and a per-call compile must replay
-   exactly like the cached plan — any drift is a bug, not roundoff);
+1. ``serial`` vs ``plan``, ``vendor`` vs ``vendor-plan`` and
+   ``parallel`` vs ``parallel-plan`` must be **bit-identical** (a plan
+   replays the same kernels on the same views in the same order as the
+   walk, and a per-call compile must replay exactly like the cached
+   plan — any drift is a bug, not roundoff);
    ``fused`` vs ``fused-replay`` must be bit-identical too — fused
    execution is deterministic, it just isn't bit-identical to the
    *interpreted* stream (the batched/direct ``np.matmul`` kernel
@@ -116,6 +121,17 @@ def reference_result(case: FuzzCase, a, b, c0) -> np.ndarray:
     return expect
 
 
+#: dgefmm paths: (through the plan cache, backend, fuse)
+_DGEFMM_PATHS = {
+    "serial": (False, "substrate", False),
+    "plan": (True, "substrate", False),
+    "vendor": (False, "vendor", False),
+    "vendor-plan": (True, "vendor", False),
+    "fused": (True, "substrate", True),
+    "fused-replay": (True, "substrate", True),
+}
+
+
 def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
     """Execute one path on freshly materialized operands; returns C."""
     a, b, c, _c0 = materialize(case)
@@ -128,12 +144,12 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
             cutoff=crit, scheme=case.scheme, peel=case.peel,
             fuse=False, accuracy=case.accuracy,
         )
-    if path in ("serial", "plan", "fused", "fused-replay"):
-        fused = path in ("fused", "fused-replay")
+    if path in _DGEFMM_PATHS:
+        cached, backend, fused = _DGEFMM_PATHS[path]
         dgefmm(
             a, b, c, alpha, beta, case.transa, case.transb,
             cutoff=crit, scheme=case.scheme, peel=case.peel,
-            plan_cache=plan_cache if path != "serial" else None,
+            plan_cache=plan_cache if cached else None, backend=backend,
             fuse=fused, accuracy=case.accuracy,
         )
     else:
@@ -183,7 +199,8 @@ def run_case(
     expect = reference_result(case, a, b, c0)
     atol = tolerance_for(case, expect)
 
-    paths = ["serial", "plan", "parallel", "parallel-plan", "served"]
+    paths = ["serial", "plan", "vendor", "vendor-plan", "parallel",
+             "parallel-plan", "served"]
     # fused programs are compiled for the fast kernels only (GemmConfig
     # rejects fuse with any other accuracy), so the fused paths join the
     # cross-check only for fast-discipline cases
@@ -223,8 +240,8 @@ def run_case(
                           + ("" if finite else " (non-finite entries)"),
             })
 
-    pairs = [("serial", "plan"), ("parallel", "parallel-plan"),
-             ("fused", "fused-replay")]
+    pairs = [("serial", "plan"), ("vendor", "vendor-plan"),
+             ("parallel", "parallel-plan"), ("fused", "fused-replay")]
     if case.alias == "none":
         pairs.append(("serial", "served"))
     for lhs, rhs in pairs:

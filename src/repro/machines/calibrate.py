@@ -266,13 +266,15 @@ def measured_rect_crossover(
     return hi
 
 
-def host_timers(repeats: int = 3):
+def host_timers(repeats: int = 3, backend: str = "substrate"):
     """Wall-clock ``(time_gemm, time_one_level)`` for *this* host.
 
     Both callables take ``(m, k, n)``, generate deterministic operands,
     and return the median of ``repeats`` timed runs of the real kernels:
     the standard-algorithm DGEMM and one level of the actual DGEFMM
-    recursion (``DepthCutoff(1)``).  These are the paper's Section 3.4
+    recursion (``DepthCutoff(1)``), both on the leaf kernel ``backend``
+    (:data:`repro.blas.level3.BACKENDS`), so the scan answers where one
+    level beats the DGEMM it calls.  These are the paper's Section 3.4
     probes; :func:`calibrate_host` scans them for crossovers and the
     tune subsystem (:mod:`repro.tune.measure`) reuses them so the
     autotuner measures with the same instruments as offline
@@ -295,13 +297,15 @@ def host_timers(repeats: int = 3):
 
     def time_gemm(m, k, n):
         a, b, c = _mats(m, k, n)
-        med, _ = _time_call(lambda: _dgemm(a, b, c), repeats=repeats)
+        med, _ = _time_call(lambda: _dgemm(a, b, c, backend=backend),
+                            repeats=repeats)
         return med
 
     def time_one_level(m, k, n):
         a, b, c = _mats(m, k, n)
         med, _ = _time_call(
-            lambda: _dgefmm(a, b, c, cutoff=_DepthCutoff(1)),
+            lambda: _dgefmm(a, b, c, cutoff=_DepthCutoff(1),
+                            backend=backend),
             repeats=repeats,
         )
         return med

@@ -115,7 +115,8 @@ class GemmRequest:
     ``fuse=None`` is a *defaulted* fuse: it fuses only when the
     resolved accuracy is ``"fast"`` (fused programs exist for the fast
     kernels only), whereas an explicit ``fuse=True`` conflict is a
-    validation error.
+    validation error.  ``cutoff=None`` takes the default of the kernel
+    the request ends up with, fused or not, like ``dgefmm``'s.
     """
 
     __slots__ = ("call", "out", "signature", "future", "deadline", "seq",
@@ -131,7 +132,7 @@ class GemmRequest:
         transa: bool = False,
         transb: bool = False,
         *,
-        cutoff: CutoffCriterion,
+        cutoff: Optional[CutoffCriterion],
         scheme: str = "auto",
         peel: str = "tail",
         nb: int = DEFAULT_TILE,
@@ -157,9 +158,11 @@ class GemmRequest:
             False if fuse is None else fuse, accuracy,
         )
         if fuse is None and call is not None and call.cfg.accuracy == "fast":
+            # re-resolved from the caller's cutoff: a defaulted one
+            # follows the fused leaves, as in dgefmm(fuse=True)
             cfg = call.cfg
             call = call._replace(cfg=resolve_config(
-                cfg.scheme, cfg.peel, cfg.cutoff, cfg.nb, cfg.backend, True,
+                cfg.scheme, cfg.peel, cutoff, cfg.nb, cfg.backend, True,
                 cfg.dtype, cfg.accuracy,
             ))
         self.call = call

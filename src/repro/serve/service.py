@@ -47,7 +47,7 @@ import numpy as np
 from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext
 from repro.core.cutoff import CutoffCriterion
-from repro.core.dgefmm import DEFAULT_CUTOFF, _serial
+from repro.core.dgefmm import _serial
 from repro.core.pool import WorkspacePool
 from repro.errors import (
     ArgumentError,
@@ -83,6 +83,11 @@ class GemmService:
     cutoff:
         Default cutoff criterion for submitted requests (must be a
         frozen, hashable criterion — it is part of the plan signature).
+        None (the default) leaves it to each request's config, which
+        takes :func:`~repro.core.config.default_cutoff` of the
+        request's leaf kernel: ``DEFAULT_CUTOFF`` over the substrate,
+        ``BLAS_CUTOFF`` when the request fuses or a tuned profile gives
+        it the vendor backend.
     fuse:
         Default for the per-request ``fuse`` knob: serve batches
         through the fused replay loop (:mod:`repro.plan.fuse`) instead
@@ -133,7 +138,7 @@ class GemmService:
                 "GemmService", "max_batch",
                 f"must be >= 1, got {max_batch}",
             )
-        self.cutoff = cutoff if cutoff is not None else DEFAULT_CUTOFF
+        self.cutoff = cutoff
         self.fuse = bool(fuse)
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.pool = pool if pool is not None else WorkspacePool()

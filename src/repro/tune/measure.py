@@ -109,35 +109,49 @@ def measure_crossover(
     hi: int = 384,
     step: int = 32,
     repeats: int = 3,
+    backend: str = "substrate",
     time_gemm: Optional[Callable[[int, int, int], float]] = None,
     time_one_level: Optional[Callable[[int, int, int], float]] = None,
 ) -> Dict[str, Any]:
     """Measured vs predicted square crossover on this host.
 
     Scans ``lo..hi`` (step ``step``) with the Section 3.4 probes from
-    :func:`~repro.machines.calibrate.host_timers` (injectable for
-    tests), and evaluates the cost-model ladder's predictions of the
-    same experiment.  Degrades gracefully: when no crossover exists in
-    the scan range (common for a short CI-budget scan over numpy
-    kernels) the measured fields are None and ``reason`` says why —
-    the caller still gets the predictions and the scan evidence.
+    :func:`~repro.machines.calibrate.host_timers` on the leaf kernel
+    ``backend`` (timers injectable for tests), and evaluates the
+    cost-model ladder's predictions of the same experiment (the models
+    describe the substrate kernel whatever the backend).  Degrades
+    gracefully: when no crossover exists in the scan range (common for a
+    short CI-budget scan over numpy kernels) the measured fields are
+    None and ``reason`` says why — the caller still gets the
+    predictions and the scan evidence.
 
-    Returns ``{"measured": {first, always, recommended} | None,
-    "predicted": {opcount, traffic}, "error": {...} | None,
-    "scan": {lo, hi, step, repeats}, "reason": str | None}``.
+    Returns ``{"backend": str, "measured": {first, always, recommended}
+    | None, "predicted": {opcount, traffic}, "error": {...} | None,
+    "scan": {lo, hi, step, repeats}, "timings": [{order, gemm_s,
+    one_level_s}, ...], "reason": str | None}``.
     """
     if time_gemm is None or time_one_level is None:
-        time_gemm, time_one_level = host_timers(repeats=repeats)
+        time_gemm, time_one_level = host_timers(repeats=repeats,
+                                                backend=backend)
 
     step = max(2, step)
     step += step % 2  # even steps avoid peel noise, like calibrate_host
+
+    # the scan's evidence: both probes' seconds at every order
+    timed: Dict[int, Dict[str, float]] = {}
+
+    def probe(key: str, timer: Callable[[int, int, int], float]):
+        def run(s: int) -> float:
+            timed.setdefault(s, {})[key] = t = timer(s, s, s)
+            return t
+        return run
 
     measured: Optional[Dict[str, int]] = None
     reason: Optional[str] = None
     try:
         first, always, recommended = measured_square_crossover(
-            lambda s: time_gemm(s, s, s),
-            lambda s: time_one_level(s, s, s),
+            probe("gemm_s", time_gemm),
+            probe("one_level_s", time_one_level),
             lo, hi, step,
         )
         measured = {
@@ -170,9 +184,11 @@ def measure_crossover(
             }
 
     return {
+        "backend": backend,
         "measured": measured,
         "predicted": predicted,
         "error": error,
         "scan": {"lo": lo, "hi": hi, "step": step, "repeats": repeats},
+        "timings": [{"order": s, **t} for s, t in sorted(timed.items())],
         "reason": reason,
     }

@@ -125,7 +125,8 @@ class TunedProfile:
     ``scheme``/``peel``/``cutoff``/``nb``/``backend``/``fuse``
         The knob values — the same vocabulary as
         :class:`~repro.core.config.GemmConfig`, validated identically
-        (construction runs ``to_config()`` once).
+        (construction runs ``to_config()`` once); a ``cutoff`` left None
+        takes the config's default for the profile's leaf kernel.
     ``version``
         Monotonic per key; :class:`~repro.tune.store.ProfileStore`
         refuses to replace a profile with an older or equal version.
@@ -143,11 +144,7 @@ class TunedProfile:
     key: str
     scheme: str = "auto"
     peel: str = "tail"
-    cutoff: CutoffCriterion = field(
-        default_factory=lambda: _cutoff_mod.HybridCutoff(
-            tau=128, tau_m=96, tau_k=96, tau_n=96
-        )
-    )
+    cutoff: Optional[CutoffCriterion] = None
     nb: int = DEFAULT_TILE
     backend: str = "substrate"
     fuse: bool = False
@@ -170,8 +167,9 @@ class TunedProfile:
                 f"must be >= 1, got {self.version}",
             )
         # one validation point: every knob combination a profile can
-        # carry is a combination GemmConfig accepts
-        self.to_config()
+        # carry is a combination GemmConfig accepts (which also fills a
+        # defaulted cutoff for the profile's leaf kernel)
+        object.__setattr__(self, "cutoff", self.to_config().cutoff)
 
     # ------------------------------------------------------------------ #
     def to_config(self) -> GemmConfig:

@@ -99,6 +99,25 @@ class TestDger:
         dger(x, y, block)
         np.testing.assert_allclose(c[:8, :8], expect)
 
+    @pytest.mark.parametrize("alpha", [1.0, -0.37])
+    @pytest.mark.parametrize("layout", ["F", "C", "strided", "negative"])
+    def test_bits_of_the_outer_product_formula(self, rng, layout, alpha):
+        """The temporary follows A's memory order; the bits stay those
+        of ``A += alpha * multiply.outer(x, y)`` (alpha applied first)."""
+        base = rng.standard_normal((14, 18))
+        a = {"F": np.asfortranarray(base[:7, :6]),
+             "C": np.ascontiguousarray(base[:7, :6]),
+             "strided": np.asfortranarray(base)[::2, ::3],
+             "negative": np.asfortranarray(base[:7, :6])[::-1, ::-1]}[layout]
+        x = rng.standard_normal(a.shape[0])
+        y = rng.standard_normal(a.shape[1])
+        outer = np.multiply.outer(x, y)
+        if alpha != 1.0:
+            outer *= alpha
+        expect = a + outer
+        dger(x, y, a, alpha)
+        assert np.array_equal(a, expect)
+
     def test_dry_charges(self):
         ctx = ExecutionContext(dry=True)
         dger(Phantom(7), Phantom(5), Phantom(7, 5), ctx=ctx)

@@ -170,3 +170,107 @@ class TestBackends:
         dgefmm(a, b, c2, 0.5, 1.5, cutoff=SimpleCutoff(16),
                backend="substrate")
         np.testing.assert_allclose(c1, c2, atol=1e-10)
+
+    # the vendor base case: np.matmul writes C itself when it can
+    LAYOUTS = {
+        "F": lambda x: x,
+        "C": np.ascontiguousarray,
+        "strided": lambda x: np.asfortranarray(
+            np.repeat(np.repeat(x, 2, axis=0), 3, axis=1))[::2, ::3],
+        "negative": lambda x: np.asfortranarray(x[::-1, ::-1])[::-1, ::-1],
+        "quadrant": lambda x: np.asfortranarray(
+            np.pad(x, ((5, 3), (2, 7))))[5:5 + x.shape[0],
+                                         2:2 + x.shape[1]],
+    }
+
+    def test_no_product_temporary(self, rng):
+        import tracemalloc
+
+        m = 512
+        a = np.asfortranarray(rng.standard_normal((m, m)))
+        b = np.asfortranarray(rng.standard_normal((m, m)))
+        c = np.zeros((m, m), order="F")
+        dgemm(a, b, c, backend="vendor")            # warm
+        tracemalloc.start()
+        try:
+            tracemalloc.reset_peak()
+            dgemm(a, b, c, backend="vendor")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < m * m * c.itemsize / 8, peak
+
+    @pytest.mark.parametrize("la", sorted(LAYOUTS))
+    @pytest.mark.parametrize("lb", ["F", "negative", "quadrant"])
+    def test_equals_matmul_bit_for_bit(self, rng, la, lb):
+        a = self.LAYOUTS[la](np.asfortranarray(rng.standard_normal((37, 29))))
+        b = self.LAYOUTS[lb](np.asfortranarray(rng.standard_normal((29, 41))))
+        want = np.empty((37, 41), order="F")
+        np.matmul(a, b, out=want)
+        for c in (np.full((37, 41), np.nan, order="F"),
+                  self.LAYOUTS["quadrant"](np.full((37, 41), np.nan))):
+            dgemm(a, b, c, backend="vendor")
+            assert np.array_equal(c, want)
+
+    def test_general_scalars_from_an_f_ordered_product(self, rng):
+        a, b = (np.asfortranarray(rng.standard_normal(s))
+                for s in ((30, 20), (20, 25)))
+        c = np.asfortranarray(rng.standard_normal((30, 25)))
+        prod = np.empty((30, 25), order="F")
+        np.matmul(a, b, out=prod)
+        prod *= 0.5
+        want = c * -2.0
+        want += prod
+        dgemm(a, b, c, 0.5, -2.0, backend="vendor")
+        assert np.array_equal(c, want)
+
+    @pytest.mark.parametrize("alias", ["a", "b", "partial"])
+    def test_overlapping_c_equals_non_aliased(self, rng, alias):
+        n = 48
+        buf = np.asfortranarray(rng.standard_normal((n, 2 * n)))
+        a = buf[:, :n]
+        b = np.asfortranarray(rng.standard_normal((n, n)))
+        if alias == "a":
+            c = a
+        elif alias == "b":
+            c = b
+        else:
+            c = buf[:, n // 2:n // 2 + n]      # half of A's columns
+        want = np.empty((n, n), order="F")
+        dgemm(a.copy(order="F"), b.copy(order="F"), want, backend="vendor")
+        dgemm(a, b, c, backend="vendor")
+        assert np.array_equal(c, want)
+
+    @pytest.mark.parametrize("alpha", [1.0, 2.5])
+    def test_beta_zero_overwrites_nan(self, mats, alpha):
+        a, b, _ = mats(20, 30, 25)
+        c = np.full((20, 25), np.nan, order="F")
+        dgemm(a, b, c, alpha, 0.0, backend="vendor")
+        np.testing.assert_allclose(c, alpha * (a @ b), atol=1e-11)
+
+    def test_float32_product_rounds_before_widening(self, rng):
+        a = np.asfortranarray(rng.standard_normal((30, 40)), np.float32)
+        b = np.asfortranarray(rng.standard_normal((40, 20)), np.float32)
+        c = np.zeros((30, 20), order="F")
+        dgemm(a, b, c, backend="vendor")
+        prod = np.empty((30, 20), dtype=np.float32, order="F")
+        np.matmul(a, b, out=prod)
+        assert np.array_equal(c, prod.astype(np.float64))
+        assert not np.array_equal(c, a.astype(np.float64) @ b)
+
+    def test_exact_refusal_before_c_is_touched(self, rng):
+        a = np.asfortranarray(rng.integers(-9, 9, (6, 5)))
+        b = np.asfortranarray(rng.standard_normal((5, 4)))
+        c = np.full((6, 4), 7, dtype=np.int64, order="F")
+        with pytest.raises(ArgumentError):
+            dgemm(a, b, c, backend="vendor", accuracy="exact")
+        assert (c == 7).all()
+
+    def test_compensated_float32_evaluates_wide(self, rng):
+        a = np.asfortranarray(rng.standard_normal((30, 40)), np.float32)
+        b = np.asfortranarray(rng.standard_normal((40, 20)), np.float32)
+        c = np.zeros((30, 20), dtype=np.float32, order="F")
+        dgemm(a, b, c, backend="vendor", accuracy="compensated")
+        wide = np.empty((30, 20), order="F")
+        np.matmul(a.astype(np.float64), b.astype(np.float64), out=wide)
+        assert np.array_equal(c, wide.astype(np.float32))

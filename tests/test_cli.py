@@ -153,6 +153,20 @@ class TestTuneCli:
             main(["tune", subcommand, "--help"])
         assert "--json" in capsys.readouterr().out
 
+    def test_measure_reports_one_row_per_leaf_kernel(self, capsys):
+        """The CI crossover probe in miniature: a substrate row and a
+        vendor row, each with predictions and a measurement or a
+        reason."""
+        assert main(["tune", "measure", "--lo", "32", "--hi", "64",
+                     "--step", "32", "--repeats", "1", "--json"]) == 0
+        doc = json.loads(capsys.readouterr().out)
+        assert doc["bench"] == "tune_measure"
+        assert [row["backend"] for row in doc["rows"]] == [
+            "substrate", "vendor"]
+        for row in doc["rows"]:
+            assert row["predicted"]
+            assert row["measured"] is not None or row["reason"]
+
     def test_show_empty_directory_json(self, tmp_path, capsys):
         assert main(["tune", "show", "--dir", str(tmp_path), "--json"]) == 0
         doc = json.loads(capsys.readouterr().out)

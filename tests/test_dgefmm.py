@@ -1,9 +1,20 @@
 """DGEFMM driver: the full DGEMM-replacement contract."""
 
+import json
+import pathlib
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext
+from repro.core.config import (
+    BLAS_CUTOFF,
+    DEFAULT_CUTOFF,
+    GemmConfig,
+    resolve_config,
+)
 from repro.core.cutoff import (
     AlwaysRecurse,
     DepthCutoff,
@@ -15,6 +26,7 @@ from repro.core.workspace import Workspace
 from repro.errors import ArgumentError, DimensionError
 from repro.phantom import Phantom
 from repro.plan.cache import PlanCache
+from repro.serve import GemmService
 
 CUT = SimpleCutoff(8)
 
@@ -237,3 +249,85 @@ class TestMemoryCoefficients:
                ctx=ctx, workspace=ws)
         bound = (m * k + k * n + m * n) / 3
         assert ws.peak_elements <= bound * 1.01
+
+
+class TestDefaultCutoff:
+    """A defaulted cutoff follows the leaf kernel; an explicit one wins."""
+
+    #: (backend, fuse) -> the criterion a defaulted cutoff resolves to
+    LEAF_DEFAULTS = [
+        ("substrate", False, DEFAULT_CUTOFF),
+        ("substrate", True, BLAS_CUTOFF),
+        ("vendor", False, BLAS_CUTOFF),
+        ("vendor", True, BLAS_CUTOFF),
+    ]
+
+    @staticmethod
+    def _events(backend, fuse, cutoff):
+        ctx = ExecutionContext(dry=True, trace=True)
+        dgefmm(Phantom(256, 256), Phantom(256, 256), Phantom(256, 256),
+               cutoff=cutoff, backend=backend, fuse=fuse, ctx=ctx)
+        return ctx.events
+
+    @staticmethod
+    def _service_hits_dgefmm_plan(rng, backend, fuse, cutoff=None):
+        """True when a GemmService for (backend, fuse) replays the plan
+        ``dgefmm`` compiled for the same knobs (the signature holds the
+        criterion)."""
+
+        class Profiles:   # the only way to a vendor-backend service
+            prof = SimpleNamespace(scheme="auto", peel="tail", cutoff=None,
+                                   nb=DEFAULT_TILE, backend=backend,
+                                   fuse=fuse, accuracy=None)
+
+            def resolve(self, m, k, n, dtype=None, beta_zero=True):
+                return self.prof
+
+            def stats(self):
+                return {}
+
+        a = np.asfortranarray(rng.standard_normal((256, 256)))
+        b = np.asfortranarray(rng.standard_normal((256, 256)))
+        cache = PlanCache()
+        dgefmm(a, b, np.zeros((256, 256), order="F"), cutoff=cutoff,
+               backend=backend, fuse=fuse, plan_cache=cache)
+        with GemmService(
+                workers=1, plan_cache=cache, fuse=fuse,
+                profiles=Profiles() if backend == "vendor" else None,
+        ) as svc:
+            svc.submit(a, b, cutoff=cutoff).result(timeout=60)
+        return cache.misses == 1 and cache.hits >= 1
+
+    @pytest.mark.parametrize("backend,fuse,want", LEAF_DEFAULTS)
+    def test_every_front_door_defaults_alike(self, rng, backend, fuse, want):
+        assert resolve_config("auto", "tail", None, 160, backend, fuse,
+                              "float64", None).cutoff == want
+        assert GemmConfig(backend=backend, fuse=fuse).cutoff == want
+        assert self._events(backend, fuse, None) == self._events(
+            backend, fuse, want)
+        assert self._service_hits_dgefmm_plan(rng, backend, fuse)
+
+    @pytest.mark.parametrize("backend,fuse,default", LEAF_DEFAULTS)
+    def test_explicit_cutoff_wins(self, rng, backend, fuse, default):
+        crit = SimpleCutoff(48)
+        assert resolve_config("auto", "tail", crit, 160, backend, fuse,
+                              "float64", None).cutoff == crit
+        assert GemmConfig(cutoff=crit, backend=backend,
+                          fuse=fuse).cutoff == crit
+        assert self._events(backend, fuse, crit) != self._events(
+            backend, fuse, default)
+        assert self._service_hits_dgefmm_plan(rng, backend, fuse, crit)
+
+    def test_the_two_defaults_differ_at_order_256(self):
+        assert DEFAULT_CUTOFF.recurse(256, 256, 256)
+        assert BLAS_CUTOFF.stop(256, 256, 256)
+
+    def test_blas_cutoff_traces_to_the_crossover_bench(self):
+        """BLAS_CUTOFF's tau is the committed scan's answer, and its
+        plane parameters keep DEFAULT_CUTOFF's ratio of 3/4 tau."""
+        doc = json.loads((pathlib.Path(__file__).parents[1]
+                          / "BENCH_crossover.json").read_text())
+        assert BLAS_CUTOFF.tau == doc["blas_cutoff"]["tau"]
+        ratio = DEFAULT_CUTOFF.tau_m / DEFAULT_CUTOFF.tau
+        for t in (BLAS_CUTOFF.tau_m, BLAS_CUTOFF.tau_k, BLAS_CUTOFF.tau_n):
+            assert t == ratio * BLAS_CUTOFF.tau

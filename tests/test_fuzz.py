@@ -150,6 +150,33 @@ class TestOracle:
         assert failures
         assert any(f["kind"] == "reference-mismatch" for f in failures)
 
+    def test_oracle_catches_a_vendor_leaf_mutant(self, monkeypatch):
+        """One nudged output element in the vendor leaf is caught, on
+        the two paths whose leaves are the vendor kernel."""
+        import repro.blas.level3 as level3
+
+        class Nudged:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def matmul(a, b, out):
+                np.matmul(a, b, out=out)
+                out[0, 0] += 1.0
+                return out
+
+        monkeypatch.setattr(level3, "np", Nudged())
+        case = FuzzCase(
+            m=16, k=16, n=16, transa=False, transb=False,
+            alpha=1.0, beta=0.0, dtype="float64", layout_a="F",
+            layout_b="F", layout_c="F", scheme="auto", peel="tail",
+            tau=4, workers=1, depth=1, alias="none", nan_c=False,
+            pool=False, seed=5,
+        )
+        failures = run_case(case)
+        assert {f["path"] for f in failures} == {"vendor", "vendor-plan"}
+        assert {f["kind"] for f in failures} == {"reference-mismatch"}
+
 
 class TestRunner:
     def test_smoke_campaign(self):

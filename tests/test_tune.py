@@ -419,6 +419,10 @@ def test_measure_crossover_with_injected_timers():
     assert out["measured"] is not None
     assert out["reason"] is None
     assert set(out["predicted"]) == {"opcount", "traffic"}
+    assert out["timings"][0] == {"order": 64, "gemm_s": 64.0 ** 3,
+                                 "one_level_s": 100.0 * 64 ** 2}
+    assert [t["order"] for t in out["timings"]] == [64, 96, 128, 160,
+                                                    192, 224, 256]
     for entry in out["error"].values():
         assert entry["abs"] >= 0
 
