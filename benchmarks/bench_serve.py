@@ -4,10 +4,10 @@ The serving subsystem's acceptance target: a burst of small
 same-signature requests through the micro-batching engine must beat the
 naive one-request-at-a-time baseline (a synchronous submit-wait loop on
 a ``max_batch=1`` service — every request pays the full round trip of
-worker wakeup, plan fetch, arena checkout, and result wakeup) by at
-least 1.2x throughput.  Small problems are the honest regime: per-call
-fixed overhead is the entire difference between the two modes, and it
-is exactly what batching exists to amortize.
+worker wakeup, queue handoff, and result wakeup) by at least 1.2x
+throughput.  Small problems are the honest regime: per-call fixed
+overhead is the entire difference between the two modes, and it is
+exactly what batching exists to amortize.
 
 Also reported (informationally, unasserted): the async-burst
 ``max_batch=1`` middle ground, tail latencies, and the batch-size
@@ -120,14 +120,16 @@ def test_microbatch_throughput(benchmark):
 
 
 def test_fused_serving_throughput(benchmark):
-    """Fused vs interpreted micro-batched bursts on one hot signature.
+    """Fused vs walked micro-batched bursts on one hot signature.
 
-    Reuses the micro-batch burst harness with ``fuse`` on: every batch
-    replays the same cache-hot fused program.  The per-request problems
-    here are tiny (one base kernel each), so the plan is a single
-    direct product and the measured gap is mostly dispatch — reported
-    informationally; the asserted fused-replay floor lives in
-    ``bench_plan.py::test_plan_fused_replay`` where the plan is deep.
+    Reuses the micro-batch burst harness with ``fuse`` on: every request
+    replays the same cache-hot fused program, where an unfused request
+    walks the recursion.  Order 48 at tau = 16 recurses two levels per
+    request (8 internal nodes, 49 base kernels; the fused program packs
+    them into 7 batched groups and 28 direct products), a small explicit
+    cutoff under which the walk pays its per-node overhead.  The gap is
+    reported informationally; the asserted fused-replay floor lives in
+    ``bench_plan.py::test_plan_fused_replay``.
     """
     reqs = _requests(n=200, order=48)
 
@@ -140,30 +142,30 @@ def test_fused_serving_throughput(benchmark):
                 f.result(timeout=60.0)
             return time.perf_counter() - t0, svc.stats()
 
-    t_int, _ = _best(lambda: burst(False))
+    t_walk, _ = _best(lambda: burst(False))
     t_fus, st = benchmark.pedantic(
         lambda: _best(lambda: burst(True)), rounds=1, iterations=1,
     )
     n = len(reqs)
     emit(
-        "Serving: fused vs interpreted batched bursts (order-48, tau=16)",
-        f"interpreted {t_int * 1e3:7.1f} ms ({n / t_int:7.0f} req/s)\n"
-        f"fused       {t_fus * 1e3:7.1f} ms ({n / t_fus:7.0f} req/s)\n"
-        f"ratio {t_int / t_fus:.2f}x",
+        "Serving: fused vs walked batched bursts (order-48, tau=16)",
+        f"walked {t_walk * 1e3:7.1f} ms ({n / t_walk:7.0f} req/s)\n"
+        f"fused  {t_fus * 1e3:7.1f} ms ({n / t_fus:7.0f} req/s)\n"
+        f"ratio {t_walk / t_fus:.2f}x",
     )
     emit_json(
         "serve_fused",
         {"n_requests": n, "order": 48, "tau": 16, "max_batch": 32,
          "workers": 1},
-        [{"mode": "burst_interpreted", "total_s": t_int,
-          "throughput_rps": n / t_int},
+        [{"mode": "burst_walk", "total_s": t_walk,
+          "throughput_rps": n / t_walk},
          {"mode": "burst_fused", "total_s": t_fus,
           "throughput_rps": n / t_fus}],
-        ratio_fused_vs_interpreted=t_int / t_fus,
+        ratio_fused_vs_walk=t_walk / t_fus,
     )
     # fused serving must never lose outright; the strong floor is
     # asserted on the deep-plan bench
-    assert t_fus <= 1.2 * t_int
+    assert t_fus <= 1.2 * t_walk
     assert st["plan_cache"]["plans"] == 1
 
 
@@ -194,7 +196,6 @@ def test_open_loop_load(benchmark):
     )
     assert report["divergent"] == 0 and report["errors"] == 0
     assert report["completed"] >= 500
-    assert svc["plan_cache"]["hit_rate"] > 0.8
 
 
 def test_open_loop_load_fused(benchmark):

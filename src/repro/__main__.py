@@ -253,7 +253,7 @@ def _plan_cache_stats(args) -> int:
             b = np.asfortranarray(rng.standard_normal((kk, nn)))
             c = np.zeros((mm, nn), order="F")
             dgefmm(a, b, c, cutoff=crit, scheme=args.scheme,
-                   peel=args.peel, plan_cache=cache)
+                   peel=args.peel, plan_cache=cache, fuse=True)
     stats = cache.stats()
     if args.json:
         _print_bench_json(
@@ -261,12 +261,12 @@ def _plan_cache_stats(args) -> int:
             {"shapes": ["x".join(map(str, s)) for s in shapes],
              "repeat": args.repeat, "cutoff": args.cutoff,
              "scheme": args.scheme, "peel": args.peel,
-             "max_plans": args.max_plans},
+             "max_plans": args.max_plans, "fuse": True},
             [stats],
         )
         return 0
     print(f"workload: {len(shapes)} shapes x {max(args.repeat, 1)} repeats,"
-          f" cutoff {args.cutoff}")
+          f" fused, cutoff {args.cutoff}")
     print(f"plan cache: {stats['plans']} plans, {stats['bytes']:,} B, "
           f"{stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['evictions']} evictions")
@@ -278,12 +278,10 @@ def _plan_selftest(json_out: bool = False) -> int:
     import numpy as np
 
     from repro.context import ExecutionContext
-    from repro.core.config import GemmConfig
     from repro.core.cutoff import SimpleCutoff
-    from repro.core.dgefmm import dgefmm
+    from repro.core.dgefmm import dgefmm, replay_serial
     from repro.core.recursion import recursion_profile
     from repro.plan import PlanCache
-    from repro.plan.compiler import signature_for
 
     crit = SimpleCutoff(8)
     cache = PlanCache()
@@ -299,16 +297,12 @@ def _plan_selftest(json_out: bool = False) -> int:
             c_rec, c_pln = c0.copy(order="F"), c0.copy(order="F")
             ctx_r, ctx_p = ExecutionContext(), ExecutionContext()
             dgefmm(a, b, c_rec, alpha, beta, cutoff=crit, ctx=ctx_r)
-            dgefmm(a, b, c_pln, alpha, beta, cutoff=crit, ctx=ctx_p,
-                   plan_cache=cache)
-            sig = signature_for("serial", mm, kk, nn, False, False,
-                                False, beta == 0.0, "float64",
-                                GemmConfig(cutoff=crit))
-            plan = cache.get(sig)
+            plan = replay_serial(a, b, c_pln, alpha, beta, cutoff=crit,
+                                 ctx=ctx_p, plan_cache=cache)
             prof = recursion_profile(mm, kk, nn, crit)
             bit = bool(np.array_equal(c_rec, c_pln))
             kc = ctx_r.kernel_calls == ctx_p.kernel_calls
-            pr = plan is not None and all(
+            pr = all(
                 plan.counts[key] == prof[key]
                 for key in ("recurse", "base", "peel", "max_depth",
                             "mul_flops", "base_shapes")
@@ -327,8 +321,8 @@ def _plan_selftest(json_out: bool = False) -> int:
     for mm, kk, nn in cases:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
-        c = np.zeros((mm, nn), order="F")
-        dgefmm(a, b, c, cutoff=crit, plan_cache=cache)
+        replay_serial(a, b, np.zeros((mm, nn), order="F"), cutoff=crit,
+                      plan_cache=cache)
     after = cache.stats()
     warm = (after["misses"] == before["misses"]
             and after["hits"] == before["hits"] + len(cases))

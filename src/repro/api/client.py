@@ -9,7 +9,7 @@ background reader thread resolves futures as binary response frames
 arrive, in whatever order the shards finish.  Because the surface
 matches ``GemmService``, existing machinery runs unchanged against the
 network: ``repro.serve.loadgen.run_load(service=client)`` is exactly
-how the ``api load`` CLI and ``bench_api`` drive a live server.
+how the ``api load`` CLI drives a live server.
 
 Wire failures come back as error headers; the client re-raises the
 service taxonomy (:class:`~repro.errors.ServiceOverloaded`,

@@ -7,10 +7,11 @@ duplicate into the children), one pipe and one
 :class:`~repro.api.shm.ShmArena` per worker, and dispatches every
 request to the shard its **plan signature** consistently hashes to.
 Sharding by signature is the point of the whole design: a signature
-always lands on the same worker, so that worker's private
-:class:`~repro.plan.cache.PlanCache` compiles each plan once and its
-:class:`~repro.core.pool.WorkspacePool` keeps warm arenas sized for
-exactly the signatures it serves — cache-hot serving without any
+always lands on the same worker, so that worker's queue batches its
+requests together, its :class:`~repro.core.pool.WorkspacePool` keeps
+warm arenas sized for exactly the signatures it serves, and a fused
+signature compiles its plan once in the worker's private
+:class:`~repro.plan.cache.PlanCache` — warm serving without any
 cross-process cache coherence.
 
 The hash ring is the classic consistent-hashing construction (64
@@ -116,11 +117,11 @@ def routing_signature(g: Dict[str, Any]) -> str:
     """The ring key for one validated gemm request.
 
     Batchable requests key on the **exact PlanSignature** their shard's
-    service will group and cache by (resolved through the same
+    service will batch them by (resolved through the same
     ``resolve_config`` and ``signature_for`` the in-process path uses,
     wire defaults for ``nb``/``backend``), so shard-affinity and
-    plan-cache keying can never drift apart, and a repeated request
-    builds neither a config nor a signature.  Degenerate problems (zero
+    batching can never drift apart, and a repeated request builds
+    neither a config nor a signature.  Degenerate problems (zero
     dims, ``alpha == 0``) never reach the plan machinery; they key on
     their coordinates just to spread across shards.
     """

@@ -379,7 +379,7 @@ class ApiServer:
 class ApiServerThread:
     """An :class:`ApiServer` on a background event-loop thread.
 
-    The embedded form used by tests, ``benchmarks/bench_api.py``, and
+    The embedded form used by tests, the end-to-end benchmark, and
     the ``api load``/``api fuzz`` CLI actions: start() blocks until the
     socket is bound (the real port is in ``.port``), drain()/kill()
     marshal into the loop, and the thread exits when the loop stops.

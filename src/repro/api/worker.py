@@ -1,13 +1,14 @@
-"""The shard worker process: one GemmService, cache-hot, GIL-free.
+"""The shard worker process: one GemmService, arena-warm, GIL-free.
 
 Each worker is a separate OS process hosting its own
 :class:`~repro.serve.service.GemmService` with a **private**
 :class:`~repro.plan.cache.PlanCache` and
 :class:`~repro.core.pool.WorkspacePool`.  The router shards requests by
 plan signature, so every signature lands on the same worker run after
-run — its plan cache stays hot and its pooled arenas stay warm (the
-amortization the in-process service already exploits, now multiplied
-across processes instead of fighting over one GIL).
+run — its pooled arenas stay warm, and a request that a tuned profile
+fuses compiles its plan once, in this worker's cache (the amortization
+the in-process service already exploits, now multiplied across
+processes instead of fighting over one GIL).
 
 Operands never travel through the pipe: the router leases regions of
 this worker's :class:`~repro.api.shm.ShmArena` and sends a descriptor

@@ -95,14 +95,15 @@ class GemmConfig:
     ``backend``
         Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
     ``fuse``
-        Opt-in plan fusion (:mod:`repro.plan.fuse`): compiled plans
-        additionally carry a fused program — elementwise chains replayed
-        without per-op dispatch and same-shape base-case products packed
-        into one batched ``np.matmul`` call.  Only the plan path reads
-        it (``plan_cache=``); the recursive drivers ignore it.  Because
-        the batched kernel's accumulation order differs from the tiled
-        substrate kernel, ``fuse`` keys the plan signature — fused and
-        interpreted plans never collide in a cache.
+        Opt-in plan fusion (:mod:`repro.plan.fuse`): the call runs as a
+        fused plan — elementwise chains replayed without per-op dispatch
+        and same-shape base-case products packed into one batched
+        ``np.matmul`` call — taken from the driver's ``plan_cache`` or
+        compiled for the call.  Unfused serial calls walk the recursion,
+        which ignores the knob.  Because the batched kernel's
+        accumulation order differs from the tiled substrate kernel,
+        ``fuse`` keys the plan signature — fused and interpreted plans
+        never collide in a cache.
     ``dtype``
         Canonical operand dtype (:data:`repro.blas.dtypes.DTYPES`).
         Drives kernel selection, workspace/arena element sizes and the

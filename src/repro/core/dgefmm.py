@@ -185,19 +185,17 @@ def dgefmm(
         practicality experiments.  The backend picks the defaulted
         ``cutoff``.
     plan_cache:
-        A :class:`~repro.plan.cache.PlanCache`.  When given (and not in
-        dry mode, and no explicit ``workspace`` is supplied), the call
-        compiles — or fetches — an execution plan for this problem
-        signature and replays it instead of walking the recursion:
-        repeated shapes skip all per-call planning, and with ``pool``
-        also all allocation.  Results are bit-identical to the
-        recursive path; cache counters land in
-        ``ctx.stats["plan_cache"]``.
+        A :class:`~repro.plan.cache.PlanCache` that a fused call fetches
+        its plan from, so repeated shapes compile once; its counters
+        land in ``ctx.stats["plan_cache"]``.  An unfused call walks the
+        recursion and never touches the cache.
     fuse:
-        Replay the cached plan fused (:mod:`repro.plan.fuse`): batched
-        and direct ``np.matmul`` leaves.  Only the plan path fuses; the
-        walk ignores the knob, except that a defaulted ``cutoff`` is
-        still :data:`~repro.core.config.BLAS_CUTOFF`.
+        Run the call as a fused plan (:mod:`repro.plan.fuse`): batched
+        and direct ``np.matmul`` leaves, from ``plan_cache`` when one is
+        given and compiled for the call otherwise (the same bits either
+        way).  In dry mode, or with an explicit ``workspace``, the call
+        walks instead, ignoring the knob except that a defaulted
+        ``cutoff`` is still :data:`~repro.core.config.BLAS_CUTOFF`.
     accuracy:
         Accuracy mode (:data:`repro.blas.dtypes.ACCURACIES`): ``"fast"``
         (native rounding), ``"compensated"`` (wide-promoted / Kahan
@@ -357,19 +355,14 @@ def _serial(
     pool: Optional["WorkspacePool"],
     plan_cache: Optional["PlanCache"],
 ) -> Any:
-    """``dgefmm``'s path after the prologue: cached-plan replay or walk."""
+    """``dgefmm``'s path after the prologue: a fused call replays its
+    fused plan; every other call walks and never touches ``plan_cache``."""
     # pooled arenas and plan temporaries carve typed views out of a byte
     # buffer — fine for every fixed-width dtype, impossible for object
     # arrays (and pointless in dry mode, where temporaries cost nothing)
     typed = not ctx.dry and call.cfg.dtype != "object"
-    if plan_cache is not None and workspace is None and typed:
-        # lazy import: repro.plan compiles through this module's walker
-        from repro.plan.executor import execute_plan
-
-        plan = plan_cache.get_or_compile(call.signature("serial"))
-        execute_plan(plan, call.a, call.b, c, call.alpha, call.beta,
-                     ctx=ctx, pool=pool)
-        ctx.stats_set("plan_cache", plan_cache.stats())
+    if call.cfg.fuse and workspace is None and typed:
+        _replay(call, c, ctx, call.signature("serial"), pool, plan_cache)
         return c
     if workspace is None:
         if pool is not None and typed:
@@ -377,6 +370,56 @@ def _serial(
                 return _walk(call, c, ctx, ws)
         workspace = Workspace(dry=ctx.dry)
     return _walk(call, c, ctx, workspace)
+
+
+def _replay(
+    call: _Call,
+    c: Any,
+    ctx: ExecutionContext,
+    sig: Any,
+    pool: Optional["WorkspacePool"],
+    plan_cache: Optional["PlanCache"],
+    workers: int = 1,
+) -> Any:
+    """Replay ``sig``'s plan into ``c`` and return the plan: fetched
+    from ``plan_cache`` when one is given (its counters land in
+    ``ctx.stats["plan_cache"]``), compiled for this call otherwise."""
+    # lazy imports: repro.plan compiles through this module's walker
+    from repro.plan.compiler import compile_plan
+    from repro.plan.executor import execute_plan
+
+    plan = (plan_cache.get_or_compile(sig) if plan_cache is not None
+            else compile_plan(sig))
+    execute_plan(plan, call.a, call.b, c, call.alpha, call.beta, ctx=ctx,
+                 pool=pool, workers=workers)
+    if plan_cache is not None:
+        ctx.stats_set("plan_cache", plan_cache.stats())
+    return plan
+
+
+def replay_serial(
+    a: Any, b: Any, c: Any, alpha: Any = 1.0, beta: Any = 0.0,
+    transa: bool = False, transb: bool = False, *,
+    plan_cache: "PlanCache", cutoff: Optional[CutoffCriterion] = None,
+    scheme: str = "auto", peel: str = "tail",
+    ctx: Optional[ExecutionContext] = None,
+    pool: Optional["WorkspacePool"] = None, nb: int = DEFAULT_TILE,
+    backend: str = "substrate", accuracy: Optional[str] = None,
+) -> Any:
+    """:func:`dgefmm` as interpreted replay of its serial plan, taken
+    from ``plan_cache`` (an unfused ``dgefmm`` walks instead).  The one
+    route for checks and benches that hold serial replay against the
+    walk.  Updates C in place and returns the plan, or ``None`` when
+    the prologue answered a degenerate call."""
+    ctx = ensure_context(ctx)
+    call = _prologue(
+        "replay_serial", a, b, c, alpha, beta, transa, transb, ctx,
+        cutoff, scheme, peel, nb, backend, False, accuracy,
+    )
+    if call is None:
+        return None
+    return _replay(call, c, ctx, call.signature("serial"), pool,
+                   plan_cache)
 
 
 def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace) -> Any:

@@ -81,7 +81,7 @@ from typing import Any, Optional
 from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext, ensure_context
 from repro.core.cutoff import CutoffCriterion
-from repro.core.dgefmm import _prologue, _serial
+from repro.core.dgefmm import _prologue, _replay, _serial
 # Not called here: benchmarks/e2e/trace.py patches these names in this
 # module, so they stay importable from it.
 from repro.core.peeling import apply_fixups, apply_fixups_head  # noqa: F401
@@ -195,16 +195,6 @@ def pdgefmm(
                   cfg.cutoff)
     if cfg.dtype == "object" or isinstance(node, Base):
         return _serial(call, c, ctx, None, pool, plan_cache)
-
-    # lazy imports: repro.plan.executor imports _split_budget from here
-    from repro.plan.compiler import compile_plan
-    from repro.plan.executor import execute_plan
-
-    sig = call.signature("parallel", max_parallel_depth)
-    plan = (plan_cache.get_or_compile(sig) if plan_cache is not None
-            else compile_plan(sig))
-    execute_plan(plan, call.a, call.b, c, call.alpha, call.beta, ctx=ctx,
-                 pool=pool, workers=workers)
-    if plan_cache is not None:
-        ctx.stats_set("plan_cache", plan_cache.stats())
+    _replay(call, c, ctx, call.signature("parallel", max_parallel_depth),
+            pool, plan_cache, workers)
     return c

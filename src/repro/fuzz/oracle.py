@@ -4,8 +4,10 @@ For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs seven
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
-- ``plan``     — the same call through a :class:`~repro.plan.cache.PlanCache`
-  (compiled-plan replay);
+- ``plan``     — the same call as interpreted replay of its serial
+  plan through a :class:`~repro.plan.cache.PlanCache`
+  (:func:`repro.core.dgefmm.replay_serial`: ``dgefmm`` walks every
+  unfused call);
 - ``vendor`` and ``vendor-plan`` — the walk and the plan replay again
   with ``backend="vendor"``: every leaf is numpy's BLAS ``np.matmul``,
   which writes C directly when it can, so the leaf meets the case's
@@ -19,12 +21,13 @@ result-producing paths:
   cached plan;
 - ``served`` — the case submitted to a
   :class:`~repro.serve.service.GemmService` with the case's knobs and
-  fuse off: admission through the drivers' prologue, then plan replay
-  (or ``dgefmm``'s walk) into the service's private output.
+  fuse off: admission through the drivers' prologue, then ``dgefmm``'s
+  walk into the service's private output.
 
-With ``fuse=True`` three more paths join: ``fused`` and
-``fused-replay`` (dgefmm through a plan cache with the fusion pass on
-— the replay re-runs the same warm plan), and ``parallel-fused``.
+With ``fuse=True`` three more paths join: ``fused`` (``dgefmm`` with
+the fusion pass on and no cache, so a fused plan compiled for the
+call), ``fused-replay`` (the same call through the plan cache) and
+``parallel-fused``.
 Fused *serving* stays out: the service writes a fresh Fortran-ordered
 output, and the fused batched ``np.matmul`` follows the output's
 layout, so it need not match a ``fused`` call on the caller's C.
@@ -36,12 +39,13 @@ Checks, in decreasing strictness:
    replays the same kernels on the same views in the same order as the
    walk, and a per-call compile must replay exactly like the cached
    plan — any drift is a bug, not roundoff);
-   ``fused`` vs ``fused-replay`` must be bit-identical too — fused
+   ``fused`` vs ``fused-replay`` must be bit-identical too — a per-call
+   fused compile replays like the cached fused plan, and fused
    execution is deterministic, it just isn't bit-identical to the
-   *interpreted* stream (the batched/direct ``np.matmul`` kernel
+   *unfused* paths (the batched/direct ``np.matmul`` kernel
    accumulates in a different order than the tiled substrate kernel),
-   so the fused paths are checked against the reference and against their own
-   replay, never bit-compared to the interpreted paths; ``served`` vs
+   so the fused paths are checked against the reference and against
+   each other, never bit-compared to the unfused paths; ``served`` vs
    ``serial`` must be bit-identical unless C aliases an input (the
    service then reads the aliased view where ``dgefmm`` reads its
    contiguous copy-on-overlap copy, which may round differently);
@@ -63,7 +67,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm
+from repro.core.dgefmm import dgefmm, replay_serial
 from repro.core.parallel import pdgefmm
 from repro.fuzz.cases import FuzzCase, materialize
 from repro.serve.service import GemmService
@@ -121,13 +125,14 @@ def reference_result(case: FuzzCase, a, b, c0) -> np.ndarray:
     return expect
 
 
-#: dgefmm paths: (through the plan cache, backend, fuse)
+#: dgefmm paths: (through the plan cache, backend, fuse); the cached
+#: unfused ones replay the serial plan (``replay_serial``)
 _DGEFMM_PATHS = {
     "serial": (False, "substrate", False),
     "plan": (True, "substrate", False),
     "vendor": (False, "vendor", False),
     "vendor-plan": (True, "vendor", False),
-    "fused": (True, "substrate", True),
+    "fused": (False, "substrate", True),
     "fused-replay": (True, "substrate", True),
 }
 
@@ -146,12 +151,15 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
         )
     if path in _DGEFMM_PATHS:
         cached, backend, fused = _DGEFMM_PATHS[path]
-        dgefmm(
-            a, b, c, alpha, beta, case.transa, case.transb,
-            cutoff=crit, scheme=case.scheme, peel=case.peel,
-            plan_cache=plan_cache if cached else None, backend=backend,
-            fuse=fused, accuracy=case.accuracy,
-        )
+        knobs = dict(cutoff=crit, scheme=case.scheme, peel=case.peel,
+                     backend=backend, accuracy=case.accuracy)
+        if cached and not fused:
+            replay_serial(a, b, c, alpha, beta, case.transa, case.transb,
+                          plan_cache=plan_cache, **knobs)
+        else:
+            dgefmm(a, b, c, alpha, beta, case.transa, case.transb,
+                   plan_cache=plan_cache if cached else None, fuse=fused,
+                   **knobs)
     else:
         pdgefmm(
             a, b, c, alpha, beta, case.transa, case.transb,
@@ -180,7 +188,7 @@ def run_case(
     ``"bit-divergence"``), and a human-readable ``detail``.  ``fuse``
     adds the fused-execution paths (module docstring) — checked
     against the reference tolerance and for replay determinism, not
-    bit-compared to the interpreted paths.  ``service`` runs the
+    bit-compared to the unfused paths.  ``service`` runs the
     ``served`` path (default: a one-worker service for this case).
     """
     if plan_cache is None:

@@ -9,9 +9,11 @@ that walk once per signature into a flat, immutable
 thread-safe LRU :class:`~repro.plan.cache.PlanCache`, and replays them
 with :func:`~repro.plan.executor.execute_plan` at zero per-call
 planning or allocation cost (pool-backed arenas, precomputed byte
-offsets).  ``dgefmm(..., plan_cache=...)`` and ``pdgefmm(...,
-plan_cache=...)`` wire the path in transparently; results are
-bit-identical to the recursive drivers.
+offsets); a serial plan's results are bit-identical to the walk.  The
+drivers replay plans where something consumes them: ``dgefmm(...,
+fuse=True)`` runs a fused plan and ``pdgefmm`` a parallel one, each
+from ``plan_cache=`` when given and compiled for the call otherwise.
+An unfused ``dgefmm`` call walks the recursion.
 
 With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, compiled
 plans additionally carry a :class:`~repro.plan.fuse.FusedProgram` —

@@ -4,7 +4,9 @@ Production traffic (the ROADMAP's north star) is dominated by repeated
 problem shapes, so the cost of compiling a plan — one walk of the
 recursion — is paid once per distinct :class:`~repro.plan.compiler.
 PlanSignature` and amortized to a dictionary lookup thereafter.  The
-cache is bounded two ways, by plan count and by estimated plan bytes,
+drivers cache the fused and parallel plans they replay (an unfused
+``dgefmm`` walks), and :func:`~repro.core.dgefmm.replay_serial` the
+serial ones.  The cache is bounded two ways, by plan count and by estimated plan bytes,
 evicting least-recently-used entries; hit/miss/eviction counters are
 surfaced through ``ExecutionContext.stats["plan_cache"]`` by the
 drivers so experiments can report cache behaviour alongside op counts.
@@ -92,9 +94,8 @@ class PlanCache:
     def peek(self, signature: PlanSignature) -> Optional[ExecutionPlan]:
         """Look up without compiling, counting, or LRU-touching.
 
-        For introspection (the serving engine's batch former, tests)
-        that must not skew the hit/miss accounting or the eviction
-        order.
+        For introspection (benchmarks, tests) that must not skew the
+        hit/miss accounting or the eviction order.
         """
         with self._lock:
             return self._plans.get(signature)

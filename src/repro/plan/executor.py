@@ -14,6 +14,14 @@ around the kernels — per-node cutoff evaluation, peeling decisions,
 scheme dispatch, workspace frames and allocation accounting, closure
 construction, and recursion bookkeeping.
 
+Plans run where something consumes them: fused calls (``fuse=True``,
+through :func:`repro.core.dgefmm.dgefmm` and the serving engine), the
+parallel plans of :func:`repro.core.parallel.pdgefmm` (whose branch
+leaves are serial plans), and the explicit :func:`~repro.plan.compiler.
+compile_plan` / :func:`execute_plan` route.  An unfused serial call
+walks the recursion instead: at the default cutoff, interpreted replay
+of a serial plan measured no faster than the walk it mirrors.
+
 Arenas come from a :class:`~repro.core.pool.WorkspacePool` when one is
 supplied: the executor reserves the plan's precomputed requirement once
 (:meth:`~repro.core.pool.PooledWorkspace.reserve`) and binds temporary
@@ -153,16 +161,8 @@ def _run_ops(ops, v, st, ctx, nb, backend,
             ctx.record(op[1])
 
 
-def _exec(plan, va, vb, vc, st, ctx, pool, workers, arena=None) -> None:
-    """Execute one plan node (serial body or parallel level).
-
-    ``arena`` is a caller-held :class:`~repro.core.pool.PooledWorkspace`
-    to draw this node's buffer from instead of checking one out of the
-    pool — the micro-batching hook: the serving engine reserves one
-    arena per *batch* and replays the plan across every request in it.
-    Only the top node uses it; parallel branches still draw from
-    ``pool``.
-    """
+def _exec(plan, va, vb, vc, st, ctx, pool, workers) -> None:
+    """Execute one plan node (serial body or parallel level)."""
     # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
     # dry runs skip numerics per kernel, and machine models charge
     # modeled seconds per call — all three fall back to the interpreted
@@ -177,9 +177,7 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers, arena=None) -> None:
     pooled = False
     ws = None
     if need or plan.branches:
-        if arena is not None:
-            buf = arena.reserve(need)
-        elif pool is not None:
+        if pool is not None:
             ws = pool.checkout()
             buf = ws.reserve(need)
             pooled = True
@@ -244,7 +242,6 @@ def execute_plan(
     ctx: ExecutionContext,
     pool: Optional[WorkspacePool] = None,
     workers: int = 1,
-    workspace: Optional[Any] = None,
 ) -> Any:
     """Replay ``plan`` against op-resolved operands; returns ``c``.
 
@@ -253,14 +250,7 @@ def execute_plan(
     this).  ``alpha``/``beta`` must belong to the zero/nonzero classes
     the plan was compiled for.  ``workers`` is the parallel replay
     budget (ignored by serial plans), split level-by-level as described
-    in :mod:`repro.core.parallel`.  ``workspace`` (a quiescent
-    :class:`~repro.core.pool.PooledWorkspace` the caller holds checked
-    out) supplies the top node's arena directly, bypassing pool
-    checkout — the serving engine's micro-batching hook: one arena is
-    reserved per batch of same-signature requests and every replay
-    binds against its buffer (the temp-view cache hits on all but the
-    first).  Parallel branches still draw per-worker arenas from
-    ``pool``.
+    in :mod:`repro.core.parallel`.
 
     Like the drivers, the executor applies the copy-on-overlap fallback
     when ``c`` may share memory with ``a`` or ``b`` — replayed ops write
@@ -293,6 +283,6 @@ def execute_plan(
         alpha = require_integral_scalar("execute_plan", "alpha", alpha)
         beta = require_integral_scalar("execute_plan", "beta", beta)
     st = (alpha, -alpha, beta, -beta)
-    _exec(plan, a, b, c, st, ctx, pool, workers, arena=workspace)
+    _exec(plan, a, b, c, st, ctx, pool, workers)
     ctx.stats_max("workspace_peak_bytes", plan.charge_bytes)
     return c

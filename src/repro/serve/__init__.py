@@ -1,12 +1,12 @@
 """In-process batched GEMM serving: queueing, micro-batching, metrics.
 
-The subsystem turns the library's compiled-plan machinery into a
-long-lived service: :class:`~repro.serve.service.GemmService` accepts
-``C <- alpha*op(A)*op(B) + beta*C`` requests into a bounded
-admission-controlled queue, groups them by plan signature so one
-compiled :class:`~repro.plan.compiler.ExecutionPlan` replays across a
-whole micro-batch from one workspace arena, executes on a worker pool,
-and reports live metrics (queue depth, batch sizes, wait/compute split,
+The subsystem turns the library's drivers into a long-lived service:
+:class:`~repro.serve.service.GemmService` accepts ``C <-
+alpha*op(A)*op(B) + beta*C`` requests into a bounded
+admission-controlled queue, groups them by plan signature into
+micro-batches, runs each request through ``dgefmm``'s serial path on a
+worker pool (the walk in a pooled arena, or a cached fused plan), and
+reports live metrics (queue depth, batch sizes, wait/compute split,
 tail latency, cache hit rate).
 
 Entry points:

@@ -15,8 +15,10 @@ all its repeats).  A nonzero ``divergent`` count in the report is a
 correctness failure, not a statistic.
 
 The mix repeats deliberately: production GEMM traffic is dominated by
-recurring shapes, and the repeat is what the plan cache and workspace
-pool amortize against — the report's ``plan_cache.hit_rate`` shows it.
+recurring shapes, and the repeat is what the workspace pool and, with
+``fuse=True``, the plan cache amortize against — the report's
+``plan_cache.hit_rate`` shows the latter (it stays 0 for unfused
+traffic, which walks the recursion).
 """
 
 from __future__ import annotations
@@ -83,12 +85,12 @@ def _reference(case: FuzzCase, a, b, c, *,
 
     The service starts ``beta == 0`` outputs from Fortran-ordered zeros
     and ``beta != 0`` outputs from a plain copy of the caller's C; the
-    reference does the same, so bit-identity is the plan-replay
-    guarantee and nothing else.  Under ``fuse`` the reference runs
-    through the fused plan path too (fused replay is deterministic but
-    not bit-identical to the recursive driver — the batched kernel's
-    accumulation order differs), so the monitor keeps asserting exact
-    equality rather than a tolerance.
+    reference does the same, so bit-identity is the guarantee that the
+    service runs ``dgefmm``'s own code and nothing else.  Under ``fuse``
+    the reference runs through the fused plan path too (fused replay is
+    deterministic but not bit-identical to the recursive driver — the
+    batched kernel's accumulation order differs), so the monitor keeps
+    asserting exact equality rather than a tolerance.
     """
     alpha, beta = case.scalars()
     if beta != 0.0:

@@ -22,8 +22,9 @@ configurable *policy* rather than an accident of buffering:
 Requests are bucketed by plan signature as they arrive, so batch
 formation is O(distinct signatures), not O(queue): a worker takes the
 bucket whose *head is globally oldest* (no signature can starve) and
-drains up to ``max_batch`` requests from it — all replayable through
-one compiled plan from one workspace arena.  Unbatchable requests
+drains up to ``max_batch`` requests from it — one worker wakeup and
+queue handoff for the whole batch, whose requests then run back to
+back.  Unbatchable requests
 (degenerate problems, ``signature is None``) get a private bucket each
 and ride through as singleton batches.
 """

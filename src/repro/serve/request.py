@@ -7,10 +7,11 @@ so operand validation, dtype and accuracy resolution, exact-scalar
 coercion and the degenerate cases are exactly ``dgefmm``'s.  The
 request keeps the prologue's call, that output, and the call's serial
 :class:`~repro.plan.compiler.PlanSignature` — the key the micro-batcher
-groups by: requests that share a signature replay one compiled plan
-back-to-back from one workspace arena.  Degenerate problems (empty
-output, ``k == 0``, ``alpha == 0``) are answered by the prologue at
-admission; they carry no call and no signature, so each queues alone.
+groups by and, for a fused request, the plan cache's key.  A worker
+runs the call through ``dgefmm``'s own serial path.  Degenerate
+problems (empty output, ``k == 0``, ``alpha == 0``) are answered by the
+prologue at admission; they carry no call and no signature, so each
+queues alone.
 
 A :class:`GemmFuture` is the caller's handle: ``result(timeout)`` blocks
 until the worker publishes the output array or the failure

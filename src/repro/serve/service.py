@@ -1,15 +1,11 @@
 """GemmService: the in-process batched GEMM serving engine.
 
-This is where PRs 1–3's machinery starts earning its keep across
-*streams* of requests, the regime the ROADMAP's heavy-traffic north
-star describes: a :class:`~repro.plan.cache.PlanCache` amortizes plan
-compilation across every request that shares a signature, a
-:class:`~repro.core.pool.WorkspacePool` amortizes workspace to zero
-fresh allocation, and the micro-batching scheduler amortizes *per-call*
-overhead — signature construction, cache lookup, arena checkout,
-worker wakeup — across whole batches of same-signature requests
-(cf. the BLIS Strassen work's point that practical Strassen speedups
-live in amortizing packing and workspace across invocations).
+The service runs streams of requests through ``dgefmm``'s own serial
+path: a :class:`~repro.core.pool.WorkspacePool` amortizes workspace to
+zero fresh allocation, a :class:`~repro.plan.cache.PlanCache` compiles
+each fused signature's plan once, and the micro-batching scheduler
+amortizes the worker handoff — queue lock, worker wakeup — across
+batches of same-signature requests.
 
 Life of a request::
 
@@ -18,17 +14,16 @@ Life of a request::
                 (validation, dtype/accuracy, degenerate answers)
              -> AdmissionQueue (policy: reject/block/shed)
              -> worker takes an oldest-first same-signature batch
-             -> one PlanCache fetch + one pooled arena for the batch
-             -> execute_plan per request (bit-identical to dgefmm);
-                object dtype takes dgefmm's walk instead
+             -> one call into dgefmm's serial path per request: the
+                walk in a pooled arena (a private workspace for object
+                dtype), or a fused plan from the PlanCache
              -> future resolves; metrics record wait/compute/latency
 
 Results are **bit-identical** to a direct :func:`~repro.core.dgefmm.
-dgefmm` call on the same operands: the service executes through the
-compiled-plan path, whose bit-identity to the recursive driver is
-pinned by the plan test suite and re-checked continuously by the fuzz
-oracle — and end-to-end by ``tests/test_serve.py`` across every
-admission policy.
+dgefmm` call on the same operands, because the service runs the same
+code after the same prologue — pinned end-to-end by
+``tests/test_serve.py`` across every admission policy and re-checked
+continuously by the fuzz oracle's ``served`` path.
 
 Instrumentation uses per-worker accumulation + merge (each worker
 charges a private :class:`~repro.context.ExecutionContext`; totals are
@@ -56,7 +51,8 @@ from repro.errors import (
     ServiceTimeout,
 )
 from repro.plan.cache import PlanCache
-from repro.plan.executor import execute_plan
+# not called here: benchmarks/e2e/trace.py patches this name
+from repro.plan.executor import execute_plan  # noqa: F401
 from repro.serve.metrics import MetricsRegistry
 from repro.serve.queue import POLICIES, AdmissionQueue
 from repro.serve.request import GemmFuture, GemmRequest
@@ -79,7 +75,8 @@ class GemmService:
         :mod:`repro.serve.queue`): ``"reject"``, ``"block"``, or
         ``"shed-oldest"``.
     max_batch:
-        Most requests replayed per plan fetch/arena reservation.
+        Most same-signature requests a worker takes from the queue at
+        once and runs back to back.
     cutoff:
         Default cutoff criterion for submitted requests (must be a
         frozen, hashable criterion — it is part of the plan signature).
@@ -89,13 +86,14 @@ class GemmService:
         ``BLAS_CUTOFF`` when the request fuses or a tuned profile gives
         it the vendor backend.
     fuse:
-        Default for the per-request ``fuse`` knob: serve batches
-        through the fused replay loop (:mod:`repro.plan.fuse`) instead
-        of the interpreted op stream.  Part of the plan signature, so
-        fused and interpreted traffic batch separately.
+        Default for the per-request ``fuse`` knob: serve requests as
+        fused plans (:mod:`repro.plan.fuse`), cached in ``plan_cache``,
+        instead of walking the recursion.  Part of the plan signature,
+        so fused and unfused traffic batch separately.
     plan_cache, pool, metrics:
         Bring-your-own shared instances (e.g. one cache across several
-        services), or None for private ones.
+        services), or None for private ones.  Only fused requests use
+        the plan cache.
     profiles:
         Optional tuned-profile resolver consulted at admission — any
         object exposing ``resolve(m, k, n, dtype=..., beta_zero=...)
@@ -377,57 +375,29 @@ class GemmService:
         self._m_batches.inc()
         self._h_batch.observe(len(live))
 
-        plan = None
-        arena = None
-        pooled = False
-        sig = live[0].signature
-        try:
-            # degenerate requests were answered at admission, and object
-            # arrays cannot be planned (arenas are byte buffers)
-            if sig is not None and sig.dtype != "object":
-                # the whole point of batching: ONE cache fetch and ONE
-                # arena reservation cover every request in the batch
-                plan = self.plan_cache.get_or_compile(sig)
-                arena = self.pool.checkout()
-                pooled = True
-                # fused replay binds pack scratch past the interpreted
-                # arena top, so pre-warm with the larger requirement
-                need = (plan.fused.arena_bytes if plan.fused is not None
-                        else plan.arena_bytes)
-                if need:
-                    arena.reserve(need)
-        except BaseException as exc:  # compile/reserve failed: fail batch
-            if pooled:
-                self.pool.release(arena)
-            for req in live:
+        for req in live:
+            t0 = time.monotonic()
+            try:
+                # degenerate requests were answered at admission
+                if req.call is not None:
+                    _serial(req.call, req.out, wctx, None, self.pool,
+                            self.plan_cache)
+            except BaseException as exc:  # noqa: BLE001 — per-request
                 self._m_failed.inc()
                 req.future._set_exception(exc)
-            return
-
-        try:
-            for req in live:
-                t0 = time.monotonic()
-                try:
-                    out = self._execute_one(req, plan, arena, wctx)
-                except BaseException as exc:  # noqa: BLE001 — per-request
-                    self._m_failed.inc()
-                    req.future._set_exception(exc)
-                    continue
-                t1 = time.monotonic()
-                fut = req.future
-                fut.wait_s = t_start - req.t_submit
-                fut.compute_s = t1 - t0
-                fut.batch_size = len(live)
-                self._h_wait.observe(fut.wait_s * 1e3)
-                self._h_compute.observe(fut.compute_s * 1e3)
-                latency_ms = (t1 - req.t_submit) * 1e3
-                self._h_latency.observe(latency_ms)
-                self._record_signature(req.signature, latency_ms)
-                self._m_completed.inc()
-                fut._set_result(out)
-        finally:
-            if pooled:
-                self.pool.release(arena)
+                continue
+            t1 = time.monotonic()
+            fut = req.future
+            fut.wait_s = t_start - req.t_submit
+            fut.compute_s = t1 - t0
+            fut.batch_size = len(live)
+            self._h_wait.observe(fut.wait_s * 1e3)
+            self._h_compute.observe(fut.compute_s * 1e3)
+            latency_ms = (t1 - req.t_submit) * 1e3
+            self._h_latency.observe(latency_ms)
+            self._record_signature(req.signature, latency_ms)
+            self._m_completed.inc()
+            fut._set_result(req.out)
 
     @staticmethod
     def _sig_label(sig: Optional[Any]) -> str:
@@ -468,22 +438,6 @@ class GemmService:
                     self._sig_meta[label] = meta
             meta["count"] += 1
         self._f_sig_latency.observe(label, latency_ms)
-
-    def _execute_one(
-        self,
-        req: GemmRequest,
-        plan: Optional[Any],
-        arena: Optional[Any],
-        wctx: ExecutionContext,
-    ) -> np.ndarray:
-        call = req.call
-        if plan is not None:
-            execute_plan(plan, call.a, call.b, req.out, call.alpha,
-                         call.beta, ctx=wctx, workspace=arena)
-        elif call is not None:
-            # object dtype: dgefmm's walk (no plan, no pooled arena)
-            _serial(call, req.out, wctx, None, None, None)
-        return req.out
 
     # ------------------------------------------------------------------ #
     # lifecycle & introspection

@@ -29,9 +29,9 @@ __all__ = ["hot_swap_check"]
 
 def _reference(a: np.ndarray, b: np.ndarray, cfg: GemmConfig,
                cache: PlanCache) -> np.ndarray:
-    """Direct dgefmm under ``cfg`` through the plan path (the serving
-    path's ground truth — fused configs must be verified against fused
-    replay, which only the plan path executes)."""
+    """Direct dgefmm under ``cfg``, as the service runs it (the serving
+    path's ground truth — a fused config replays its fused plan from
+    ``cache``, an unfused one walks)."""
     c = np.zeros((a.shape[0], b.shape[1]),
                  dtype=np.result_type(a, b), order="F")
     dgefmm(

@@ -71,12 +71,12 @@ def time_config(
 ) -> float:
     """Median wall seconds for one multiplication under ``config``.
 
-    Runs through the plan path with a warm cache (the warmup run inside
-    :func:`~repro.utils.timing.time_call` absorbs compilation), because
-    that is what a serving worker replays — tuning the cold path would
-    optimize a state production never sits in.  A private cache is used
-    unless the caller shares one across candidates of the same
-    signature.
+    Runs ``dgefmm`` the way a serving worker does: the walk for an
+    unfused config, a fused plan from a warm cache for a fused one (the
+    warmup run inside :func:`~repro.utils.timing.time_call` absorbs
+    compilation) — tuning the cold path would optimize a state
+    production never sits in.  A private cache is used unless the
+    caller shares one across candidates of the same signature.
     """
     cache = plan_cache if plan_cache is not None else PlanCache(max_plans=8)
     a, b, c0, beta = make_operands(m, k, n, seed=seed, beta_zero=beta_zero,

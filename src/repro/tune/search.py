@@ -52,7 +52,7 @@ def default_grid(include_fused: bool = True) -> List[GemmConfig]:
     three cutoff stances (never recurse — the DGEMM baseline every
     tuning run must be allowed to pick; a simple eq. 11 criterion at
     two taus; the paper's hybrid eq. 15 at two scales), three base-case
-    tiles, fused and interpreted replay, plus single variants for the
+    tiles, fused replay and the walk, plus single variants for the
     ``peel`` and ``scheme`` knobs (their effect is secondary but they
     must be reachable).
     """

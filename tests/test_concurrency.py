@@ -24,7 +24,7 @@ from repro.context import ExecutionContext
 from repro.core import config
 from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm
+from repro.core.dgefmm import dgefmm, replay_serial
 from repro.core.parallel import pdgefmm
 from repro.plan import compiler
 from repro.plan.cache import PlanCache
@@ -95,21 +95,23 @@ class TestSharedContextExactness:
             == ref.stats["workspace_peak_bytes"]
 
     def test_dgefmm_hammer_exact_counts(self):
-        """Same exactness through the serial driver (plan-cache path)."""
+        """Same exactness through serial-plan replay from one shared
+        cache, bit-identical to the serial driver's walk."""
         a, b = self._operands(1)
         crit = SimpleCutoff(8)
         cache = PlanCache()
 
         ref = ExecutionContext()
         c_ref = np.zeros((33, 31), order="F")
-        dgefmm(a, b, c_ref, cutoff=crit, ctx=ref, plan_cache=cache)
+        dgefmm(a, b, c_ref, cutoff=crit, ctx=ref)
 
         shared = ExecutionContext(threadsafe=True)
 
         def worker(i):
             for _ in range(self.CALLS_PER_THREAD):
                 c = np.zeros((33, 31), order="F")
-                dgefmm(a, b, c, cutoff=crit, ctx=shared, plan_cache=cache)
+                replay_serial(a, b, c, cutoff=crit, ctx=shared,
+                              plan_cache=cache)
                 assert np.array_equal(c, c_ref)
 
         _run_threads(self.N_THREADS, worker)
@@ -118,6 +120,7 @@ class TestSharedContextExactness:
             k: total * v for k, v in ref.kernel_calls.items()
         }
         assert shared.flops == total * ref.flops
+        assert cache.stats()["misses"] == 1
 
     def test_stats_helpers_atomicity(self):
         """stats_max under contention keeps the true maximum; plain
@@ -199,9 +202,10 @@ class TestPlanCacheConcurrency:
     def test_concurrent_churn_consistent_accounting(self, monkeypatch):
         """N threads churn mixed signatures through a byte-bound cache:
         counters must balance exactly and the bounds must hold.  Then
-        they churn more distinct call shapes through
-        ``dgefmm(plan_cache=)`` than the front doors' memos hold: results
-        and kernel tallies stay exact and every memo stays bounded."""
+        they churn more distinct call shapes through fused
+        ``dgefmm(plan_cache=)`` calls than the front doors' memos hold:
+        results and kernel tallies equal a per-call fused compile's, and
+        every memo stays bounded."""
         sigs = self._signatures(12)
         # size the byte bound to force evictions: hold ~4 plans' worth
         nbytes = sorted(compile_plan(s).nbytes for s in sigs)
@@ -248,15 +252,15 @@ class TestPlanCacheConcurrency:
                 m, k, n = 9 + i, 10 + j, 12      # distinct across threads
                 a = np.asfortranarray(rng.standard_normal((m, k)).astype(dt))
                 b = np.asfortranarray(rng.standard_normal((k, n)).astype(dt))
-                knobs = dict(cutoff=SimpleCutoff(8), nb=4 + i)
-                walked, planned = ExecutionContext(), ExecutionContext()
+                knobs = dict(cutoff=SimpleCutoff(8), nb=4 + i, fuse=True)
+                compiled, cached = ExecutionContext(), ExecutionContext()
                 ref = np.zeros((m, n), dtype=dt, order="F")
                 out = np.zeros((m, n), dtype=dt, order="F")
-                dgefmm(a, b, ref, ctx=walked, **knobs)
-                dgefmm(a, b, out, ctx=planned, plan_cache=cache, **knobs)
+                dgefmm(a, b, ref, ctx=compiled, **knobs)
+                dgefmm(a, b, out, ctx=cached, plan_cache=cache, **knobs)
                 assert np.array_equal(out, ref)
-                assert planned.kernel_calls == walked.kernel_calls
-                assert planned.flops == walked.flops
+                assert cached.kernel_calls == compiled.kernel_calls
+                assert cached.flops == compiled.flops
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -311,23 +315,24 @@ class TestPlanCacheConcurrency:
         assert st["misses"] == 1 and st["hits"] == 7
 
     def test_shared_cache_across_services(self):
-        """One PlanCache serving two GemmServices stays consistent."""
+        """One PlanCache serving two fused GemmServices stays
+        consistent: their 20 requests compile one plan between them."""
         from repro.serve import GemmService
 
         cache = PlanCache(max_plans=8)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((24, 24))
         b = rng.standard_normal((24, 24))
-        with GemmService(workers=2, plan_cache=cache,
+        with GemmService(workers=2, plan_cache=cache, fuse=True,
                          cutoff=SimpleCutoff(8)) as s1, \
-                GemmService(workers=2, plan_cache=cache,
+                GemmService(workers=2, plan_cache=cache, fuse=True,
                             cutoff=SimpleCutoff(8)) as s2:
             futs = [s.submit(a, b) for _ in range(10) for s in (s1, s2)]
             ref = futs[0].result(timeout=30.0)
             for f in futs[1:]:
                 assert np.array_equal(f.result(timeout=30.0), ref)
         st = cache.stats()
-        assert st["hits"] + st["misses"] >= 1
+        assert (st["hits"], st["misses"]) == (19, 1)
         assert st["misses"] == st["evictions"] + st["cleared"] + st["plans"]
 
 

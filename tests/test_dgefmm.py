@@ -152,7 +152,7 @@ class TestValidation:
             with pytest.raises(ArgumentError):
                 dgefmm(half, half, half.copy())
             call(scheme=np.str_("auto"))
-            call(nb=np.int64(32), plan_cache=cache)
+            call(nb=np.int64(32), fuse=True, plan_cache=cache)
 
         class Unhashable(SimpleCutoff):
             __hash__ = None
@@ -161,8 +161,12 @@ class TestValidation:
             c = np.zeros((18, 14), order="F")
             dgefmm(a, b, c, cutoff=Unhashable(8))   # the walk runs
             np.testing.assert_allclose(c, expect, atol=1e-12)
+            c = np.zeros((18, 14), order="F")
+            dgefmm(a, b, c, cutoff=Unhashable(8), fuse=True)  # compiled
+            np.testing.assert_allclose(c, expect, atol=1e-12)
             with pytest.raises(TypeError):   # PlanCache hashes the key
-                dgefmm(a, b, c, cutoff=Unhashable(8), plan_cache=cache)
+                dgefmm(a, b, c, cutoff=Unhashable(8), fuse=True,
+                       plan_cache=cache)
 
 
 class TestRecursionStructure:
@@ -270,10 +274,13 @@ class TestDefaultCutoff:
         return ctx.events
 
     @staticmethod
-    def _service_hits_dgefmm_plan(rng, backend, fuse, cutoff=None):
-        """True when a GemmService for (backend, fuse) replays the plan
-        ``dgefmm`` compiled for the same knobs (the signature holds the
-        criterion)."""
+    def _service_follows_dgefmm(rng, backend, fuse, cutoff=None):
+        """True when a GemmService for (backend, fuse) runs ``dgefmm``'s
+        cutoff.  A fused service replays the plan ``dgefmm`` compiled
+        for the same knobs (the signature holds the criterion).  An
+        unfused one walks: it returns ``dgefmm``'s bits, which differ
+        from ``dgefmm``'s at the other leaf kernel's default cutoff,
+        and leaves the plan cache empty."""
 
         class Profiles:   # the only way to a vendor-backend service
             prof = SimpleNamespace(scheme="auto", peel="tail", cutoff=None,
@@ -289,14 +296,24 @@ class TestDefaultCutoff:
         a = np.asfortranarray(rng.standard_normal((256, 256)))
         b = np.asfortranarray(rng.standard_normal((256, 256)))
         cache = PlanCache()
-        dgefmm(a, b, np.zeros((256, 256), order="F"), cutoff=cutoff,
-               backend=backend, fuse=fuse, plan_cache=cache)
+
+        def direct(crit):
+            c = np.zeros((256, 256), order="F")
+            dgefmm(a, b, c, cutoff=crit, backend=backend, fuse=fuse,
+                   plan_cache=cache)
+            return c
+
+        ref = direct(cutoff)
         with GemmService(
                 workers=1, plan_cache=cache, fuse=fuse,
                 profiles=Profiles() if backend == "vendor" else None,
         ) as svc:
-            svc.submit(a, b, cutoff=cutoff).result(timeout=60)
-        return cache.misses == 1 and cache.hits >= 1
+            got = svc.submit(a, b, cutoff=cutoff).result(timeout=60)
+        if fuse:
+            return cache.misses == 1 and cache.hits >= 1
+        other = BLAS_CUTOFF if backend == "substrate" else DEFAULT_CUTOFF
+        return (np.array_equal(got, ref) and len(cache) == 0
+                and not np.array_equal(got, direct(other)))
 
     @pytest.mark.parametrize("backend,fuse,want", LEAF_DEFAULTS)
     def test_every_front_door_defaults_alike(self, rng, backend, fuse, want):
@@ -305,7 +322,7 @@ class TestDefaultCutoff:
         assert GemmConfig(backend=backend, fuse=fuse).cutoff == want
         assert self._events(backend, fuse, None) == self._events(
             backend, fuse, want)
-        assert self._service_hits_dgefmm_plan(rng, backend, fuse)
+        assert self._service_follows_dgefmm(rng, backend, fuse)
 
     @pytest.mark.parametrize("backend,fuse,default", LEAF_DEFAULTS)
     def test_explicit_cutoff_wins(self, rng, backend, fuse, default):
@@ -316,7 +333,7 @@ class TestDefaultCutoff:
                           fuse=fuse).cutoff == crit
         assert self._events(backend, fuse, crit) != self._events(
             backend, fuse, default)
-        assert self._service_hits_dgefmm_plan(rng, backend, fuse, crit)
+        assert self._service_follows_dgefmm(rng, backend, fuse, crit)
 
     def test_the_two_defaults_differ_at_order_256(self):
         assert DEFAULT_CUTOFF.recurse(256, 256, 256)

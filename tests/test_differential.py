@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm, zgefmm
+from repro.core.dgefmm import dgefmm, replay_serial, zgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.pool import WorkspacePool
 from repro.plan import PlanCache
@@ -193,8 +193,8 @@ class TestPlannedDifferential:
         c_plan = np.asfortranarray(c.copy())
         c_rec = np.asfortranarray(c)
         dgefmm(a, b, c_rec, alpha, beta, transa, transb, cutoff=CUT)
-        dgefmm(a, b, c_plan, alpha, beta, transa, transb, cutoff=CUT,
-               plan_cache=PlanCache())
+        replay_serial(a, b, c_plan, alpha, beta, transa, transb,
+                      cutoff=CUT, plan_cache=PlanCache())
         assert np.array_equal(c_rec, c_plan)
 
     @given(
@@ -240,7 +240,8 @@ class TestPlannedDifferential:
         c2 = c1.copy(order="F")
         alpha, beta = 1.5 - 0.5j, 0.25j
         zgefmm(a, b, c1, alpha, beta, cutoff=CUT)
-        zgefmm(a, b, c2, alpha, beta, cutoff=CUT, plan_cache=PlanCache())
+        replay_serial(a, b, c2, alpha, beta, cutoff=CUT,
+                      plan_cache=PlanCache())
         assert np.array_equal(c1, c2)
 
     @pytest.mark.parametrize("layout_a,layout_b,layout_c", [
@@ -262,7 +263,7 @@ class TestPlannedDifferential:
         for name, fn in (
             ("serial", lambda cc: dgefmm(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT)),
-            ("plan", lambda cc: dgefmm(
+            ("plan", lambda cc: replay_serial(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT,
                 plan_cache=cache)),
             ("parallel", lambda cc: pdgefmm(
@@ -290,7 +291,8 @@ class TestPlannedDifferential:
                               + 1j * rng.standard_normal((m, n)))
         alpha, beta = 1.5 - 0.5j, 0.25j
         expect = alpha * (a @ b) + beta * c
-        zgefmm(a, b, c, alpha, beta, cutoff=CUT, plan_cache=PlanCache())
+        replay_serial(a, b, c, alpha, beta, cutoff=CUT,
+                      plan_cache=PlanCache())
         np.testing.assert_allclose(c, expect, atol=1e-10)
 
 

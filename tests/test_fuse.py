@@ -273,12 +273,12 @@ class TestFusedDriverPath:
         np.testing.assert_allclose(bb, expect, atol=1e-10 * 12)
 
     def test_fuse_mutation_misses_cache(self):
-        rng = np.random.default_rng(8)
-        a, b, c = _mats(rng, 16, 16, 16)
         cache = PlanCache()
-        dgefmm(a, b, c.copy(order="F"), cutoff=CUT, plan_cache=cache)
-        dgefmm(a, b, c.copy(order="F"), cutoff=CUT, plan_cache=cache,
-               fuse=True)
+        for fuse in (False, True):
+            cache.get_or_compile(signature_for(
+                "serial", 16, 16, 16, False, False, False, True,
+                "float64", GemmConfig(cutoff=CUT, fuse=fuse),
+            ))
         assert (cache.misses, cache.hits) == (2, 0)
 
     def test_parallel_driver_fused(self):
@@ -317,9 +317,14 @@ class TestFusedService:
         a, b, _c = _mats(rng, 16, 16, 16)
         with GemmService(workers=1, cutoff=CUT) as svc:
             svc.submit(a, b).result(30.0)
+            # the unfused request walks; only the fused one leaves a plan
+            assert svc.plan_cache.stats()["plans"] == 0
             svc.submit(a, b, fuse=True).result(30.0)
-            # distinct signatures: interpreted and fused never collide
-            assert svc.plan_cache.stats()["plans"] == 2
+            sig = signature_for("serial", 16, 16, 16, False, False, False,
+                                True, "float64",
+                                GemmConfig(cutoff=CUT, fuse=True))
+            assert svc.plan_cache.stats()["plans"] == 1
+            assert svc.plan_cache.peek(sig).fused is not None
 
 
 # ---------------------------------------------------------------------- #

@@ -17,7 +17,7 @@ from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import DepthCutoff, HybridCutoff, SimpleCutoff
-from repro.core.dgefmm import dgefmm, zgefmm
+from repro.core.dgefmm import dgefmm, replay_serial, zgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.pool import WorkspacePool, workspace_bound_bytes
 from repro.core.recursion import recursion_profile
@@ -191,10 +191,12 @@ class TestPooledReplay:
         a = np.asfortranarray(rng.standard_normal((m, k)))
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c = np.zeros((m, n), order="F")
-        dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache)
+        dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache,
+               fuse=True)
         warm = pool.new_buffer_bytes
         for _ in range(5):
-            dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache)
+            dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache,
+                   fuse=True)
         assert pool.new_buffer_bytes == warm
         stats = cache.stats()
         assert stats == {**stats, "hits": 5, "misses": 1, "plans": 1}
@@ -209,12 +211,63 @@ class TestPooledReplay:
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c = np.zeros((m, n), order="F")
         dgefmm(a, b, c, cutoff=SimpleCutoff(8), pool=pool,
-               plan_cache=cache)
+               plan_cache=cache, fuse=True)
         warm = pool.new_buffer_bytes
         dgefmm(a, b, c, cutoff=SimpleCutoff(8), pool=pool,
-               plan_cache=cache)
+               plan_cache=cache, fuse=True)
         assert pool.new_buffer_bytes == warm
         np.testing.assert_allclose(c, a @ b, atol=1e-10)
+
+
+class TestOneSerialEngine:
+    """Unfused serial calls walk; ``fuse`` alone selects plan replay."""
+
+    def test_unfused_calls_leave_the_cache_untouched(self, rng):
+        m = k = n = 64
+        crit = SimpleCutoff(16)
+        pool = WorkspacePool()
+        cache = PlanCache()
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = np.asfortranarray(rng.standard_normal((k, n)))
+        ref = np.zeros((m, n), order="F")
+        dgefmm(a, b, ref, cutoff=crit)
+        c = np.zeros((m, n), order="F")
+        ctx = ExecutionContext()
+        dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache, ctx=ctx)
+        warm = pool.new_buffer_bytes
+        for _ in range(3):
+            dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache)
+        # a base-case pdgefmm root is dgefmm's path: it walks too
+        pdgefmm(a, b, np.zeros((m, n), order="F"), cutoff=SimpleCutoff(64),
+                pool=pool, plan_cache=cache)
+        assert pool.new_buffer_bytes == warm
+        assert np.array_equal(c, ref)
+        assert "plan_cache" not in ctx.stats
+        stats = cache.stats()
+        for key in ("plans", "bytes", "hits", "misses", "evictions",
+                    "cleared"):
+            assert stats[key] == 0, key
+
+    @pytest.mark.parametrize("order,cutoff", [
+        (512, None),                 # BLAS_CUTOFF: one np.matmul leaf
+        (96, SimpleCutoff(16)),      # recursing: batched leaves
+    ])
+    def test_uncached_fused_call_equals_cached(self, rng, order, cutoff):
+        a = np.asfortranarray(rng.standard_normal((order, order)))
+        b = np.asfortranarray(rng.standard_normal((order, order)))
+        c0 = np.asfortranarray(rng.standard_normal((order, order)))
+        cached = c0.copy(order="F")
+        dgefmm(a, b, cached, 1.0, 0.5, cutoff=cutoff, fuse=True,
+               plan_cache=PlanCache())
+        ctx = ExecutionContext()
+        uncached = c0.copy(order="F")
+        dgefmm(a, b, uncached, 1.0, 0.5, cutoff=cutoff, fuse=True, ctx=ctx)
+        assert np.array_equal(uncached, cached)
+        assert "plan_cache" not in ctx.stats
+        par = c0.copy(order="F")
+        pdgefmm(a, b, par, 1.0, 0.5, cutoff=cutoff, fuse=True)
+        if cutoff is None:           # a base-case root: dgefmm's path
+            assert np.array_equal(par, cached)
 
 
 class TestPlanCache:
@@ -258,7 +311,7 @@ class TestPlanCache:
         a = np.asfortranarray(rng.standard_normal((16, 16)))
         b = np.asfortranarray(rng.standard_normal((16, 16)))
         c = np.zeros((16, 16), order="F")
-        dgefmm(a, b, c, cutoff=CUT, ctx=ctx, plan_cache=cache)
+        dgefmm(a, b, c, cutoff=CUT, ctx=ctx, plan_cache=cache, fuse=True)
         assert ctx.stats["plan_cache"]["misses"] == 1
 
     def test_hit_rate_agrees_with_stats(self):
@@ -361,8 +414,8 @@ class TestPlanIntrospection:
                                + 1j * rng.standard_normal((m, n)))
         c2 = c1.copy(order="F")
         zgefmm(a, b, c1, 1 - 1j, 0.5j, cutoff=CUT)
-        zgefmm(a, b, c2, 1 - 1j, 0.5j, cutoff=CUT,
-               plan_cache=PlanCache())
+        replay_serial(a, b, c2, 1 - 1j, 0.5j, cutoff=CUT,
+                      plan_cache=PlanCache())
         assert np.array_equal(c1, c2)
 
 
@@ -446,6 +499,9 @@ class TestSignatureCompleteness:
     knob at a time on a square problem — where a transpose flips nothing
     about operand shapes — and require every mutation to MISS.  A hit
     here would mean replaying a plan compiled for different semantics.
+    The driver is ``pdgefmm``, which caches a plan for every config:
+    ``dgefmm`` caches fused plans only, and a compensated config cannot
+    fuse.
     """
 
     DIM = 12
@@ -459,7 +515,7 @@ class TestSignatureCompleteness:
         b = np.asfortranarray(x.T.copy().astype(d))
         c = np.asfortranarray(x.copy().astype(d))
         kw.setdefault("cutoff", SimpleCutoff(4))
-        dgefmm(a, b, c, 1.0, beta, plan_cache=cache, **kw)
+        pdgefmm(a, b, c, 1.0, beta, workers=1, plan_cache=cache, **kw)
 
     def test_each_knob_mutation_misses(self, rng):
         cache = PlanCache()

@@ -288,14 +288,16 @@ def test_scheme_mutation_misses_plan_cache():
     a, b, c0 = _operands(24, 24, 24)
     for idx, scheme in enumerate(SCHEME_NAMES):
         c = c0.copy(order="F")
-        dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache)
+        dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache,
+               fuse=True)
         stats = cache.stats()
         assert stats["misses"] == idx + 1, scheme
         assert stats["hits"] == 0
     # replays with an unchanged config are pure hits
     for idx, scheme in enumerate(SCHEME_NAMES):
         c = c0.copy(order="F")
-        dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache)
+        dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache,
+               fuse=True)
         stats = cache.stats()
         assert stats["misses"] == len(SCHEME_NAMES)
         assert stats["hits"] == idx + 1, scheme
