@@ -200,7 +200,7 @@ class GemmClient:
                 self._fail_all(ServiceClosed("connection lost"))
                 return
 
-    def _on_response(self, payload: bytes) -> None:
+    def _on_response(self, payload: bytearray) -> None:
         try:
             header, payloads = unpack_message(payload)
         except ProtocolError:
@@ -399,12 +399,13 @@ def _http_roundtrip(host: str, port: int, method: str, path: str,
             (int(ln.split(":", 1)[1]) for ln in lines[1:]
              if ln.lower().startswith("content-length:")), None,
         )
-        while length is not None and len(rest) < length:
+        body = bytearray(rest)          # grows in place, not by re-copying
+        while length is not None and len(body) < length:
             chunk = sock.recv(1 << 16)
             if not chunk:
                 break
-            rest += chunk
-        return status, rest
+            body += chunk
+        return status, bytes(body)
 
 
 def http_get(host: str, port: int, path: str,

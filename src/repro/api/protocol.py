@@ -40,6 +40,7 @@ from __future__ import annotations
 import base64
 import hashlib
 import json
+import os
 import struct
 from typing import Any, Dict, List, Sequence, Tuple
 
@@ -101,8 +102,13 @@ def pack_message(header: Dict[str, Any],
     return b"".join([struct.pack(">I", len(hj)), hj, *payloads])
 
 
-def unpack_message(data: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
-    """Inverse of :func:`pack_message`; raises :class:`ProtocolError`."""
+def unpack_message(
+    data: bytes | bytearray,
+) -> Tuple[Dict[str, Any], List[bytes | bytearray]]:
+    """Inverse of :func:`pack_message`; raises :class:`ProtocolError`.
+
+    The payloads are copies sliced out of ``data``, of its type.
+    """
     if len(data) < 4:
         raise ProtocolError("message shorter than its length prefix")
     (hlen,) = struct.unpack(">I", data[:4])
@@ -120,7 +126,7 @@ def unpack_message(data: bytes) -> Tuple[Dict[str, Any], List[bytes]]:
     ):
         raise ProtocolError("'lens' must be a list of byte counts")
     off = 4 + hlen
-    payloads: List[bytes] = []
+    payloads: List[bytes | bytearray] = []
     for n in lens:
         if off + n > len(data):
             raise ProtocolError("payloads truncated")
@@ -316,8 +322,12 @@ def ws_accept(key: str) -> str:
 
 
 def ws_encode_frame(opcode: int, payload: bytes, *,
-                    mask: bool = False) -> bytes:
-    """One unfragmented frame (FIN set).  Clients must mask."""
+                    mask: bool = False) -> bytearray:
+    """One unfragmented frame (FIN set), as a new ``bytearray``.
+
+    Clients must mask.  A masked frame is built in one buffer: header,
+    key, then the payload masked straight into place.
+    """
     head = bytearray([0x80 | (opcode & 0x0F)])
     n = len(payload)
     mask_bit = 0x80 if mask else 0
@@ -330,23 +340,37 @@ def ws_encode_frame(opcode: int, payload: bytes, *,
         head.append(mask_bit | 127)
         head += struct.pack(">Q", n)
     if mask:
-        import os
+        head += os.urandom(4)
+        frame = bytearray(len(head) + n)
+        frame[:len(head)] = head
+        _mask_into(memoryview(frame)[len(head):], payload, head[-4:])
+        return frame
+    return head + payload
 
-        key = os.urandom(4)
-        head += key
-        return bytes(head) + _xor_mask(payload, key)
-    return bytes(head) + payload
 
+def _mask_into(dst, src, key: bytes) -> None:
+    """Write ``src[i] ^ key[i % 4]`` into ``dst`` (RFC 6455 section 5.3).
 
-def _xor_mask(data: bytes, key: bytes) -> bytes:
-    """XOR ``data`` with the repeating 4-byte ``key`` (vectorized —
-    matrix payloads run to megabytes, a Python byte loop would dominate
-    the whole request)."""
-    if not data:
-        return b""
-    arr = np.frombuffer(data, dtype=np.uint8)
-    karr = np.resize(np.frombuffer(key, dtype=np.uint8), arr.size)
-    return np.bitwise_xor(arr, karr).tobytes()
+    ``src`` is any contiguous buffer (bytes, bytearray, memoryview);
+    ``dst`` is a writable one of the same byte length and may be
+    ``src`` itself.  The bulk is one XOR over 8-byte words against the
+    key repeated to the word width, the tail of under 8 bytes one XOR
+    over bytes.  Both operands go through the same word view, so byte
+    order does not matter; a word boundary is a multiple of 4 bytes,
+    so the key's phase restarts at each word.
+    """
+    s = np.frombuffer(src, dtype=np.uint8)
+    d = np.frombuffer(dst, dtype=np.uint8)
+    key8 = bytes(key) * 2
+    cut = s.size & ~7
+    if cut:
+        np.bitwise_xor(s[:cut].view(np.uint64),
+                       np.frombuffer(key8, dtype=np.uint64),
+                       out=d[:cut].view(np.uint64))
+    if cut < s.size:
+        np.bitwise_xor(s[cut:],
+                       np.frombuffer(key8, dtype=np.uint8)[:s.size - cut],
+                       out=d[cut:])
 
 
 class WSFrameAssembler:
@@ -356,18 +380,22 @@ class WSFrameAssembler:
     as ``(opcode, payload)`` pairs (fragmented messages are reassembled;
     control frames are never fragmented and pass straight through).
     Used by both sides: the server sees masked client frames, the
-    client sees unmasked server frames.
+    client sees unmasked server frames.  Every payload is a new
+    ``bytearray`` the caller owns: each frame's payload is copied out of
+    the receive buffer once and unmasked in place, and the fragments of
+    a fragmented message are joined into a new one.
     """
 
     def __init__(self, *, max_message: int = 1 << 30) -> None:
         self._buf = bytearray()
         self._frag_op: int = 0
-        self._frag: List[bytes] = []
+        self._frag: List[bytearray] = []
+        self._frag_len = 0
         self.max_message = max_message
 
-    def feed(self, data: bytes) -> List[Tuple[int, bytes]]:
+    def feed(self, data: bytes) -> List[Tuple[int, bytearray]]:
         self._buf += data
-        out: List[Tuple[int, bytes]] = []
+        out: List[Tuple[int, bytearray]] = []
         while True:
             frame = self._next_frame()
             if frame is None:
@@ -377,15 +405,19 @@ class WSFrameAssembler:
                 out.append((opcode, payload))
                 continue
             if opcode != 0:              # first (or only) fragment
-                self._frag_op, self._frag = opcode, [payload]
-            else:                        # continuation
-                if not self._frag_op:
-                    raise ProtocolError("continuation frame with no start")
-                self._frag.append(payload)
-            if sum(map(len, self._frag)) > self.max_message:
+                self._frag_op, self._frag, self._frag_len = opcode, [], 0
+            elif not self._frag_op:      # continuation
+                raise ProtocolError("continuation frame with no start")
+            self._frag.append(payload)
+            self._frag_len += len(payload)
+            if self._frag_len > self.max_message:
                 raise ProtocolError("websocket message too large")
             if fin:
-                out.append((self._frag_op, b"".join(self._frag)))
+                # ws_encode_frame always sets FIN, so this package's own
+                # messages are one frame each and need no join copy
+                frags = self._frag
+                out.append((self._frag_op, frags[0] if len(frags) == 1
+                            else bytearray().join(frags)))
                 self._frag_op, self._frag = 0, []
 
     def _next_frame(self):
@@ -413,12 +445,12 @@ class WSFrameAssembler:
         if masked:
             if len(buf) < off + 4:
                 return None
-            key = bytes(buf[off:off + 4])
+            key = buf[off:off + 4]
             off += 4
         if len(buf) < off + n:
             return None
-        payload = bytes(buf[off:off + n])
-        del self._buf[:off + n]
+        payload = buf[off:off + n]
+        del buf[:off + n]
         if masked:
-            payload = _xor_mask(payload, key)
+            _mask_into(payload, payload, key)
         return fin, opcode, payload

@@ -166,7 +166,7 @@ class ApiServer:
     # request handling (transport-independent)
     # ------------------------------------------------------------------ #
     async def _handle_message(
-        self, data: bytes, peer: str
+        self, data: bytes | bytearray, peer: str
     ) -> Tuple[Dict[str, Any], bytes]:
         """One framed request in, one framed response header+payload out."""
         self.counters["requests_total"] += 1
@@ -348,7 +348,7 @@ class ApiServer:
                 self.counters["bytes_out"] += len(payload)
                 await writer.drain()
 
-        async def answer(data: bytes) -> None:
+        async def answer(data: bytearray) -> None:
             self.counters["ws_messages"] += 1
             resp, payload = await self._handle_message(data, peer)
             out = pack_message(resp, [payload] if payload else [])

@@ -11,11 +11,13 @@ every shm lease released and a clean drain at the end.
 
 import asyncio
 import json
+import struct
 import time
 
 import numpy as np
 import pytest
 
+from repro.api import protocol
 from repro.api.client import GemmClient, http_gemm, http_get
 from repro.api.protocol import (
     HTTP_STATUS,
@@ -435,6 +437,69 @@ class TestProtocol:
             out += asm.feed(frame[i:i + 7])
         assert out == [(0x2, payload)]
 
+    def test_ws_rfc_masked_vector(self, monkeypatch):
+        # the masked "Hello" text frame of RFC 6455 section 5.7
+        monkeypatch.setattr(protocol.os, "urandom",
+                            lambda n: bytes.fromhex("37fa213d"))
+        frame = ws_encode_frame(0x1, b"Hello", mask=True)
+        assert frame == bytes.fromhex("818537fa213d7f9f4d5158")
+        assert type(frame) is type(ws_encode_frame(0x1, b"Hello")) \
+            is bytearray
+        assert WSFrameAssembler().feed(frame) == [(0x1, b"Hello")]
+
+    @pytest.mark.parametrize("size", [*range(20), 65535, 65536, 70001])
+    def test_ws_masking_matches_bytewise_reference(self, size,
+                                                   monkeypatch):
+        key = bytes.fromhex("37fa213d")
+        monkeypatch.setattr(protocol.os, "urandom", lambda n: key)
+        data = bytes((7 * i + 3) & 0xFF for i in range(size))
+        want = bytes(b ^ key[i % 4] for i, b in enumerate(data))
+        for src in (data, bytearray(data), memoryview(data)):
+            dst = bytearray(size)
+            protocol._mask_into(dst, src, key)
+            assert dst == want, type(src)
+        inplace = bytearray(data)
+        protocol._mask_into(inplace, inplace, key)
+        assert inplace == want
+        # the whole frame: header for every length class, key, payload
+        if size < 126:
+            head = bytes([0x82, 0x80 | size])
+        elif size < 1 << 16:
+            head = bytes([0x82, 0x80 | 126]) + struct.pack(">H", size)
+        else:
+            head = bytes([0x82, 0x80 | 127]) + struct.pack(">Q", size)
+        frame = ws_encode_frame(0x2, data, mask=True)
+        assert frame == head + key + want
+        assert WSFrameAssembler().feed(frame) == [(0x2, data)]
+
+    def test_ws_masked_fragments_reassemble_at_max_message(self):
+        message = bytes(range(256)) * 40             # 10240 B
+        pieces = [message[i:i + 1000] for i in range(0, len(message), 1000)]
+        stream = bytearray()
+        for i, piece in enumerate(pieces):
+            frame = bytearray(ws_encode_frame(0x2, piece, mask=True))
+            fin = 0x80 if i == len(pieces) - 1 else 0
+            frame[0] = fin | (0x2 if i == 0 else 0x0)
+            stream += frame
+            if i == 3:                     # control frames may interleave
+                stream += ws_encode_frame(0x9, b"ping", mask=True)
+        for limit, ok in ((len(message), True), (len(message) - 1, False)):
+            asm = WSFrameAssembler(max_message=limit)
+            out = []
+            try:
+                for i in range(0, len(stream), 777):   # hostile chunking
+                    out += asm.feed(bytes(stream[i:i + 777]))
+            except ProtocolError:
+                assert not ok
+                assert out == [(0x9, b"ping")]     # refused at the last piece
+            else:
+                assert ok
+                assert out == [(0x9, b"ping"), (0x2, message)]
+                # one payload type for control, fragmented and
+                # one-frame messages alike
+                out += asm.feed(ws_encode_frame(0x2, b"one", mask=True))
+                assert [type(p) for _, p in out] == [bytearray] * 3
+
     def test_ws_interleaved_frames_one_feed(self):
         f1 = ws_encode_frame(0x2, b"one", mask=True)
         f2 = ws_encode_frame(0x9, b"ping")
@@ -557,6 +622,27 @@ class TestEndToEnd:
         http = http_gemm("127.0.0.1", server.port, a, b,
                          tau=TAU, scheme="strassen2")
         assert np.array_equal(ws, http)
+
+    def test_http_large_result_matches_websocket(self, server, client):
+        # a tiny request with an 8 MiB response body read over HTTP
+        rng = np.random.default_rng(9)
+        a = np.asfortranarray(rng.standard_normal((1024, 1)))
+        b = np.asfortranarray(rng.standard_normal((1, 1024)))
+        ws = client.call(a, b, cutoff=CUT)
+        http = http_gemm("127.0.0.1", server.port, a, b, tau=TAU)
+        assert http.nbytes == 8 << 20
+        assert np.array_equal(ws, http)
+
+    def test_large_masked_request_bit_identity(self, client):
+        # an 8 MiB masked client frame: 64-bit length header, and the
+        # server reassembles it from over a hundred socket reads
+        rng = np.random.default_rng(10)
+        a = np.asfortranarray(rng.standard_normal((2048, 512)))
+        b = np.asfortranarray(rng.standard_normal((512, 2)))
+        assert a.nbytes == 8 << 20
+        got = client.call(a, b, cutoff=CUT)
+        want = _expected(a, b, None, 1.0, 0.0, False, False)
+        assert np.array_equal(got, want)
 
     def test_error_taxonomy_over_the_wire(self, server, client):
         rng = np.random.default_rng(7)
