@@ -179,14 +179,13 @@ def test_plan_fused_replay(benchmark):
     """Fused replay vs interpreted replay, warm cache, m=k=n=192.
 
     The fusion pass (:mod:`repro.plan.fuse`) exists to shed the
-    interpreted executor's per-op Python dispatch: elementwise chains
-    run as one inline loop, partnered base-case products execute as one
-    batched ``np.matmul`` over packed stacks, and lone products as one
-    strided ``np.matmul`` each.  Acceptance asks >= 2x warm-replay
-    throughput on cache-hot signatures; the assert below uses 1.6x to
-    keep headroom for CI-host jitter (measured on a 2-vCPU host:
-    2.0-2.35x for both beta classes over several runs — the last
-    recorded in BENCH_plan_fused.json).
+    interpreted executor's per-op Python dispatch: the plan's ops run
+    as one inline loop, and each base-case product is one strided
+    ``np.matmul`` with the vendor kernel's arithmetic (343 direct
+    products here).  Acceptance asks >= 2x warm-replay throughput on
+    cache-hot signatures; the assert below uses 1.6x to keep headroom
+    for CI-host jitter (the last run is recorded in
+    BENCH_plan_fused.json).
     """
     m = k = n = 192
     crit = SimpleCutoff(24)
@@ -213,9 +212,10 @@ def test_plan_fused_replay(benchmark):
 
         interpreted()
         fused()     # warm-up: compiles both plans, grows the arena
-        # the documented tolerance: batched/direct matmul accumulation
-        # order differs from the tiled substrate kernel — never exact,
-        # always within the oracle's float64 tolerance
+        # the documented tolerance: the fused leaves' matmul
+        # accumulates in another order than the tiled substrate kernel
+        # the interpreted plan runs — within the oracle's float64
+        # tolerance
         scale = max(1.0, float(np.max(np.abs(c_int))))
         assert float(np.max(np.abs(c_fus - c_int))) <= 1e-9 * scale
 
@@ -248,11 +248,8 @@ def test_plan_fused_replay(benchmark):
         summary={
             "speedup_beta0": speedups[0.0],
             "speedup_beta": speedups[0.5],
-            "steps": len(fp.steps),
-            "batched_groups": fp.n_batched,
-            "max_batch_depth": fp.max_batch,
+            "ops": len(fp.ops),
             "direct_products": fp.n_direct,
-            "pack_bytes": fp.pack_bytes,
         },
     )
     for beta, s in speedups.items():

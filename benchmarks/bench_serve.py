@@ -125,9 +125,9 @@ def test_fused_serving_throughput(benchmark):
     Reuses the micro-batch burst harness with ``fuse`` on: every request
     replays the same cache-hot fused program, where an unfused request
     walks the recursion.  Order 48 at tau = 16 recurses two levels per
-    request (8 internal nodes, 49 base kernels; the fused program packs
-    them into 7 batched groups and 28 direct products), a small explicit
-    cutoff under which the walk pays its per-node overhead.  The gap is
+    request (8 internal nodes, 49 base kernels; the fused program runs
+    them as 49 direct products), a small explicit cutoff under which
+    the walk pays its per-node overhead.  The gap is
     reported informationally; the asserted fused-replay floor lives in
     ``bench_plan.py::test_plan_fused_replay``.
     """

@@ -276,7 +276,6 @@ class Router:
         policy: str = "reject",
         max_batch: int = 32,
         arena_bytes: int = DEFAULT_ARENA_BYTES,
-        gate_capacity: Optional[int] = None,
         profile_dir: Optional[str] = None,
     ) -> None:
         if workers < 1:
@@ -294,9 +293,6 @@ class Router:
         self.profile_dir = profile_dir
         self.policy = str(policy)
         self.arena_bytes = int(arena_bytes)
-        self.gate_capacity = int(
-            gate_capacity if gate_capacity is not None else capacity
-        )
         self.ring = HashRing(self.workers)
         self._shards: List[_Shard] = [_Shard(i) for i in range(self.workers)]
         self._ids = itertools.count(1)
@@ -313,7 +309,8 @@ class Router:
         ctx = mp.get_context("spawn")
         for shard in self._shards:
             shard.arena = ShmArena(self.arena_bytes)
-            shard.gate = ShardGate(self.gate_capacity, self.policy)
+            shard.gate = ShardGate(self.worker_cfg["capacity"],
+                                   self.policy)
             parent, child = ctx.Pipe()
             shard.conn = parent
             shard.proc = ctx.Process(

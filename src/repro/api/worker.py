@@ -49,16 +49,10 @@ from repro.core.cutoff import SimpleCutoff
 from repro.serve.service import GemmService
 from repro.tune.store import ProfileStore
 
-__all__ = ["worker_main", "WORKER_DEFAULTS"]
+__all__ = ["worker_main"]
 
-#: service knobs a worker accepts from the router (with defaults)
-WORKER_DEFAULTS = {
-    "threads": 1,
-    "capacity": 256,
-    "policy": "reject",
-    "max_batch": 32,
-    "profile_dir": None,
-}
+#: seconds a draining worker gives its service to flush queued batches
+DRAIN_TIMEOUT_S = 30.0
 
 _STOP = object()
 
@@ -85,22 +79,20 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
         signal.signal(signal.SIGINT, signal.SIG_IGN)
     except (ValueError, OSError):  # pragma: no cover — exotic platforms
         pass
-    knobs = dict(WORKER_DEFAULTS)
-    knobs.update(cfg or {})
     arena = ShmArena.attach(shm_name)
     # Every worker carries a live ProfileStore; it starts empty (serving
     # defaults) unless a profile_dir was configured, and the "reload"
     # control op swaps new profiles in at any point without touching
     # requests already admitted.
-    profile_dir = knobs.get("profile_dir")
+    profile_dir = cfg["profile_dir"]
     profiles = ProfileStore(profile_dir)
     if profile_dir:
         profiles.load()
     svc = GemmService(
-        workers=int(knobs["threads"]),
-        capacity=int(knobs["capacity"]),
-        policy=str(knobs["policy"]),
-        max_batch=int(knobs["max_batch"]),
+        workers=cfg["threads"],
+        capacity=cfg["capacity"],
+        policy=cfg["policy"],
+        max_batch=cfg["max_batch"],
         profiles=profiles,
     )
     send_lock = threading.Lock()
@@ -206,9 +198,7 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
         # Graceful path: stop admitting, let the service flush every
         # queued batch, then flush every queued reply before answering.
         t0 = time.monotonic()
-        svc.close(drain=draining, timeout=max(1.0, float(
-            knobs.get("drain_timeout", 30.0)
-        )))
+        svc.close(drain=draining, timeout=DRAIN_TIMEOUT_S)
         pending.put(_STOP)
         responder.join(timeout=30.0)
         if draining:

@@ -170,8 +170,8 @@ class ExecutionContext:
 
         ``muls``/``adds`` are the *aggregate* tallies across all the
         calls.  The fused plan replay loop (:mod:`repro.plan.fuse`)
-        charges each elementwise run and each batched product group
-        once through here; because every tally is an integer-valued
+        charges each kernel's totals over the whole program once per
+        replay through here; because every tally is an integer-valued
         float well below 2**53, the aggregate sums equal the per-call
         sums bit-for-bit.  No model time is charged — fused replay is
         gated off when a machine model is attached.

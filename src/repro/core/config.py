@@ -96,14 +96,14 @@ class GemmConfig:
         Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
     ``fuse``
         Opt-in plan fusion (:mod:`repro.plan.fuse`): the call runs as a
-        fused plan — elementwise chains replayed without per-op dispatch
-        and same-shape base-case products packed into one batched
-        ``np.matmul`` call — taken from the driver's ``plan_cache`` or
-        compiled for the call.  Unfused serial calls walk the recursion,
-        which ignores the knob.  Because the batched kernel's
-        accumulation order differs from the tiled substrate kernel,
-        ``fuse`` keys the plan signature — fused and interpreted plans
-        never collide in a cache.
+        fused plan — the plan's ops replayed in one loop without per-op
+        dispatch, every base-case product one ``np.matmul`` with the
+        vendor kernel's arithmetic — taken from the driver's
+        ``plan_cache`` or compiled for the call.  Unfused serial calls
+        walk the recursion, which ignores the knob.  Fused results equal
+        ``backend="vendor"``'s bit for bit, not the tiled substrate
+        kernel's, so ``fuse`` keys the plan signature — fused and
+        interpreted plans never collide in a cache.
     ``dtype``
         Canonical operand dtype (:data:`repro.blas.dtypes.DTYPES`).
         Drives kernel selection, workspace/arena element sizes and the
@@ -115,8 +115,8 @@ class GemmConfig:
         Kahan-accumulated floating point, ``"exact"`` integer/object
         arithmetic with no float intermediates.  Legal combinations:
         exact ⟺ exact dtype (int64/object); compensated requires an
-        inexact dtype; ``fuse`` requires ``"fast"`` (the batched matmul
-        program has no compensated or exact replay).
+        inexact dtype; ``fuse`` requires ``"fast"`` (the fused program
+        has no compensated or exact replay).
 
     Declaration order matters — see the module docstring.
     """

@@ -29,8 +29,9 @@ the fusion pass on and no cache, so a fused plan compiled for the
 call), ``fused-replay`` (the same call through the plan cache) and
 ``parallel-fused``.
 Fused *serving* stays out: the service writes a fresh Fortran-ordered
-output, and the fused batched ``np.matmul`` follows the output's
-layout, so it need not match a ``fused`` call on the caller's C.
+output, and a leaf that ``np.matmul`` writes straight into C can
+follow C's layout, so it need not match a ``fused`` call on the
+caller's C.
 
 Checks, in decreasing strictness:
 
@@ -39,16 +40,14 @@ Checks, in decreasing strictness:
    replays the same kernels on the same views in the same order as the
    walk, and a per-call compile must replay exactly like the cached
    plan — any drift is a bug, not roundoff);
-   ``fused`` vs ``fused-replay`` must be bit-identical too — a per-call
-   fused compile replays like the cached fused plan, and fused
-   execution is deterministic, it just isn't bit-identical to the
-   *unfused* paths (the batched/direct ``np.matmul`` kernel
-   accumulates in a different order than the tiled substrate kernel),
-   so the fused paths are checked against the reference and against
-   each other, never bit-compared to the unfused paths; ``served`` vs
-   ``serial`` must be bit-identical unless C aliases an input (the
-   service then reads the aliased view where ``dgefmm`` reads its
-   contiguous copy-on-overlap copy, which may round differently);
+   ``vendor`` vs ``fused`` and ``fused`` vs ``fused-replay`` must be
+   bit-identical too — fused replay runs the vendor kernel's
+   arithmetic at every leaf and the interpreted stream's everywhere
+   else, and a per-call fused compile replays like the cached fused
+   plan; ``served`` vs ``serial`` must be bit-identical unless C
+   aliases an input (the service then reads the aliased view where
+   ``dgefmm`` reads its contiguous copy-on-overlap copy, which may
+   round differently);
 2. every path must match the numpy reference
    ``alpha*op(A)@op(B) + beta*C`` — computed in float64/complex128 with
    the BLAS overwrite semantics (``beta == 0`` never reads C) — within a
@@ -187,9 +186,9 @@ def run_case(
     ``path``, a ``kind`` (``"exception"``, ``"reference-mismatch"``, or
     ``"bit-divergence"``), and a human-readable ``detail``.  ``fuse``
     adds the fused-execution paths (module docstring) — checked
-    against the reference tolerance and for replay determinism, not
-    bit-compared to the unfused paths.  ``service`` runs the
-    ``served`` path (default: a one-worker service for this case).
+    against the reference tolerance, bit-compared to ``vendor`` and
+    for replay determinism.  ``service`` runs the ``served`` path
+    (default: a one-worker service for this case).
     """
     if plan_cache is None:
         from repro.plan import PlanCache
@@ -249,7 +248,8 @@ def run_case(
             })
 
     pairs = [("serial", "plan"), ("vendor", "vendor-plan"),
-             ("parallel", "parallel-plan"), ("fused", "fused-replay")]
+             ("parallel", "parallel-plan"), ("vendor", "fused"),
+             ("fused", "fused-replay")]
     if case.alias == "none":
         pairs.append(("serial", "served"))
     for lhs, rhs in pairs:

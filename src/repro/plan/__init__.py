@@ -17,12 +17,12 @@ An unfused ``dgefmm`` call walks the recursion.
 
 With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, compiled
 plans additionally carry a :class:`~repro.plan.fuse.FusedProgram` —
-the op stream re-expressed as elementwise runs, packed batched-product
-groups, and direct base-case products (:func:`~repro.plan.fuse.
-fuse_plan`) — which the executor replays in place of the interpreted
-loop.  Fused replay is deterministic and charge-identical, but not
-bit-identical to the interpreted stream (different base-case kernel);
-``fuse`` therefore keys the plan signature.
+the op stream with every base-case product replaced by one direct
+``np.matmul`` step (:func:`~repro.plan.fuse.fuse_plan`) — which the
+executor replays in place of the interpreted loop.  Fused replay is
+charge-identical to the interpreted stream and bit-identical to the
+vendor kernel's path (``backend="vendor"``), not to the substrate
+kernel's; ``fuse`` therefore keys the plan signature.
 """
 
 from repro.plan.cache import PlanCache

@@ -580,8 +580,12 @@ class _Recorder:
         counts["mul_flops_total"] = self.mul_flops_total
         counts["add_flops_total"] = self.add_flops_total
         cfg = self.cfg
+        # a fused plan's interpreted stream (the executor's fallback
+        # under tracing, dry runs and machine models) runs the leaves
+        # fused replay runs, so both compute the same bits
         return ExecutionPlan(
-            signature, m, k, n, self.dtype, cfg.nb, cfg.backend,
+            signature, m, k, n, self.dtype, cfg.nb,
+            "vendor" if cfg.fuse else cfg.backend,
             tuple(self.region_descs), tuple(self.ops), branches,
             tuple(self.epilogue), self.ws.required, self.ws.peak,
             charge, counts, cfg.accuracy,
@@ -621,6 +625,7 @@ def _compile_serial(
     plan = rec.build(signature, m, k, n)
     if cfg.fuse:
         plan.fused = fuse_plan(plan)
+        plan.nbytes += 96 * len(plan.fused.ops)
     return plan
 
 

@@ -20,7 +20,10 @@ parallel plans of :func:`repro.core.parallel.pdgefmm` (whose branch
 leaves are serial plans), and the explicit :func:`~repro.plan.compiler.
 compile_plan` / :func:`execute_plan` route.  An unfused serial call
 walks the recursion instead: at the default cutoff, interpreted replay
-of a serial plan measured no faster than the walk it mirrors.
+of a serial plan measured no faster than the walk it mirrors.  A fused
+plan replays its :class:`~repro.plan.fuse.FusedProgram` (one inline
+loop, vendor-kernel leaves) through :func:`~repro.plan.fuse.run_fused`
+instead of the op-by-op loop below.
 
 Arenas come from a :class:`~repro.core.pool.WorkspacePool` when one is
 supplied: the executor reserves the plan's precomputed requirement once
@@ -166,7 +169,8 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers) -> None:
     # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
     # dry runs skip numerics per kernel, and machine models charge
     # modeled seconds per call — all three fall back to the interpreted
-    # stream (same plan, bit-identical numerics on the fallback).
+    # stream, which a fused plan records with vendor leaves, so the
+    # fallback computes the fused replay's bits.
     fused = plan.fused
     if fused is not None and (
         ctx.trace or ctx.dry or ctx.machine is not None

@@ -1,69 +1,51 @@
-"""Plan fusion: coalesce op chains and batch base-case products.
+"""Plan fusion: replay a serial plan without per-op dispatch.
 
 The interpreted executor (:mod:`repro.plan.executor`) pays Python
 dispatch per typed op — one function call, operand validation, and a
-context charge for every madd/msub/axpby and every leaf ``dgemm``.  At
-serving scale that dispatch *is* the dominant cost (ROADMAP item 1).
-This module compiles an :class:`~repro.plan.compiler.ExecutionPlan`
-into a :class:`FusedProgram` of three coarse step kinds:
+context charge for every madd/msub/accum/axpby and every leaf
+``dgemm``.  :func:`fuse_plan` compiles a branch-free
+:class:`~repro.plan.compiler.ExecutionPlan` into a :class:`FusedProgram`:
+the plan's quiet op stream (``ops_quiet``) in order, with every
+``OP_GEMM`` replaced in place by one ``OP_DIRECT`` on the same operands
+and scalars, and the whole program's kernel tallies summed once.
+:func:`run_fused` replays it as one inline loop:
 
-- **Elementwise runs** (``FS_EW``): maximal consecutive stretches of
-  ``OP_MADD``/``OP_MSUB``/``OP_ACCUM``/``OP_AXPBY`` executed as one
-  tight inline loop — same numpy calls, same order, no per-op function
-  call, validation, or charge (the context is charged once per run with
-  the exact aggregate tallies).  Elementwise fusion is **bit-identical**
-  to interpreted replay by construction.  Runs also carry two pseudo-op
-  kinds: ``OP_PACK`` (operand capture for a deferred batch, below) and
-  ``OP_DIRECT`` — a base-case product executed in place via one strided
-  ``np.matmul``, used for every product the hazard analysis cannot pair
-  with a batch partner (packing a lone product costs more than the one
-  call it saves).
-- **Batched GEMM groups** (``FS_BATCH``): same-shape, same-scalar
-  base-case products stacked into contiguous ``(d, m, k)`` / ``(d, k,
-  n)`` pack buffers and executed as one 3-D ``np.matmul`` — the
-  packing-friendly formulation of Huang et al.'s BLIS Strassen, with
-  the pack buffers carved from the same arena the plan's temporaries
-  live in (appended after ``plan.arena_bytes`` at 64-byte-aligned
-  offsets).  Operands are packed *eagerly*, at the producing op's
-  position in the stream (``OP_PACK`` pseudo-ops inside the elementwise
-  runs), so the schedules' buffer reuse (an S-sum overwritten right
-  after the product that consumed it is queued) never stales a read.
-- **Fix-ups** (``FS_FIXUP``): dynamic-peeling boundary updates pass
-  through to the interpreted executors unchanged.
+- elementwise ops run the numeric block kernels' numpy calls
+  (:data:`repro.blas.addsub.NUMERIC_KERNELS`) in the same order, with
+  no per-op call, validation or charge;
+- ``OP_DIRECT`` runs the arithmetic of
+  ``repro.blas.level3.dgemm(backend="vendor")``: one ``np.matmul``
+  straight into the output when alpha = 1, beta = 0 and the product
+  dtype is the output's, and otherwise one ``np.matmul`` into a
+  Fortran-ordered scratch block past the plan's temporaries, with
+  alpha and beta applied from there in ``dgemm``'s order;
+- ``OP_FIXUP`` runs the peeling fix-up executors, as interpreted replay
+  does.
 
-Deferring a product is only legal until some later op reads or writes
-its output; the pass tracks the pending outputs of every open group and
-flushes *selectively* — only the conflicting groups execute at a
-hazard, disjoint ones keep accumulating partners.  Because operands are
-packed eagerly, writes to a pending product's *inputs* are not hazards
-— exactly the case the Strassen schedules hit constantly.  The paper's
-schedules are deliberately memory-frugal (products land in C quadrants
-that the very next combination reads), which caps the legal batch depth
-at the scheme's independent-product prefix; the two-pass structure —
-discover groups first, then demote the singletons to ``OP_DIRECT`` at
-their original stream position — keeps the batched path for every
-product that genuinely has partners and the zero-copy path for the
-rest.
+The context is charged once per replay with the summed tallies; every
+tally is an integer-valued float below 2**53, so the sums equal the
+interpreted replay's per-op charges exactly.
 
-Numerics: both the batched and the direct ``np.matmul`` apply the BLAS
-kernel, which differs from the tiled-``einsum`` substrate kernel (and
-may differ from a strided vendor call) in accumulation order only.
-Fused execution is therefore *deterministic* (same plan, same operands,
-same bits every replay) but is checked against the reference with the
-oracle's standard dtype tolerance rather than bit-compared against the
-interpreted path; the compensated elementwise chains stay bit-identical.
-That is why ``fuse`` is a :class:`~repro.core.config.GemmConfig` field:
-it keys :class:`~repro.plan.compiler.PlanSignature`, so fused and
-interpreted plans can never collide in one cache.
+Numerics: fused replay is **bit-identical** to the vendor kernel's
+path — ``dgefmm(..., backend="vendor")`` and ``pdgefmm(...,
+backend="vendor")`` at the same cutoff — and not to the substrate
+kernel, whose tiled ``einsum`` accumulates in another order.  That is
+why ``fuse`` is a :class:`~repro.core.config.GemmConfig` field: it keys
+:class:`~repro.plan.compiler.PlanSignature`, so fused and substrate
+plans never collide in one cache.  A leaf whose output overlaps one of
+its inputs needs no analysis: numpy buffers an ``out`` that overlaps an
+input, exactly as for the vendor ``dgemm``.
 
-The fused path runs only for plain numeric replay — no tracing, no dry
-run, no attached machine model (those need per-op hooks); the executor
-falls back to interpreted replay otherwise, from the same plan.
+The fused program runs only for plain numeric replay — no tracing, no
+dry run, no attached machine model (those need per-op hooks).  The
+executor falls back to the plan's interpreted stream otherwise, and the
+compiler records a fused plan's stream with vendor leaves, so the
+fallback computes the same bits.
 """
 
 from __future__ import annotations
 
-from typing import Any, List, Optional, Tuple
+from typing import Any, List
 
 import numpy as np
 
@@ -77,26 +59,12 @@ from repro.plan.ops import (
     OP_GEMM,
     OP_MADD,
     OP_MSUB,
-    ROOT_TEMP,
 )
 
-__all__ = ["FusedProgram", "fuse_plan", "run_fused",
-           "FS_EW", "FS_BATCH", "FS_FIXUP", "OP_PACK", "OP_DIRECT"]
+__all__ = ["FusedProgram", "fuse_plan", "run_fused", "OP_DIRECT"]
 
-# fused step kinds (first element of every step tuple)
-FS_EW = 0      # (FS_EW, ops, charges)       inline elementwise run
-FS_BATCH = 1   # (FS_BATCH, group_indices)   execute + scatter batches
-FS_FIXUP = 2   # (FS_FIXUP, fixup_op)        interpreted peel fix-up
-
-#: pseudo-op inside an FS_EW run: copy a queued product's operands into
-#: its group's pack buffers at the op's original stream position
-#: (OP_PACK, gidx, slot, a_idx, b_idx)
-OP_PACK = 7
-
-#: pseudo-op inside an FS_EW run: a base-case product executed in place
-#: by one strided ``np.matmul`` — (OP_DIRECT, ai, bi, ci, al, be, safe)
-#: where ``safe`` means the output region provably aliases neither
-#: input, so ``beta == 0`` may write straight into the output view
+#: a base-case product in a fused program — (OP_DIRECT, a, b, c, alpha,
+#: beta), the operands and scalars of the ``OP_GEMM`` it replaces
 OP_DIRECT = 8
 
 _EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
@@ -106,387 +74,76 @@ _EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
 class FusedProgram:
     """A compiled fused replay program for one branch-free plan.
 
-    ``steps`` is the flat step tuple described in the module docstring;
-    ``groups[g]`` is ``(d, m, k, n, alpha, beta, c_indices, a_off,
-    b_off, p_off, muls, adds)`` — ``d`` stacked ``m x k x n`` products
-    sharing one scalar pair, their output region indices, the pack
-    buffer byte offsets inside the (extended) arena (``None`` offsets
-    for ``d == 1`` groups, which execute as ``OP_DIRECT`` instead), and
-    the aggregate flop charge.  ``arena_bytes`` covers the base plan's
-    temporaries *plus* the direct-product scratch (at ``direct_off``)
-    and the pack scratch, laid out by a first-fit allocator over the
-    groups' live ranges; the executor sizes the arena from it when
+    ``ops`` is the plan's quiet op stream with every ``OP_GEMM``
+    replaced by an ``OP_DIRECT``; ``charges`` holds the program's
+    ``(kernel, calls, muls, adds)`` totals, fix-ups excluded (they
+    charge themselves).  ``arena_bytes`` covers the plan's temporaries
+    plus the direct products' scratch at ``direct_off``, sized for the
+    largest product; the executor sizes the arena from it when
     replaying fused.
     """
 
-    __slots__ = ("steps", "groups", "dtype", "arena_bytes", "pack_base",
-                 "pack_bytes", "direct_off", "n_groups", "n_batched",
-                 "n_direct", "max_batch", "_bind_cache")
+    __slots__ = ("ops", "charges", "dtype", "arena_bytes", "direct_off",
+                 "n_direct", "_bind_cache")
 
-    def __init__(self, steps, groups, dtype, arena_bytes, pack_base,
-                 pack_bytes, direct_off) -> None:
-        self.steps: Tuple[tuple, ...] = steps
-        self.groups: Tuple[tuple, ...] = groups
+    def __init__(self, ops, charges, dtype, arena_bytes,
+                 direct_off) -> None:
+        self.ops = ops
+        self.charges = charges
         self.dtype = np.dtype(dtype)
         self.arena_bytes = int(arena_bytes)
-        self.pack_base = int(pack_base)
-        self.pack_bytes = int(pack_bytes)
-        self.direct_off = direct_off
-        self.n_groups = len(groups)
-        self.n_batched = sum(1 for g in groups if g[0] > 1)
-        self.n_direct = sum(1 for g in groups if g[0] == 1)
-        self.max_batch = max((g[0] for g in groups), default=0)
-        #: per-arena-buffer cache of bound pack-buffer triples and
-        #: direct-scratch views, keyed by the buffer's id with the
-        #: buffer stored for identity checks (same discipline as
-        #: ExecutionPlan._temp_cache)
+        self.direct_off = int(direct_off)
+        self.n_direct = sum(1 for op in ops if op[0] == OP_DIRECT)
+        #: per-arena-buffer cache of Fortran-ordered scratch views, keyed
+        #: by the buffer's id with the buffer stored for identity checks
+        #: (same discipline as ExecutionPlan._temp_cache)
         self._bind_cache: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         return (
-            f"FusedProgram({len(self.steps)} steps, "
-            f"{self.n_batched} batched groups (max depth "
-            f"{self.max_batch}), {self.n_direct} direct products, "
-            f"pack {self.pack_bytes}B)"
+            f"FusedProgram({len(self.ops)} ops, {self.n_direct} direct "
+            f"products, scratch {self.arena_bytes - self.direct_off}B)"
         )
-
-
-# ---------------------------------------------------------------------- #
-# the fusion pass
-# ---------------------------------------------------------------------- #
-class _RegInfo:
-    """Precomputed overlap geometry for one plan region."""
-
-    __slots__ = ("kind", "base", "lo", "hi", "r0", "r1", "c0", "c1",
-                 "empty")
-
-    def __init__(self, desc: tuple, itemsize: int) -> None:
-        kind, off, fr, fc, r0, c0, rows, cols = desc
-        self.kind = kind
-        self.base = (off, fr, fc)
-        self.lo = off
-        self.hi = off + fr * fc * itemsize
-        self.r0, self.r1 = r0, r0 + rows
-        self.c0, self.c1 = c0, c0 + cols
-        self.empty = rows == 0 or cols == 0
-
-
-def _overlaps(p: _RegInfo, q: _RegInfo) -> bool:
-    """May the two regions share memory at execution time?
-
-    Distinct roots never alias when replay starts (``copy_on_overlap``
-    guarantees C is disjoint from A/B, and the arena is private), so
-    only same-kind pairs can conflict: root windows by rectangle
-    intersection; temporaries by rectangle when they window the same
-    allocation, else conservatively by arena byte interval (sibling
-    frames legitimately reuse offsets).
-    """
-    if p.empty or q.empty or p.kind != q.kind:
-        return False
-    if p.kind == ROOT_TEMP and p.base != q.base:
-        return p.lo < q.hi and q.lo < p.hi
-    return (p.r0 < q.r1 and q.r0 < p.r1
-            and p.c0 < q.c1 and q.c0 < p.c1)
-
-
-def _touched(op: tuple) -> tuple:
-    """Region indices an op reads or writes (hazard set vs pending)."""
-    code = op[0]
-    if code == OP_ACCUM:
-        return (op[1], op[2])
-    if code == OP_AXPBY:
-        return (op[2], op[4])
-    # OP_MADD / OP_MSUB / OP_GEMM all carry three region operands
-    return (op[1], op[2], op[3])
-
-
-class _ScratchAlloc:
-    """Compile-time first-fit allocator for pack scratch.
-
-    Selective flushing lets pack-buffer lifetimes overlap arbitrarily
-    (a group is live from its first pack to its batch step), so the
-    layout pass replays the step stream through this allocator instead
-    of assuming window-at-a-time reuse.  Offsets are 64-byte aligned;
-    ``peak`` is the high-water requirement.
-    """
-
-    __slots__ = ("top", "peak", "free")
-
-    def __init__(self, base: int) -> None:
-        self.top = base
-        self.peak = base
-        self.free: List[list] = []   # sorted disjoint [start, end)
-
-    def alloc(self, nbytes: int) -> int:
-        nbytes = _align_up(nbytes)
-        for i, blk in enumerate(self.free):
-            start, end = blk
-            if end - start >= nbytes:
-                if end - start == nbytes:
-                    self.free.pop(i)
-                else:
-                    blk[0] = start + nbytes
-                return start
-        start = self.top
-        self.top += nbytes
-        if self.top > self.peak:
-            self.peak = self.top
-        return start
-
-    def release(self, off: int, nbytes: int) -> None:
-        nbytes = _align_up(nbytes)
-        end = off + nbytes
-        free = self.free
-        lo, hi = 0, len(free)
-        while lo < hi:
-            mid = (lo + hi) // 2
-            if free[mid][0] < off:
-                lo = mid + 1
-            else:
-                hi = mid
-        if lo < len(free) and free[lo][0] == end:
-            free[lo][0] = off
-        elif lo > 0 and free[lo - 1][1] == off:
-            free[lo - 1][1] = end
-            if lo < len(free) and free[lo][0] == end:
-                free[lo - 1][1] = free[lo][1]
-                free.pop(lo)
-        else:
-            free.insert(lo, [off, end])
 
 
 def fuse_plan(plan) -> FusedProgram:
-    """Compile a branch-free :class:`ExecutionPlan` into fused steps."""
+    """Compile a branch-free :class:`ExecutionPlan` into a fused program."""
     if plan.branches:
         raise ValueError("fuse_plan: parallel plans fuse per branch")
-    itemsize = plan.dtype.itemsize
-    info = [_RegInfo(d, itemsize) for d in plan.regions]
     regions = plan.regions
-
-    steps: List[tuple] = []
-    ew: List[tuple] = []           # current elementwise (+pack) run
-    ew_charge: dict = {}           # kernel -> [calls, adds]
-    groups: List[list] = []        # [d, m, k, n, al, be, c_idx_list]
-    open_groups: dict = {}         # scalar/shape key -> open group idx
-    group_key: dict = {}           # open group idx -> its key
-    window: List[int] = []         # open group indices, oldest first
-    group_outs: dict = {}          # open group idx -> [_RegInfo, ...]
-
-    def close_ew() -> None:
-        if not ew:
-            return
-        charges = tuple(
-            (name, calls, adds) for name, (calls, adds)
-            in ew_charge.items()
-        )
-        steps.append((FS_EW, tuple(ew), charges))
-        ew.clear()
-        ew_charge.clear()
-
-    def flush(gidxs) -> None:
-        """Execute the given open groups now (packs must precede)."""
-        if not gidxs:
-            return
-        close_ew()
-        batch = tuple(g for g in window if g in gidxs)
-        steps.append((FS_BATCH, batch))
-        for g in batch:
-            window.remove(g)
-            del group_outs[g]
-            del open_groups[group_key.pop(g)]
-
-    def conflicts(region_idxs, own: Optional[int] = None) -> set:
-        """Open groups whose pending outputs overlap the given regions.
-
-        ``own`` exempts one group — a gemm's *output* may stack onto
-        its own group even when it overlaps that group's pending
-        outputs, because the scatter loop replays slices in stream
-        order (RAW/WAR between a gemm and its own group's *inputs* gets
-        no exemption: eager packing would capture stale bytes).
-        """
-        hit = set()
-        for idx in region_idxs:
-            p = info[idx]
-            for g, outs in group_outs.items():
-                if g in hit or g == own:
-                    continue
-                for q in outs:
-                    if _overlaps(p, q):
-                        hit.add(g)
-                        break
-        return hit
-
+    ops: List[tuple] = []
+    totals: dict = {}        # kernel -> [calls, muls, adds]
+    direct_max = 0
     for op in plan.ops_quiet:
         code = op[0]
+        if code == OP_FIXUP:
+            ops.append(op)
+            continue
         if code == OP_GEMM:
             _, ai, bi, ci, al, be = op
             m, k = regions[ai][6], regions[ai][7]
             n = regions[bi][7]
-            # scalars key by class too: the int code 0 (SC_ALPHA) and
-            # the literal 0.0 hash equal but mean different things
-            key = (m, k, n, al.__class__ is int, al,
-                   be.__class__ is int, be)
-            own = open_groups.get(key)
-            # inputs must see every earlier product: no exemption
-            flush(conflicts((ai, bi), None)
-                  | conflicts((ci,), own))
-            gidx = open_groups.get(key)   # own may have been flushed
-            if gidx is None:
-                gidx = len(groups)
-                groups.append([0, m, k, n, al, be, []])
-                open_groups[key] = gidx
-                group_key[gidx] = key
-                window.append(gidx)
-                group_outs[gidx] = []
-            g = groups[gidx]
-            slot = g[0]
-            g[0] = slot + 1
-            g[6].append(ci)
-            ew.append((OP_PACK, gidx, slot, ai, bi))
-            group_outs[gidx].append(info[ci])
-        elif code == OP_FIXUP:
-            # fix-ups read and write full root windows: barrier
-            flush(set(window))
-            close_ew()
-            steps.append((FS_FIXUP, op))
+            name = "dgemm"
+            muls, adds = gemm_flops(m, k, n)
+            direct_max = max(direct_max, m * n)
+            op = (OP_DIRECT, ai, bi, ci, al, be)
         else:
-            flush(conflicts(_touched(op)))
-            out_idx = op[4] if code == OP_AXPBY else (
+            out = op[4] if code == OP_AXPBY else (
                 op[2] if code == OP_ACCUM else op[3]
             )
-            rows, cols = regions[out_idx][6], regions[out_idx][7]
-            entry = ew_charge.setdefault(_EW_NAMES[code], [0, 0.0])
-            entry[0] += 1
-            entry[1] += float(rows) * cols
-            ew.append(op)
-    flush(set(window))
-    close_ew()
-
-    # -- pass 2: demote singleton groups to in-place direct products --- #
-    # A group that never found a partner gains nothing from packing (two
-    # slice copies + a scatter to save zero calls), so its one product
-    # executes inline at its *original* stream position — always legal,
-    # since that is exactly the interpreted order.  Empty FS_BATCH steps
-    # disappear and the neighbouring elementwise runs merge.
-    steps2: List[tuple] = []
-    ew2: List[tuple] = []
-    charge2: dict = {}   # kernel -> [calls, muls, adds]
-    direct_max = 0
-
-    def close_ew2() -> None:
-        if not ew2:
-            return
-        charges = tuple(
-            (name, calls, muls, adds)
-            for name, (calls, muls, adds) in charge2.items()
-        )
-        steps2.append((FS_EW, tuple(ew2), charges))
-        ew2.clear()
-        charge2.clear()
-
-    for step in steps:
-        if step[0] == FS_EW:
-            for name, calls, adds in step[2]:
-                entry = charge2.setdefault(name, [0, 0.0, 0.0])
-                entry[0] += calls
-                entry[2] += adds
-            for op in step[1]:
-                if op[0] != OP_PACK:
-                    ew2.append(op)
-                    continue
-                gidx = op[1]
-                g = groups[gidx]
-                if g[0] > 1:
-                    ew2.append(op)
-                    continue
-                ai, bi = op[3], op[4]
-                ci = g[6][0]
-                safe = (not _overlaps(info[ci], info[ai])
-                        and not _overlaps(info[ci], info[bi]))
-                ew2.append((OP_DIRECT, ai, bi, ci, g[4], g[5], safe))
-                m, k, n = g[1], g[2], g[3]
-                muls, adds = gemm_flops(m, k, n)
-                entry = charge2.setdefault("dgemm", [0, 0.0, 0.0])
-                entry[0] += 1
-                entry[1] += muls
-                entry[2] += adds
-                if m * n * itemsize > direct_max:
-                    direct_max = m * n * itemsize
-        elif step[0] == FS_BATCH:
-            kept = tuple(g for g in step[1] if groups[g][0] > 1)
-            if kept:
-                close_ew2()
-                steps2.append((FS_BATCH, kept))
-        else:
-            close_ew2()
-            steps2.append(step)
-    close_ew2()
-
-    # -- layout: direct scratch first, then pack buffers by liveness --- #
-    # A batched group's scratch is live from its first pack to its
-    # batch, and selective flushing makes those intervals overlap, so
-    # offsets come from a first-fit allocator replaying the steps.  The
-    # direct-product scratch is transient within a single OP_DIRECT and
-    # gets one permanent slot sized for the largest product.
-    pack_base = _align_up(plan.arena_bytes)
-    direct_off = pack_base if direct_max else None
-    alloc = _ScratchAlloc(pack_base + _align_up(direct_max))
-    offsets: dict = {}
-    final_groups: List[Optional[tuple]] = [None] * len(groups)
-    for step in steps2:
-        if step[0] == FS_EW:
-            for op in step[1]:
-                if op[0] == OP_PACK and op[2] == 0:
-                    gidx = op[1]
-                    d, m, k, n = groups[gidx][:4]
-                    offsets[gidx] = (
-                        alloc.alloc(d * m * k * itemsize),
-                        alloc.alloc(d * k * n * itemsize),
-                        alloc.alloc(d * m * n * itemsize),
-                    )
-        elif step[0] == FS_BATCH:
-            for gidx in step[1]:
-                d, m, k, n, al, be, c_idx = groups[gidx]
-                a_off, b_off, p_off = offsets.pop(gidx)
-                muls, adds = gemm_flops(m, k, n)
-                final_groups[gidx] = (
-                    d, m, k, n, al, be, tuple(c_idx),
-                    a_off, b_off, p_off, muls * d, adds * d,
-                )
-                alloc.release(a_off, d * m * k * itemsize)
-                alloc.release(b_off, d * k * n * itemsize)
-                alloc.release(p_off, d * m * n * itemsize)
-    for gidx, g in enumerate(groups):
-        if g[0] == 1:
-            d, m, k, n, al, be, c_idx = g
-            muls, adds = gemm_flops(m, k, n)
-            final_groups[gidx] = (
-                d, m, k, n, al, be, tuple(c_idx),
-                None, None, None, muls, adds,
-            )
-
-    pack_bytes = alloc.peak - pack_base
+            name = _EW_NAMES[code]
+            muls, adds = 0.0, float(regions[out][6]) * regions[out][7]
+        entry = totals.setdefault(name, [0, 0.0, 0.0])
+        entry[0] += 1
+        entry[1] += muls
+        entry[2] += adds
+        ops.append(op)
+    direct_off = _align_up(plan.arena_bytes)
     return FusedProgram(
-        tuple(steps2), tuple(final_groups), plan.dtype,
-        pack_base + pack_bytes, pack_base, pack_bytes, direct_off,
+        tuple(ops), tuple((name, *t) for name, t in totals.items()),
+        plan.dtype, direct_off + direct_max * plan.dtype.itemsize,
+        direct_off,
     )
-
-
-# ---------------------------------------------------------------------- #
-# fused replay
-# ---------------------------------------------------------------------- #
-def _bind_group(g: tuple, buf, dtype) -> tuple:
-    """C-ordered (d, m, k)/(d, k, n)/(d, m, n) stacks over the arena."""
-    d, m, k, n = g[0], g[1], g[2], g[3]
-    a_off, b_off, p_off = g[7], g[8], g[9]
-    item = dtype.itemsize
-    pa = buf[a_off:a_off + d * m * k * item].view(dtype).reshape(
-        (d, m, k))
-    pb = buf[b_off:b_off + d * k * n * item].view(dtype).reshape(
-        (d, k, n))
-    pp = buf[p_off:p_off + d * m * n * item].view(dtype).reshape(
-        (d, m, n))
-    return pa, pb, pp
 
 
 def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
@@ -494,12 +151,10 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
     """Replay a fused program over the resolved region table ``v``.
 
     ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
-    -beta)``; ``buf`` the arena buffer (sized to ``fp.arena_bytes`` so
-    the pack scratch exists past the base plan's temporaries).  Only
-    called for plain numeric contexts (no trace/dry/machine) — the
-    aggregate charges below then equal the interpreted path's exactly.
+    -beta)``; ``buf`` the arena buffer, sized to ``fp.arena_bytes`` so
+    the direct products' scratch exists past the plan's temporaries.
+    Only called for plain numeric contexts (no trace/dry/machine).
     """
-    groups = fp.groups
     dtype = fp.dtype
     cache = fp._bind_cache
     entry = cache.get(id(buf))
@@ -508,118 +163,83 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
             cache.clear()
         entry = (buf, {})
         cache[id(buf)] = entry
-    bound = entry[1]
+    scratch = entry[1]
 
-    for step in fp.steps:
-        code = step[0]
-        if code == FS_EW:
-            for op in step[1]:
-                oc = op[0]
-                if oc == OP_MADD:
-                    _, xi, yi, oi, al = op
-                    out = v[oi]
-                    np.add(v[xi], v[yi], out=out)
-                    al = st[al] if al.__class__ is int else al
-                    if al != 1.0:
-                        out *= al
-                elif oc == OP_MSUB:
-                    _, xi, yi, oi, al = op
-                    out = v[oi]
-                    np.subtract(v[xi], v[yi], out=out)
-                    al = st[al] if al.__class__ is int else al
-                    if al != 1.0:
-                        out *= al
-                elif oc == OP_ACCUM:
-                    v[op[2]] += v[op[1]]
-                elif oc == OP_AXPBY:
-                    _, al, xi, be, yi = op
-                    al = st[al] if al.__class__ is int else al
-                    be = st[be] if be.__class__ is int else be
-                    y = v[yi]
-                    if be == 0.0:
-                        if al == 0.0:
-                            y[...] = 0.0
-                        elif al == 1.0:
-                            y[...] = v[xi]
-                        else:
-                            np.multiply(v[xi], al, out=y)
-                    else:
-                        if be != 1.0:
-                            y *= be
-                        if al == 1.0:
-                            y += v[xi]
-                        elif al != 0.0:
-                            y += al * v[xi]
-                elif oc == OP_PACK:
-                    _, gidx, slot, ai, bi = op
-                    trip = bound.get(gidx)
-                    if trip is None:
-                        trip = bound[gidx] = _bind_group(
-                            groups[gidx], buf, dtype
-                        )
-                    trip[0][slot] = v[ai]
-                    trip[1][slot] = v[bi]
-                else:  # OP_DIRECT
-                    _, ai, bi, ci, al, be, safe = op
-                    al = st[al] if al.__class__ is int else al
-                    be = st[be] if be.__class__ is int else be
-                    cv = v[ci]
-                    if be == 0.0 and safe:
-                        np.matmul(v[ai], v[bi], out=cv)
-                        if al != 1.0:
-                            cv *= al
-                    else:
-                        key = cv.shape
-                        s = bound.get(key)
-                        if s is None:
-                            sm, sn = key
-                            nb_ = sm * sn * dtype.itemsize
-                            off = fp.direct_off
-                            s = bound[key] = (
-                                buf[off:off + nb_].view(dtype)
-                                .reshape(key)
-                            )
-                        np.matmul(v[ai], v[bi], out=s)
-                        if al != 1.0:
-                            s *= al
-                        if be == 0.0:
-                            cv[...] = s
-                        else:
-                            if be != 1.0:
-                                cv *= be
-                            cv += s
-            for name, calls, muls, adds in step[2]:
-                ctx.charge_many(name, calls, muls=muls, adds=adds)
-        elif code == FS_BATCH:
-            for gidx in step[1]:
-                g = groups[gidx]
-                d = g[0]
-                al, be = g[4], g[5]
-                c_idx = g[6]
-                pa, pb, pp = bound[gidx]
-                np.matmul(pa, pb, out=pp)
-                al = st[al] if al.__class__ is int else al
-                be = st[be] if be.__class__ is int else be
-                # scatter with dgemm's scalar arithmetic order
-                if al != 1.0:
-                    pp *= al
-                if be == 0.0:
-                    for i in range(d):
-                        v[c_idx[i]][...] = pp[i]
-                elif be == 1.0:
-                    for i in range(d):
-                        v[c_idx[i]] += pp[i]
+    for op in fp.ops:
+        code = op[0]
+        if code == OP_MADD:
+            _, xi, yi, oi, al = op
+            out = v[oi]
+            np.add(v[xi], v[yi], out=out)
+            al = st[al] if al.__class__ is int else al
+            if al != 1.0:
+                out *= al
+        elif code == OP_MSUB:
+            _, xi, yi, oi, al = op
+            out = v[oi]
+            np.subtract(v[xi], v[yi], out=out)
+            al = st[al] if al.__class__ is int else al
+            if al != 1.0:
+                out *= al
+        elif code == OP_ACCUM:
+            v[op[2]] += v[op[1]]
+        elif code == OP_AXPBY:
+            _, al, xi, be, yi = op
+            al = st[al] if al.__class__ is int else al
+            be = st[be] if be.__class__ is int else be
+            y = v[yi]
+            if be == 0.0:
+                if al == 0.0:
+                    y[...] = 0.0
+                elif al == 1.0:
+                    y[...] = v[xi]
                 else:
-                    for i in range(d):
-                        cv = v[c_idx[i]]
-                        cv *= be
-                        cv += pp[i]
-                ctx.charge_many("dgemm", d, muls=g[10], adds=g[11])
-        else:  # FS_FIXUP
-            op = step[1]
+                    np.multiply(v[xi], al, out=y)
+            else:
+                if be != 1.0:
+                    y *= be
+                if al == 1.0:
+                    y += v[xi]
+                elif al != 0.0:
+                    y += al * v[xi]
+        elif code == OP_DIRECT:
+            # repro.blas.level3.dgemm(backend="vendor"), step for step
+            _, ai, bi, ci, al, be = op
+            al = st[al] if al.__class__ is int else al
+            be = st[be] if be.__class__ is int else be
+            a, b, cv = v[ai], v[bi], v[ci]
+            pdt = a.dtype   # np.result_type(a, b), skipped when trivial
+            if pdt != b.dtype or not pdt.isnative:
+                pdt = np.result_type(a, b)
+            if al == 1.0 and be == 0.0 and pdt == cv.dtype:
+                np.matmul(a, b, out=cv)
+                continue
+            shape = cv.shape
+            if pdt == dtype:
+                prod = scratch.get(shape)
+                if prod is None:
+                    off = fp.direct_off
+                    prod = scratch[shape] = (
+                        buf[off:off + shape[0] * shape[1] * dtype.itemsize]
+                        .view(dtype).reshape(shape, order="F")
+                    )
+            else:
+                prod = np.empty(shape, dtype=pdt, order="F")
+            np.matmul(a, b, out=prod)
+            if al != 1.0:
+                prod *= al
+            if be == 0.0:
+                cv[...] = prod
+            else:
+                if be != 1.0:
+                    cv *= be
+                cv += prod
+        else:  # OP_FIXUP
             _, ai, bi, ci, al, be, side, divisors = op
             fix = apply_fixups if side == "tail" else apply_fixups_head
             fix(v[ai], v[bi], v[ci],
                 st[al] if al.__class__ is int else al,
                 st[be] if be.__class__ is int else be,
                 ctx=ctx, divisors=divisors)
+    for name, calls, muls, adds in fp.charges:
+        ctx.charge_many(name, calls, muls=muls, adds=adds)

@@ -87,10 +87,10 @@ def _reference(case: FuzzCase, a, b, c, *,
     and ``beta != 0`` outputs from a plain copy of the caller's C; the
     reference does the same, so bit-identity is the guarantee that the
     service runs ``dgefmm``'s own code and nothing else.  Under ``fuse``
-    the reference runs through the fused plan path too (fused replay is
-    deterministic but not bit-identical to the recursive driver — the
-    batched kernel's accumulation order differs), so the monitor keeps
-    asserting exact equality rather than a tolerance.
+    the reference runs through the fused plan path too: fused leaves
+    run the vendor kernel, not the substrate kernel the unfused walk
+    runs, so the monitor keeps asserting exact equality against the
+    same path.
     """
     alpha, beta = case.scalars()
     if beta != 0.0:

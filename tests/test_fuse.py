@@ -2,16 +2,16 @@
 
 The contract under test, in decreasing strictness:
 
-1. **Determinism** — fused replay of one plan produces the same bits
-   every time (warm and cold arenas alike).
+1. **Vendor identity** — fused replay is bit-identical to the vendor
+   kernel's path: ``dgefmm(..., fuse=True)`` equals ``dgefmm(...,
+   backend="vendor")`` and ``pdgefmm(..., fuse=True)`` equals
+   ``pdgefmm(..., backend="vendor")`` at the same cutoff, and a traced
+   fused call (the interpreted fallback) equals the untraced one.
 2. **Charge parity** — kernel calls and mul/add flop tallies charged by
    a fused replay equal the interpreted replay's exactly (aggregate
    charging of identical per-op tallies).
 3. **Reference tolerance** — fused results match the numpy reference
-   within the oracle's dtype tolerance.  Fused execution is *not*
-   bit-compared to the interpreted stream: the batched/direct
-   ``np.matmul`` kernel accumulates in a different order than the tiled
-   substrate kernel, the one documented divergence.
+   within the oracle's dtype tolerance.
 4. **Edge semantics** — ``beta == 0`` NaN-overwrite, ``alpha == 0``
    skip, zero-dim early-outs, and operand aliasing hold through the
    fused driver path exactly as ``tests/test_blas_conformance.py`` pins
@@ -30,7 +30,7 @@ from repro.core.schemes import SCHEME_NAMES
 from repro.errors import ArgumentError
 from repro.plan import PlanCache, compile_plan, execute_plan, fuse_plan
 from repro.plan.compiler import signature_for
-from repro.plan.fuse import FS_BATCH, FS_EW, OP_DIRECT, OP_PACK
+from repro.plan.fuse import OP_DIRECT
 from repro.plan.ops import OP_GEMM
 
 CUT = SimpleCutoff(8)
@@ -57,75 +57,61 @@ def _run(plan, a, b, c, alpha, beta, ctx=None):
     return c
 
 
-def _mats(rng, m, k, n, dtype="float64"):
+def _mats(rng, m, k, n, dtype="float64", transa=False, transb=False):
     def mk(r, c):
         x = rng.standard_normal((r, c))
         if np.dtype(dtype).kind == "c":
             x = x + 1j * rng.standard_normal((r, c))
         return np.asfortranarray(x.astype(dtype))
-    return mk(m, k), mk(k, n), mk(m, n)
+    a = mk(k, m) if transa else mk(m, k)
+    b = mk(n, k) if transb else mk(k, n)
+    return a, b, mk(m, n)
 
 
 # ---------------------------------------------------------------------- #
 class TestFusionPass:
     def test_fused_attached_only_when_requested(self):
         assert compile_plan(_sig(16, 16, 16, fuse=False)).fused is None
-        fused = compile_plan(_sig(16, 16, 16)).fused
-        assert fused is not None
-        assert fused.n_groups == fused.n_batched + fused.n_direct
+        plan = compile_plan(_sig(16, 16, 16))
+        assert plan.fused is not None
+        assert plan.fused.n_direct == sum(
+            1 for op in plan.ops_quiet if op[0] == OP_GEMM
+        )
 
     def test_every_gemm_appears_exactly_once(self):
-        """Products are partitioned: each OP_GEMM of the interpreted
-        stream becomes one batch slot or one OP_DIRECT — never both,
-        never dropped."""
+        """Each OP_GEMM of the quiet stream becomes one OP_DIRECT on the
+        same operands and scalars, in stream order."""
         for m, k, n in SHAPES:
             plan = compile_plan(_sig(m, k, n))
-            n_gemm = sum(1 for op in plan.ops_quiet if op[0] == OP_GEMM)
-            fused = plan.fused
-            slots = sum(g[0] for g in fused.groups if g[0] > 1)
-            directs = sum(
-                1 for s in fused.steps if s[0] == FS_EW
-                for op in s[1] if op[0] == OP_DIRECT
-            )
-            packs = sum(
-                1 for s in fused.steps if s[0] == FS_EW
-                for op in s[1] if op[0] == OP_PACK
-            )
-            assert slots == packs       # every batched product packs once
-            assert slots + directs == n_gemm
-            assert fused.max_batch >= 2 or fused.n_batched == 0
+            gemms = [op[1:] for op in plan.ops_quiet if op[0] == OP_GEMM]
+            directs = [op[1:] for op in plan.fused.ops
+                       if op[0] == OP_DIRECT]
+            assert directs == gemms
+            assert plan.fused.n_direct == len(gemms)
 
     def test_elementwise_order_preserved(self):
-        """Non-gemm ops keep their exact relative order across runs."""
+        """Non-gemm ops keep their exact relative order."""
         plan = compile_plan(_sig(32, 32, 32, beta=0.5))
-        interp = [op for op in plan.ops_quiet
-                  if op[0] != OP_GEMM and op[0] != 6]  # minus OP_EVENT
-        fused = [op for s in plan.fused.steps if s[0] == FS_EW
-                 for op in s[1] if op[0] not in (OP_PACK, OP_DIRECT)]
+        interp = [op for op in plan.ops_quiet if op[0] != OP_GEMM]
+        fused = [op for op in plan.fused.ops if op[0] != OP_DIRECT]
         assert fused == interp
 
-    def test_batch_follows_every_pack(self):
-        """A group's FS_BATCH step comes after all its OP_PACK ops."""
-        fused = compile_plan(_sig(48, 48, 48, cutoff=SimpleCutoff(12))).fused
-        packed = set()
-        for step in fused.steps:
-            if step[0] == FS_EW:
-                for op in step[1]:
-                    if op[0] == OP_PACK:
-                        packed.add(op[1])
-            elif step[0] == FS_BATCH:
-                for gidx in step[1]:
-                    assert gidx in packed
-                    d = fused.groups[gidx][0]
-                    assert d > 1    # singletons were demoted in pass 2
-
     def test_arena_extends_past_plan_bytes(self):
+        """The direct products' scratch sits past the plan's temporaries
+        and holds the largest product."""
         plan = compile_plan(_sig(32, 32, 32))
         fused = plan.fused
-        assert fused.arena_bytes >= plan.arena_bytes
-        assert fused.pack_base >= plan.arena_bytes
-        if fused.n_batched:
-            assert fused.pack_bytes > 0
+        assert fused.direct_off >= plan.arena_bytes
+        largest = max(plan.regions[op[3]][6] * plan.regions[op[3]][7]
+                      for op in plan.ops_quiet if op[0] == OP_GEMM)
+        assert (fused.arena_bytes - fused.direct_off
+                >= largest * plan.dtype.itemsize)
+
+    def test_fused_plan_bytes_count_the_fused_program(self):
+        """PlanCache byte accounting sees the fused program too."""
+        unfused = compile_plan(_sig(64, 64, 64, fuse=False))
+        fused = compile_plan(_sig(64, 64, 64))
+        assert fused.nbytes > unfused.nbytes
 
     def test_parallel_plan_children_fused(self):
         cfg = GemmConfig(cutoff=CUT, fuse=True)
@@ -209,10 +195,78 @@ class TestFusedNumerics:
         plan = compile_plan(_sig(16, 16, 16))
         ctx_t = ExecutionContext(trace=True)
         got = _run(plan, a, b, c.copy(order="F"), 1.0, 0.0, ctx=ctx_t)
-        # the interpreted fallback is bit-identical to an unfused plan
-        ref = _run(compile_plan(_sig(16, 16, 16, fuse=False)), a, b,
-                   c.copy(order="F"), 1.0, 0.0)
+        assert ctx_t.events        # the interpreted stream ran
+        # the fallback runs vendor leaves: the untraced fused replay's bits
+        ref = _run(plan, a, b, c.copy(order="F"), 1.0, 0.0)
         assert np.array_equal(got, ref)
+
+
+# ---------------------------------------------------------------------- #
+class TestVendorIdentity:
+    """Fused replay computes the vendor kernel's bits: every OP_DIRECT
+    is ``dgemm(backend="vendor")``'s arithmetic and every other op the
+    interpreted stream's."""
+
+    @pytest.mark.parametrize("dtype", ["float64", "float32", "complex128",
+                                       "complex64"])
+    @pytest.mark.parametrize("scheme", SCHEME_NAMES)
+    def test_dgefmm_fused_equals_vendor(self, scheme, dtype):
+        rng = np.random.default_rng(21)
+        for peel in ("tail", "head"):
+            for transa, transb in ((False, False), (True, True)):
+                a, b, c = _mats(rng, 37, 29, 41, dtype, transa, transb)
+                for alpha in (1.0, 1.5):
+                    for beta in (0.0, 0.5, 1.0):
+                        knobs = dict(cutoff=CUT, scheme=scheme,
+                                     peel=peel)
+                        fused = c.copy(order="F")
+                        dgefmm(a, b, fused, alpha, beta, transa, transb,
+                               fuse=True, **knobs)
+                        vendor = c.copy(order="F")
+                        dgefmm(a, b, vendor, alpha, beta, transa, transb,
+                               backend="vendor", **knobs)
+                        assert np.array_equal(fused, vendor), (
+                            peel, transa, alpha, beta)
+
+    @pytest.mark.parametrize("workers", [1, 3])
+    @pytest.mark.parametrize("depth", [1, 2])
+    @pytest.mark.parametrize("beta", [0.0, 0.5])
+    def test_pdgefmm_fused_equals_vendor(self, workers, depth, beta):
+        rng = np.random.default_rng(22)
+        for dtype in ("float64", "complex64"):
+            a, b, c = _mats(rng, 45, 38, 52, dtype)
+            knobs = dict(cutoff=CUT, workers=workers,
+                         max_parallel_depth=depth)
+            fused = c.copy(order="F")
+            pdgefmm(a, b, fused, 1.5, beta, fuse=True,
+                    plan_cache=PlanCache(), **knobs)
+            vendor = c.copy(order="F")
+            pdgefmm(a, b, vendor, 1.5, beta, backend="vendor", **knobs)
+            assert np.array_equal(fused, vendor), dtype
+
+    @pytest.mark.parametrize("cutoff,shape", [(None, (300, 200, 250)),
+                                              (CUT, (37, 29, 41))])
+    def test_traced_fused_call_keeps_its_bits(self, cutoff, shape):
+        """Tracing swaps fused replay for the interpreted stream; the
+        result must not move (the default cutoff compiles one leaf)."""
+        rng = np.random.default_rng(23)
+        a, b, c = _mats(rng, *shape)
+        for alpha, beta in ((1.0, 0.0), (1.5, 0.5)):
+            plain = c.copy(order="F")
+            dgefmm(a, b, plain, alpha, beta, cutoff=cutoff, fuse=True)
+            traced = c.copy(order="F")
+            ctx = ExecutionContext(trace=True)
+            dgefmm(a, b, traced, alpha, beta, cutoff=cutoff, fuse=True,
+                   ctx=ctx)
+            assert ctx.events
+            assert np.array_equal(plain, traced)
+            plain = c.copy(order="F")
+            pdgefmm(a, b, plain, alpha, beta, cutoff=cutoff, fuse=True,
+                    workers=2)
+            traced = c.copy(order="F")
+            pdgefmm(a, b, traced, alpha, beta, cutoff=cutoff, fuse=True,
+                    workers=2, ctx=ExecutionContext(trace=True))
+            assert np.array_equal(plain, traced)
 
 
 # ---------------------------------------------------------------------- #
