@@ -1,15 +1,17 @@
 """Blocking client for the api server — the network GemmService.
 
 :class:`GemmClient` opens one WebSocket and pipelines requests over it:
-``submit`` returns a :class:`WireFuture` immediately (same contract as
-the in-process :class:`~repro.serve.request.GemmFuture` — ``result``,
-``exception``, ``done``, and the ``wait_s``/``compute_s``/``batch_size``
-latency split, now measured on the worker's side of the wire), and a
-background reader thread resolves futures as binary response frames
-arrive, in whatever order the shards finish.  Because the surface
-matches ``GemmService``, existing machinery runs unchanged against the
-network: ``repro.serve.loadgen.run_load(service=client)`` is exactly
-how the ``api load`` CLI drives a live server.
+``submit`` returns a :class:`WireFuture` immediately — a
+:class:`~repro.serve.request.GemmFuture` whose ``wait_s``/``compute_s``/
+``batch_size`` split is measured on the worker's side of the wire, plus
+the ``shard`` that served it — and a background reader thread resolves
+futures as binary response frames arrive, in whatever order the shards
+finish.  Once the reader exits (the server closed the session or the
+connection dropped), pending futures fail and ``submit`` raises
+:class:`~repro.errors.ServiceClosed`.  Because the surface matches
+``GemmService``, existing machinery runs unchanged against the network:
+``repro.serve.loadgen.run_load(service=client)`` is exactly how the
+``api load`` CLI drives a live server.
 
 Wire failures come back as error headers; the client re-raises the
 service taxonomy (:class:`~repro.errors.ServiceOverloaded`,
@@ -55,6 +57,7 @@ from repro.errors import (
     ServiceTimeout,
     WorkspaceError,
 )
+from repro.serve.request import GemmFuture
 
 __all__ = ["GemmClient", "WireFuture", "http_gemm", "http_get"]
 
@@ -76,45 +79,15 @@ def _wire_exception(error: str, detail: str) -> Exception:
     return RemoteError(error, detail)
 
 
-class WireFuture:
-    """GemmFuture-compatible handle for one in-flight wire request."""
+class WireFuture(GemmFuture):
+    """A :class:`GemmFuture` for one wire request, plus its ``shard``."""
 
-    __slots__ = ("_event", "_result", "_exception",
-                 "wait_s", "compute_s", "batch_size", "shard")
+    __slots__ = ("shard",)
 
     def __init__(self) -> None:
-        self._event = threading.Event()
-        self._result: Optional[np.ndarray] = None
-        self._exception: Optional[BaseException] = None
-        self.wait_s: Optional[float] = None
-        self.compute_s: Optional[float] = None
-        self.batch_size: Optional[int] = None
+        super().__init__()
+        #: the shard that served the request (None until it answers)
         self.shard: Optional[int] = None
-
-    def done(self) -> bool:
-        return self._event.is_set()
-
-    def result(self, timeout: Optional[float] = None) -> np.ndarray:
-        if not self._event.wait(timeout):
-            raise ServiceTimeout(f"result not available within {timeout} s")
-        if self._exception is not None:
-            raise self._exception
-        return self._result
-
-    def exception(
-        self, timeout: Optional[float] = None
-    ) -> Optional[BaseException]:
-        if not self._event.wait(timeout):
-            raise ServiceTimeout(f"result not available within {timeout} s")
-        return self._exception
-
-    def _set_result(self, value: np.ndarray) -> None:
-        self._result = value
-        self._event.set()
-
-    def _set_exception(self, exc: BaseException) -> None:
-        self._exception = exc
-        self._event.set()
 
 
 class GemmClient:
@@ -135,7 +108,7 @@ class GemmClient:
         self._lock = threading.Lock()
         self._pending: Dict[int, Tuple[WireFuture, Tuple[int, int], str]] = {}
         self._ids = itertools.count(1)
-        self._closed = False
+        self._closed = False        # also once the reader has exited
         self.submitted = 0
         self.completed = 0
         self._reader = threading.Thread(
@@ -231,6 +204,7 @@ class GemmClient:
 
     def _fail_all(self, exc: Exception) -> None:
         with self._lock:
+            self._closed = True
             pending = list(self._pending.values())
             self._pending.clear()
         for fut, _shape, _dtype in pending:
@@ -256,7 +230,7 @@ class GemmClient:
         and then the dtype default.
         """
         if self._closed:
-            raise ServiceClosed("client is closed")
+            raise ServiceClosed("client is closed or disconnected")
         beta_c = complex(beta)
         if beta_c != 0 and c is None:
             raise ArgumentError("GemmClient.submit", "c",
@@ -306,7 +280,7 @@ class GemmClient:
         fut = WireFuture()
         with self._lock:
             if self._closed:
-                raise ServiceClosed("client is closed")
+                raise ServiceClosed("client is closed or disconnected")
             self._pending[req_id] = (fut, (m, n), dtype)
         frame = ws_encode_frame(
             0x2, pack_message(header, payloads), mask=True
@@ -345,7 +319,7 @@ class GemmClient:
 
     def close(self) -> None:
         """Send a close frame and tear down; pending futures fail."""
-        if self._closed:
+        if self._sock.fileno() == -1:
             return
         self._closed = True
         try:

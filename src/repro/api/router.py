@@ -32,6 +32,12 @@ stays fresh.  The same policy configures each worker's own
 propagate end to end: the wire's ``timeout_ms`` bounds the gate wait,
 and the remaining budget rides the descriptor into the worker's
 admission queue.
+
+The router starts no thread: its end of each worker's pipe is an
+asyncio protocol (:class:`_Pipe`) on the front-end's event loop, and
+the callback that parses a reply resolves its dispatch's future.  A
+pipe at end of file marks its shard dead and fails the shard's
+in-flight requests with :class:`~repro.errors.ServiceError`.
 """
 
 from __future__ import annotations
@@ -41,9 +47,12 @@ import bisect
 import hashlib
 import itertools
 import multiprocessing as mp
-import threading
+import pickle
+import socket
+import struct
 import time
 from collections import deque
+from multiprocessing.connection import Connection
 from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.shm import ShmArena, ShmLease
@@ -66,6 +75,9 @@ __all__ = ["HashRing", "Router", "ShardGate", "routing_signature"]
 
 #: default shared-memory transport size per worker
 DEFAULT_ARENA_BYTES = 64 * 1024 * 1024
+
+#: control key of the drain reply, which carries no token (tokens are > 0)
+_DRAIN = -1
 
 
 # ---------------------------------------------------------------------- #
@@ -245,16 +257,56 @@ class ShardGate:
 # ---------------------------------------------------------------------- #
 # the router
 # ---------------------------------------------------------------------- #
+class _Pipe(asyncio.Protocol):
+    """The router's end of one worker's pipe, read and written on the loop.
+
+    Messages keep ``multiprocessing.Connection``'s framing (a 4-byte
+    big-endian length, then the pickle; no message here nears the 2 GiB
+    that takes its 8-byte form), so the worker reads and writes plain
+    ``conn.recv()``/``conn.send()``.  ``send`` queues in the
+    transport instead of blocking: a loop blocked on a full request
+    pipe reads no replies, and a worker blocked on a full reply pipe
+    reads no requests, so each would wait on the other for good.
+    """
+
+    def __init__(self, router: "Router", shard: "_Shard") -> None:
+        self.router, self.shard = router, shard
+        self.transport: Optional[asyncio.Transport] = None
+        self.buf = bytearray()
+
+    def connection_made(self, transport) -> None:
+        self.transport = transport
+
+    def send(self, msg) -> None:
+        if self.transport.is_closing():
+            raise BrokenPipeError(f"api worker {self.shard.idx} pipe closed")
+        data = pickle.dumps(msg)
+        self.transport.write(struct.pack("!i", len(data)) + data)
+
+    def data_received(self, data: bytes) -> None:
+        buf, pos = self.buf, 0
+        buf += data
+        while len(buf) - pos >= 4:
+            end = pos + 4 + struct.unpack_from("!i", buf, pos)[0]
+            if len(buf) < end:
+                break
+            self.router._on_message(self.shard, pickle.loads(buf[pos + 4:end]))
+            pos = end
+        del buf[:pos]
+
+    def connection_lost(self, exc) -> None:
+        self.router._on_reader_exit(self.shard)
+
+
 class _Shard:
     """One worker process and its transport state (router side)."""
 
     def __init__(self, idx: int) -> None:
         self.idx = idx
         self.proc: Optional[mp.process.BaseProcess] = None
-        self.conn = None
+        self.conn: Optional[_Pipe] = None
         self.arena: Optional[ShmArena] = None
         self.gate: Optional[ShardGate] = None
-        self.reader: Optional[threading.Thread] = None
         self.alive = False
         self.inflight: Dict[int, asyncio.Future] = {}
         self.control: Dict[int, asyncio.Future] = {}
@@ -304,15 +356,15 @@ class Router:
     # lifecycle
     # ------------------------------------------------------------------ #
     async def start(self) -> None:
-        """Spawn every worker and its reader thread."""
+        """Spawn every worker and open its pipe on the event loop."""
         self._loop = asyncio.get_running_loop()
         ctx = mp.get_context("spawn")
         for shard in self._shards:
             shard.arena = ShmArena(self.arena_bytes)
             shard.gate = ShardGate(self.worker_cfg["capacity"],
                                    self.policy)
-            parent, child = ctx.Pipe()
-            shard.conn = parent
+            ours, theirs = socket.socketpair()
+            child = Connection(theirs.detach())
             shard.proc = ctx.Process(
                 target=worker_main,
                 args=(child, shard.arena.name, self.worker_cfg),
@@ -322,59 +374,31 @@ class Router:
             shard.proc.start()
             child.close()
             shard.alive = True
-            shard.reader = threading.Thread(
-                target=self._read_loop, args=(shard,),
-                name=f"api-shard-reader-{shard.idx}", daemon=True,
+            _, shard.conn = await self._loop.connect_accepted_socket(
+                lambda shard=shard: _Pipe(self, shard), ours
             )
-            shard.reader.start()
         self._started = True
 
-    def _read_loop(self, shard: _Shard) -> None:
-        while True:
-            try:
-                msg = shard.conn.recv()
-            except (EOFError, OSError):
-                break
-            self._loop.call_soon_threadsafe(self._on_message, shard, msg)
-        self._loop.call_soon_threadsafe(self._on_reader_exit, shard)
-
     def _on_message(self, shard: _Shard, msg) -> None:
-        kind = msg[0]
-        if kind == "done":
-            fut = shard.inflight.pop(msg[1], None)
-            if fut is not None and not fut.done():
-                fut.set_result(msg[2])
-        elif kind in ("stats", "reloaded"):
-            fut = shard.control.pop(msg[1], None)
-            if fut is not None and not fut.done():
-                fut.set_result(msg[2])
-        elif kind == "drained":
+        if msg[0] == "drained":
             shard.final_stats = msg[1]
-            fut = shard.control.pop(-1, None)
-            if fut is not None and not fut.done():
-                fut.set_result(msg[1])
+            msg = (msg[0], _DRAIN, msg[1])
+        kind, key, value = msg
+        fut = (shard.inflight if kind == "done" else shard.control).get(key)
+        if fut is not None and not fut.done():
+            fut.set_result(value)
 
     def _on_reader_exit(self, shard: _Shard) -> None:
         shard.alive = False
         exc = ServiceError(f"api worker {shard.idx} exited")
-        for fut in list(shard.inflight.values()):
+        # each waiter removes its own entry as it wakes
+        for fut in (*shard.inflight.values(), *shard.control.values()):
             if not fut.done():
                 fut.set_exception(exc)
-        shard.inflight.clear()
-        for fut in list(shard.control.values()):
-            if not fut.done():
-                fut.set_exception(exc)
-        shard.control.clear()
 
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
-    def shard_index_for(self, key: str) -> Optional[int]:
-        """Ring lookup skipping dead shards (None = no live workers)."""
-        return self.ring.lookup(
-            key, alive=lambda i: self._shards[i].alive
-        )
-
     async def dispatch(
         self, g: Dict[str, Any], payloads: Sequence[bytes]
     ) -> Tuple[Dict[str, Any], bytes]:
@@ -387,8 +411,8 @@ class Router:
         """
         if self._draining or not self._started:
             raise ServiceClosed("api server is draining")
-        key = routing_signature(g)
-        idx = self.shard_index_for(key)
+        idx = self.ring.lookup(routing_signature(g),
+                               alive=lambda i: self._shards[i].alive)
         if idx is None:
             raise ServiceClosed("no live workers")
         shard = self._shards[idx]
@@ -438,8 +462,7 @@ class Router:
             shard.routed += 1
             try:
                 shard.conn.send(("gemm", req_id, desc))
-            except (BrokenPipeError, OSError):
-                shard.inflight.pop(req_id, None)
+            except OSError:
                 raise ServiceError(f"api worker {idx} unreachable") from None
             d = await fut
             if d["ok"]:
@@ -507,14 +530,11 @@ class Router:
             }
             stats_src = shard.final_stats
             if stats_src is None and shard.alive:
-                token = next(self._ids)
-                fut = self._loop.create_future()
-                shard.control[token] = fut
                 try:
-                    shard.conn.send(("stats", token))
-                    stats_src = await asyncio.wait_for(fut, timeout)
+                    stats_src = await self._ask(
+                        shard, ("stats", next(self._ids)), timeout
+                    )
                 except (asyncio.TimeoutError, OSError, ServiceError):
-                    shard.control.pop(token, None)
                     base["stale"] = True
             if stats_src is not None:
                 base["service"] = stats_src
@@ -542,20 +562,33 @@ class Router:
             if not shard.alive:
                 base.update(ok=False, error="ShardDown")
                 return base
-            token = next(self._ids)
-            fut = self._loop.create_future()
-            shard.control[token] = fut
             try:
-                shard.conn.send(("reload", token, directory))
-                base.update(await asyncio.wait_for(fut, timeout))
+                base.update(await self._ask(
+                    shard, ("reload", next(self._ids), directory), timeout
+                ))
             except (asyncio.TimeoutError, OSError, ServiceError) as exc:
-                shard.control.pop(token, None)
                 base.update(ok=False, error=type(exc).__name__)
             return base
 
         return list(await asyncio.gather(
             *(one(s) for s in self._shards)
         ))
+
+    async def _ask(self, shard: _Shard, msg: Tuple, timeout: float) -> Any:
+        """Send one control op and await its reply, which comes back
+        under the op's token (``msg[1]``; the drain op carries none).
+
+        Raises ``asyncio.TimeoutError``, ``OSError`` from the send, or
+        :class:`~repro.errors.ServiceError` if the worker exits first.
+        """
+        token = msg[1] if len(msg) > 1 else _DRAIN
+        fut = self._loop.create_future()
+        shard.control[token] = fut
+        try:
+            shard.conn.send(msg)
+            return await asyncio.wait_for(fut, timeout)
+        finally:
+            shard.control.pop(token, None)
 
     # ------------------------------------------------------------------ #
     # shutdown
@@ -565,7 +598,7 @@ class Router:
 
         Returns the final per-shard stats snapshots.  In-flight
         dispatches get ``timeout`` seconds to complete; anything still
-        pending after that fails with ``ServiceClosed`` when the
+        pending after that fails with ``ServiceError`` when the
         workers exit.
         """
         self._draining = True
@@ -574,25 +607,19 @@ class Router:
             if time.monotonic() >= deadline:
                 break
             await asyncio.sleep(0.01)
-        finals: List[Dict[str, Any]] = []
         for shard in self._shards:
             if shard.alive:
-                fut = self._loop.create_future()
-                shard.control[-1] = fut
                 try:
-                    shard.conn.send(("drain",))
-                    await asyncio.wait_for(
-                        fut, max(1.0, deadline - time.monotonic())
-                    )
+                    await self._ask(shard, ("drain",),
+                                    max(1.0, deadline - time.monotonic()))
                 except (asyncio.TimeoutError, OSError, ServiceError):
-                    shard.control.pop(-1, None)
+                    pass
         stats = await self.stats(timeout=1.0)
         for shard in self._shards:
             if shard.proc is not None:
                 await self._join_proc(shard, 5.0)
-            finals.append(stats[shard.idx])
         self._teardown()
-        return finals
+        return stats
 
     async def _join_proc(self, shard: _Shard, timeout: float) -> None:
         deadline = time.monotonic() + timeout
@@ -614,10 +641,7 @@ class Router:
         for shard in self._shards:
             shard.alive = False
             if shard.conn is not None:
-                try:
-                    shard.conn.close()
-                except OSError:  # pragma: no cover
-                    pass
+                shard.conn.transport.close()
             if shard.arena is not None:
                 shard.arena.close()
                 shard.arena.unlink()

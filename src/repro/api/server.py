@@ -25,9 +25,10 @@ Lifecycle: ``GET /healthz`` reports ``ok``/``degraded``/``draining``,
 rate-limit stats, per-shard service + transport stats), and
 :meth:`ApiServer.drain` performs the graceful shutdown the CI smoke
 lane asserts — stop accepting, fail new work with ``ServiceClosed``,
-flush every in-flight request, drain every worker, free every shm
-segment.  :class:`ApiServerThread` embeds the whole thing in a
-background thread for tests, benchmarks, and the loadgen CLI.
+flush every in-flight request, close every connection (a WebSocket
+session with code 1001), drain every worker, free every shm segment.
+:class:`ApiServerThread` embeds the whole thing in a background thread
+for tests, benchmarks, and the loadgen CLI.
 """
 
 from __future__ import annotations
@@ -94,7 +95,9 @@ class ApiServer:
         self.limits = ClientLimits(rate, burst)
         self._server: Optional[asyncio.base_events.Server] = None
         self._draining = False
-        self._tasks: set = set()
+        self._tasks: set = set()        # requests being answered
+        self._conns: Dict[asyncio.StreamWriter, asyncio.Task] = {}
+        self._sessions: set = set()     # writers of upgraded connections
         self._t_start = 0.0
         self.counters: Dict[str, Any] = {
             "requests_total": 0,
@@ -120,29 +123,42 @@ class ApiServer:
         self.port = self._server.sockets[0].getsockname()[1]
         self._t_start = time.monotonic()
 
-    async def serve_forever(self) -> None:
-        async with self._server:
-            await self._server.serve_forever()
-
     async def drain(self, timeout: float = 30.0) -> Dict[str, Any]:
-        """Graceful shutdown; returns the final stats snapshot."""
+        """Graceful shutdown; returns the final stats snapshot.
+
+        Requests in flight answer first; then every connection closes
+        (a WebSocket session with close code 1001, "going away") and
+        its handler is awaited before the router drains.
+        """
         self._draining = True
+        deadline = time.monotonic() + timeout
         if self._server is not None:
             self._server.close()
-            await self._server.wait_closed()
-        deadline = time.monotonic() + timeout
         while self._tasks and time.monotonic() < deadline:
             await asyncio.sleep(0.01)
+        for writer in self._conns:
+            if writer in self._sessions:
+                writer.write(ws_encode_frame(0x8, (1001).to_bytes(2, "big")))
+            writer.close()
+        if self._conns:
+            await asyncio.wait(list(self._conns.values()),
+                               timeout=max(1.0, deadline - time.monotonic()))
+        for writer in self._conns:          # a peer that never read
+            writer.transport.abort()
+        if self._server is not None:
+            await self._server.wait_closed()
         shards = await self.router.drain(
             max(1.0, deadline - time.monotonic())
         )
         return self._snapshot(shards)
 
     def kill(self) -> None:
-        """Hard stop (tests/error paths): terminate workers, free shm."""
+        """Hard stop: drop connections, terminate workers, free shm."""
         self._draining = True
         if self._server is not None:
             self._server.close()
+        for writer in self._conns:
+            writer.transport.abort()
         self.router.kill()
 
     # ------------------------------------------------------------------ #
@@ -165,6 +181,13 @@ class ApiServer:
     # ------------------------------------------------------------------ #
     # request handling (transport-independent)
     # ------------------------------------------------------------------ #
+    def _track(self, coro) -> asyncio.Task:
+        """Run one request's handling as a task ``drain`` waits for."""
+        task = asyncio.ensure_future(coro)
+        self._tasks.add(task)
+        task.add_done_callback(self._tasks.discard)
+        return task
+
     async def _handle_message(
         self, data: bytes | bytearray, peer: str
     ) -> Tuple[Dict[str, Any], bytes]:
@@ -207,6 +230,7 @@ class ApiServer:
     # ------------------------------------------------------------------ #
     async def _on_conn(self, reader: asyncio.StreamReader,
                        writer: asyncio.StreamWriter) -> None:
+        self._conns[writer] = asyncio.current_task()
         peername = writer.get_extra_info("peername")
         peer = f"{peername[0]}:{peername[1]}" if peername else "unknown"
         try:
@@ -222,13 +246,17 @@ class ApiServer:
                     await self._ws_session(reader, writer, headers, peer)
                     break
                 keep = headers.get("connection", "").lower() != "close"
-                await self._http_dispatch(writer, method, path, body, peer)
+                await self._track(
+                    self._http_dispatch(writer, method, path, body, peer)
+                )
                 if not keep:
                     break
         except (asyncio.IncompleteReadError, ConnectionError,
                 ProtocolError):
             pass
         finally:
+            del self._conns[writer]
+            self._sessions.discard(writer)
             writer.close()
             try:
                 await writer.wait_closed()
@@ -338,6 +366,7 @@ class ApiServer:
             "\r\n"
         ).encode("latin-1"))
         await writer.drain()
+        self._sessions.add(writer)
         self.counters["ws_connections"] += 1
         asm = WSFrameAssembler(max_message=MAX_BODY)
         send_lock = asyncio.Lock()
@@ -363,9 +392,7 @@ class ApiServer:
                 return
             for opcode, payload in asm.feed(data):
                 if opcode == 0x2:                      # binary: a request
-                    task = asyncio.ensure_future(answer(payload))
-                    self._tasks.add(task)
-                    task.add_done_callback(self._tasks.discard)
+                    self._track(answer(payload))
                 elif opcode == 0x8:                    # close
                     try:
                         await send_frame(0x8, payload[:2])
@@ -463,11 +490,13 @@ class ApiServerThread:
 
     def kill(self) -> None:
         if self._loop is not None and self._loop.is_running():
+            self._loop.call_soon_threadsafe(self.server.kill)
             try:
-                self._call(asyncio.sleep(0), 1.0)   # flush pending
+                # one more turn of the loop, in which the aborted
+                # connections close their sockets
+                self._call(asyncio.sleep(0), 1.0)
             except Exception:  # noqa: BLE001
                 pass
-            self._loop.call_soon_threadsafe(self.server.kill)
             self._loop.call_soon_threadsafe(self._loop.stop)
             self._thread.join(timeout=5.0)
         elif self.server is not None:

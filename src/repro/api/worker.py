@@ -18,9 +18,12 @@ service.  The result is written back into the descriptor's ``out``
 region **before** the completion message is sent, so the router may
 read it the moment the reply arrives.
 
-Two threads per worker: the main thread drains the pipe (submissions
-stay admission-ordered, so the shard's queue policy sees arrivals in
-true order) and a responder thread resolves futures FIFO and replies.
+No thread of the worker's own: the main thread drains the pipe
+(submissions stay admission-ordered, so the shard's queue policy sees
+arrivals in true order), and each request replies from a done-callback
+on whichever thread completes its future — the service thread that ran
+it or expired it, the main thread for a request shed at admission or
+failed by ``close``.  One lock serializes every send on the pipe.
 Deadlines propagate: the descriptor carries the *remaining* seconds,
 re-anchored on this process's clock, and the local admission queue
 enforces it exactly like an in-process caller's.
@@ -30,15 +33,15 @@ snapshot; ``("reload", token, directory)`` hot-swaps tuned profiles
 into the worker's live :class:`~repro.tune.store.ProfileStore` (None =
 the configured ``profile_dir``) without touching in-flight requests and
 answers ``("reloaded", token, report)``; ``("drain",)`` closes the
-service gracefully (stop admitting, flush in-flight batches, join
-workers), flushes every queued reply, and answers ``("drained",
-stats)`` before exiting — the clean-shutdown contract the api CI lane
-asserts.
+service gracefully (stop admitting, flush in-flight batches, join the
+service threads, whose callbacks send every remaining reply), and
+answers ``("drained", stats)`` before exiting — the clean-shutdown
+contract the api CI lane asserts.
 """
 
 from __future__ import annotations
 
-import queue
+import os
 import signal
 import threading
 import time
@@ -54,18 +57,18 @@ __all__ = ["worker_main"]
 #: seconds a draining worker gives its service to flush queued batches
 DRAIN_TIMEOUT_S = 30.0
 
-_STOP = object()
+
+def _failure(exc: BaseException) -> Dict[str, Any]:
+    """The reply body for a request or control op that raised."""
+    return {"ok": False, "error": type(exc).__name__, "detail": str(exc)}
 
 
 def _gemm_views(arena: ShmArena, d: Dict[str, Any]):
-    """Map the descriptor's operand regions as ndarray views."""
-    dtype = d["dtype"]
-    a = arena.view(d["a"][0], (d["a"][1], d["a"][2]), dtype)
-    b = arena.view(d["b"][0], (d["b"][1], d["b"][2]), dtype)
-    c = None
-    if d.get("c") is not None:
-        c = arena.view(d["c"][0], (d["c"][1], d["c"][2]), dtype)
-    return a, b, c
+    """Views of the descriptor's ``a``, ``b``, ``c`` and ``out`` regions
+    (``c`` is None when the request has no C)."""
+    return [None if d[x] is None
+            else arena.view(d[x][0], d[x][1:], d["dtype"])
+            for x in ("a", "b", "c", "out")]
 
 
 def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
@@ -96,7 +99,6 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
         profiles=profiles,
     )
     send_lock = threading.Lock()
-    pending: "queue.SimpleQueue" = queue.SimpleQueue()
 
     def reply(msg) -> None:
         with send_lock:
@@ -105,38 +107,9 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
             except (BrokenPipeError, OSError):  # router died; nothing to do
                 pass
 
-    def respond_loop() -> None:
-        while True:
-            item = pending.get()
-            if item is _STOP:
-                return
-            req_id, fut, out_desc, dtype = item
-            try:
-                result = fut.result()
-            except BaseException as exc:  # noqa: BLE001 — wire taxonomy
-                reply(("done", req_id, {
-                    "ok": False,
-                    "error": type(exc).__name__,
-                    "detail": str(exc),
-                }))
-                continue
-            out = arena.view(out_desc[0], (out_desc[1], out_desc[2]), dtype)
-            out[...] = result
-            reply(("done", req_id, {
-                "ok": True,
-                "wait_ms": (fut.wait_s or 0.0) * 1e3,
-                "compute_ms": (fut.compute_s or 0.0) * 1e3,
-                "batch_size": fut.batch_size,
-            }))
-
-    responder = threading.Thread(
-        target=respond_loop, name="api-worker-responder", daemon=True
-    )
-    responder.start()
-
     def handle_gemm(req_id: int, d: Dict[str, Any]) -> None:
         try:
-            a, b, c = _gemm_views(arena, d)
+            a, b, c, out = _gemm_views(arena, d)
             timeout: Optional[float] = d.get("timeout")
             cutoff = None if d.get("tau") is None else SimpleCutoff(d["tau"])
             # Wire defaults mean "the client didn't ask": map them to
@@ -156,13 +129,24 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
                 accuracy=d.get("accuracy"),
             )
         except BaseException as exc:  # noqa: BLE001 — admission failures
-            reply(("done", req_id, {
-                "ok": False,
-                "error": type(exc).__name__,
-                "detail": str(exc),
-            }))
+            reply(("done", req_id, _failure(exc)))
             return
-        pending.put((req_id, fut, d["out"], d["dtype"]))
+
+        def finish(fut) -> None:
+            # the result lands in the out region before the reply leaves
+            try:
+                out[...] = fut.result()
+                body = {
+                    "ok": True,
+                    "wait_ms": (fut.wait_s or 0.0) * 1e3,
+                    "compute_ms": (fut.compute_s or 0.0) * 1e3,
+                    "batch_size": fut.batch_size,
+                }
+            except BaseException as exc:  # noqa: BLE001 — wire taxonomy
+                body = _failure(exc)
+            reply(("done", req_id, body))
+
+        fut.add_done_callback(finish)
 
     draining = False
     try:
@@ -176,7 +160,7 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
                 handle_gemm(msg[1], msg[2])
             elif op == "stats":
                 stats = svc.stats()
-                stats["pid"] = __import__("os").getpid()
+                stats["pid"] = os.getpid()
                 reply(("stats", msg[1], stats))
             elif op == "reload":
                 directory = msg[2] if len(msg) > 2 else None
@@ -184,23 +168,18 @@ def worker_main(conn, shm_name: str, cfg: Dict[str, Any]) -> None:
                     report = profiles.load(directory)
                     report["ok"] = True
                 except BaseException as exc:  # noqa: BLE001 — wire taxonomy
-                    report = {
-                        "ok": False,
-                        "error": type(exc).__name__,
-                        "detail": str(exc),
-                    }
+                    report = _failure(exc)
                 report["profiles"] = profiles.stats()
                 reply(("reloaded", msg[1], report))
             elif op == "drain":
                 draining = True
                 break
     finally:
-        # Graceful path: stop admitting, let the service flush every
-        # queued batch, then flush every queued reply before answering.
+        # Graceful path: stop admitting and let the service flush every
+        # queued batch.  Each request replies as it completes, so once
+        # close() has joined the service threads every reply is sent.
         t0 = time.monotonic()
         svc.close(drain=draining, timeout=DRAIN_TIMEOUT_S)
-        pending.put(_STOP)
-        responder.join(timeout=30.0)
         if draining:
             stats = svc.stats()
             stats["drain_s"] = time.monotonic() - t0

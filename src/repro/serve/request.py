@@ -19,14 +19,16 @@ until the worker publishes the output array or the failure
 :class:`~repro.errors.ServiceTimeout` on deadline expiry, or whatever
 the execution raised).  Completed futures also expose the per-request
 latency split — ``wait_s`` in queue versus ``compute_s`` on a worker —
-and the size of the batch they rode in.
+and the size of the batch they rode in; ``add_done_callback(fn)`` runs
+``fn(future)`` on the thread that completes it.
 """
 
 from __future__ import annotations
 
+import logging
 import threading
 import time
-from typing import Any, Optional
+from typing import Any, Callable, List, Optional
 
 import numpy as np
 
@@ -40,17 +42,20 @@ from repro.errors import ServiceTimeout
 
 __all__ = ["GemmFuture", "GemmRequest"]
 
+_log = logging.getLogger(__name__)
+
 
 class GemmFuture:
     """Write-once result handle for one submitted request."""
 
-    __slots__ = ("_event", "_result", "_exception",
+    __slots__ = ("_event", "_result", "_exception", "_callbacks",
                  "wait_s", "compute_s", "batch_size")
 
     def __init__(self) -> None:
         self._event = threading.Event()
         self._result: Optional[np.ndarray] = None
         self._exception: Optional[BaseException] = None
+        self._callbacks: List[Callable[["GemmFuture"], Any]] = []
         #: seconds spent queued before a worker picked the request up
         self.wait_s: Optional[float] = None
         #: seconds of worker execution for this request alone
@@ -89,14 +94,39 @@ class GemmFuture:
             )
         return self._exception
 
+    def add_done_callback(self, fn: Callable[["GemmFuture"], Any]) -> None:
+        """Call ``fn(self)`` once: on the thread that completes the
+        future, or at once if it is done.  What ``fn`` raises is logged,
+        never passed on to the service thread that completed it."""
+        self._callbacks.append(fn)
+        if self._event.is_set():
+            self._run_callbacks()
+
     # ------------------------------------------------------------------ #
     def _set_result(self, value: np.ndarray) -> None:
         self._result = value
         self._event.set()
+        if self._callbacks:
+            self._run_callbacks()
 
     def _set_exception(self, exc: BaseException) -> None:
         self._exception = exc
         self._event.set()
+        if self._callbacks:
+            self._run_callbacks()
+
+    def _run_callbacks(self) -> None:
+        # list.pop is atomic: a callback registered while the future
+        # completes runs once, on whichever thread pops it
+        while self._callbacks:
+            try:
+                fn = self._callbacks.pop(0)
+            except IndexError:
+                return
+            try:
+                fn(self)
+            except Exception:  # noqa: BLE001 — never into the completer
+                _log.exception("GemmFuture done callback %r raised", fn)
 
 
 class GemmRequest:

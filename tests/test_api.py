@@ -11,6 +11,9 @@ every shm lease released and a clean drain at the end.
 
 import asyncio
 import json
+import os
+import signal
+import socket
 import struct
 import time
 
@@ -43,6 +46,7 @@ from repro.errors import (
     RateLimited,
     RemoteError,
     ServiceClosed,
+    ServiceError,
     ServiceOverloaded,
     ServiceTimeout,
     WorkspaceError,
@@ -751,6 +755,149 @@ class TestRateLimitEndToEnd:
         with pytest.raises(OSError):
             _socket.create_connection(("127.0.0.1", srv.port),
                                       timeout=1.0)
+
+
+class TestServerGoneUnderLiveClient:
+    """A client whose server drains or dies refuses work at once."""
+
+    @pytest.mark.parametrize("stop", ["drain", "kill"])
+    def test_submit_raises_service_closed(self, stop):
+        srv = ApiServerThread(workers=1, capacity=8).start()
+        cli = GemmClient("127.0.0.1", srv.port)
+        try:
+            a = np.asfortranarray(np.eye(4))
+            assert np.array_equal(cli.call(a, a, cutoff=CUT), a)
+            if stop == "drain":
+                srv.drain(timeout=20.0)
+            else:
+                srv.kill()
+            t0 = time.monotonic()
+            # a submit that slips in before the reader exits fails with
+            # its future; after that, submit itself refuses
+            with pytest.raises(ServiceClosed):
+                while True:
+                    cli.submit(a, a, cutoff=CUT).result(timeout=2.0)
+            assert time.monotonic() - t0 < 2.0
+            with pytest.raises(ServiceClosed):
+                cli.submit(a, a, cutoff=CUT)
+        finally:
+            cli.close()
+        assert cli._sock.fileno() == -1      # close() released the socket
+
+    def test_drain_closes_sessions_with_going_away(self):
+        srv = ApiServerThread(workers=1, capacity=8).start()
+        with socket.create_connection(("127.0.0.1", srv.port),
+                                      timeout=10.0) as sock:
+            sock.sendall(
+                b"GET /v1/ws HTTP/1.1\r\nHost: test\r\n"
+                b"Upgrade: websocket\r\nConnection: Upgrade\r\n"
+                b"Sec-WebSocket-Key: dGhlIHNhbXBsZSBub25jZQ==\r\n"
+                b"Sec-WebSocket-Version: 13\r\n\r\n"
+            )
+            head = b""
+            while b"\r\n\r\n" not in head:
+                head += sock.recv(4096)
+            assert b" 101 " in head
+            srv.drain(timeout=20.0)
+            data = head.split(b"\r\n\r\n", 1)[1]
+            while len(data) < 4:
+                chunk = sock.recv(64)
+                assert chunk, "connection dropped without a close frame"
+                data += chunk
+        assert WSFrameAssembler().feed(data) == [
+            (0x8, (1001).to_bytes(2, "big"))
+        ]
+
+
+def _ring_shard(m, k, n, workers=2):
+    """The shard a knobless float64 request of this shape hashes to."""
+    g = validate_gemm(gemm_request_header(1, m, k, n),
+                      [bytes(m * k * 8), bytes(k * n * 8)])
+    return HashRing(workers).lookup(routing_signature(g))
+
+
+class TestWorkerDeath:
+    def test_sigkill_fails_in_flight_and_survivor_serves(self):
+        srv = ApiServerThread(workers=2, threads=1, capacity=16).start()
+        cli = GemmClient("127.0.0.1", srv.port)
+        try:
+            rng = np.random.default_rng(21)
+            big = np.asfortranarray(rng.standard_normal((1200, 1200)))
+            fut = cli.submit(big, big)
+            dead = _ring_shard(1200, 1200, 1200)
+            deadline = time.monotonic() + 30.0
+            while True:                       # until the shard is busy
+                workers = cli.healthz()["workers"]
+                if workers[dead]["inflight"]:
+                    break
+                assert time.monotonic() < deadline, workers
+                time.sleep(0.005)
+            os.kill(workers[dead]["pid"], signal.SIGKILL)
+            t0 = time.monotonic()
+            exc = fut.exception(timeout=5.0)
+            assert type(exc) is ServiceError, exc
+            assert time.monotonic() - t0 < 5.0
+
+            health = cli.healthz()
+            assert health["status"] == "degraded"
+            assert [w["alive"] for w in health["workers"]] == [
+                i != dead for i in range(2)
+            ]
+
+            # signatures of the dead shard now run on the survivor
+            shapes = [(m, 24, 16) for m in range(8, 40)
+                      if _ring_shard(m, 24, 16) == dead][:3]
+            assert len(shapes) == 3
+            for m, k, n in shapes:
+                a = np.asfortranarray(rng.standard_normal((m, k)))
+                b = np.asfortranarray(rng.standard_normal((k, n)))
+                fut = cli.submit(a, b)
+                got = fut.result(timeout=60.0)
+                want = np.zeros((m, n), order="F")
+                dgefmm(a, b, want)
+                assert fut.shard == 1 - dead
+                assert np.array_equal(got, want), (m, k, n)
+        finally:
+            cli.close()
+        final = srv.drain(timeout=30.0)
+        for shard in final["shards"]:
+            assert shard["arena"]["leases_outstanding"] == 0, shard
+
+
+class TestStalledWorker:
+    def test_loop_stays_live_while_a_worker_reads_nothing(self):
+        """More requests than a pipe holds (about 170 small messages)
+        go to a stopped worker: the router queues them instead of
+        blocking its event loop on the pipe, so the server keeps
+        answering, and every request completes once the worker runs."""
+        srv = ApiServerThread(workers=1, capacity=1024, policy="block",
+                              ).start()
+        cli = GemmClient("127.0.0.1", srv.port)
+        try:
+            pid = cli.healthz()["workers"][0]["pid"]
+            a = np.asfortranarray(np.random.default_rng(22)
+                                  .standard_normal((4, 4)))
+            os.kill(pid, signal.SIGSTOP)
+            try:
+                futs = [cli.submit(a, a) for _ in range(400)]
+                deadline = time.monotonic() + 10.0
+                while True:          # every answer shows the loop live
+                    _, body = http_get("127.0.0.1", srv.port, "/healthz",
+                                       timeout=2.0)
+                    if json.loads(body)["workers"][0]["inflight"] == 400:
+                        break
+                    assert time.monotonic() < deadline
+                    time.sleep(0.01)
+            finally:
+                os.kill(pid, signal.SIGCONT)
+            want = np.zeros((4, 4), order="F")
+            dgefmm(a, a, want)
+            for fut in futs:
+                assert np.array_equal(fut.result(timeout=60.0), want)
+        finally:
+            cli.close()
+        final = srv.drain(timeout=30.0)
+        assert final["shards"][0]["arena"]["leases_outstanding"] == 0
 
 
 # ---------------------------------------------------------------------- #

@@ -7,6 +7,7 @@ micro-batched, queued, shed, and timed out around it.
 """
 
 import json
+import sys
 import threading
 import time
 
@@ -571,6 +572,125 @@ class TestGemmService:
 def _ab(rng, i, m=16):
     del i
     return rng.standard_normal((m, m)), rng.standard_normal((m, m))
+
+
+# ---------------------------------------------------------------------- #
+class TestDoneCallback:
+    """``GemmFuture.add_done_callback``: ``fn(future)`` runs exactly once,
+    on the thread that completes the future, or at once on the caller's
+    when the future is already done."""
+
+    @staticmethod
+    def _watch(fut):
+        calls = []
+        fut.add_done_callback(
+            lambda f: calls.append((f, threading.current_thread()))
+        )
+        return calls
+
+    @staticmethod
+    def _busy(svc, rng):
+        """Occupy the one service thread; return once it holds the work."""
+        big = rng.standard_normal((300, 300))
+        svc.submit(big, big)
+        deadline = time.monotonic() + 30.0
+        while svc.queue_depth:
+            assert time.monotonic() < deadline
+            time.sleep(0.001)
+
+    def test_result_runs_once_on_the_service_thread(self):
+        rng = np.random.default_rng(30)
+        with GemmService(workers=1, cutoff=CUT) as svc:
+            self._busy(svc, rng)
+            fut = svc.submit(*_ab(rng, 0))
+            calls = self._watch(fut)
+            fut.result(timeout=30.0)
+        # close() joined the service thread, so every callback has run
+        assert len(calls) == 1
+        f, thread = calls[0]
+        assert f is fut and f.exception() is None
+        assert thread.name.startswith("gemm-serve-")
+
+    def test_shed_runs_once_on_the_admitting_thread(self):
+        rng = np.random.default_rng(31)
+        with GemmService(workers=1, capacity=1, policy="shed-oldest",
+                         cutoff=CUT) as svc:
+            self._busy(svc, rng)
+            victim = svc.submit(*_ab(rng, 0))
+            calls = self._watch(victim)
+            svc.submit(*_ab(rng, 1))              # sheds the victim
+            assert [t for _, t in calls] == [threading.current_thread()]
+        assert len(calls) == 1
+        assert isinstance(victim.exception(), ServiceOverloaded)
+
+    def test_expired_deadline_runs_once(self):
+        rng = np.random.default_rng(32)
+        with GemmService(workers=1, cutoff=CUT) as svc:
+            self._busy(svc, rng)
+            fut = svc.submit(*_ab(rng, 0), timeout=1e-4)
+            calls = self._watch(fut)
+            assert isinstance(fut.exception(timeout=30.0), ServiceTimeout)
+        assert len(calls) == 1
+        assert calls[0][1].name.startswith("gemm-serve-")
+
+    def test_close_without_drain_runs_once_per_queued_request(self):
+        rng = np.random.default_rng(33)
+        svc = GemmService(workers=1, cutoff=CUT)
+        self._busy(svc, rng)
+        futs = [svc.submit(*_ab(rng, i)) for i in range(3)]
+        calls = [self._watch(f) for f in futs]
+        svc.close(drain=False)
+        for fut, seen in zip(futs, calls):
+            assert isinstance(fut.exception(), ServiceClosed)
+            assert [t for _, t in seen] == [threading.current_thread()]
+
+    def test_registered_after_completion_runs_at_once(self):
+        with GemmService(workers=1, cutoff=CUT) as svc:
+            fut = svc.submit(np.ones((4, 4)), np.ones((4, 4)))
+            fut.result(timeout=30.0)
+            calls = self._watch(fut)
+            assert calls == [(fut, threading.current_thread())]
+
+    def test_raising_callback_leaves_the_service_thread_alive(self, caplog):
+        rng = np.random.default_rng(34)
+
+        def boom(fut):
+            raise RuntimeError("callback failure")
+
+        with GemmService(workers=1, cutoff=CUT) as svc:
+            self._busy(svc, rng)
+            first = svc.submit(*_ab(rng, 0))
+            first.add_done_callback(boom)
+            a, b = _ab(rng, 1)
+            got = svc.submit(a, b).result(timeout=30.0)
+            assert first.exception() is None
+        assert np.array_equal(got, _direct(a, b, None, 1.0, 0.0))
+        assert any("callback failure" in r.exc_text
+                   for r in caplog.records if r.exc_text)
+
+    def test_races_with_completion_still_run_once(self):
+        # registration races completion on more service threads than
+        # cores, with thread switches forced every microsecond
+        rng = np.random.default_rng(35)
+        counts = [0] * 300
+        lock = threading.Lock()
+
+        def count(i):
+            def bump(fut):
+                with lock:
+                    counts[i] += 1
+            return bump
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            with GemmService(workers=4, cutoff=CUT) as svc:
+                for i in range(300):
+                    fut = svc.submit(*_ab(rng, i, m=4))
+                    fut.add_done_callback(count(i))
+        finally:
+            sys.setswitchinterval(interval)
+        assert counts == [1] * 300
 
 
 # ---------------------------------------------------------------------- #
