@@ -3,12 +3,12 @@
 The paper sets DGEFMM's cutoff by measuring where one Strassen level
 beats the DGEMM it calls (Table 2: tau = 199, 129 and 325 on three
 machines).  This bench asks the same question of numpy's BLAS, the
-``np.matmul`` leaf that ``backend="vendor"`` and fused replay call, with
+``np.matmul`` leaf that ``backend="vendor"`` calls, walked or replayed, with
 one BLAS thread so the numbers are per processor, as the paper's are:
 
 1. effective GFLOP/s (``2mkn / seconds``) of one ``np.matmul``, the
    vendor walk (``dgefmm(backend="vendor")``) and warm fused replay
-   (``fuse=True`` through a plan cache) at ``DepthCutoff(0)``, ``(1)``
+   (the same call through a plan cache) at ``DepthCutoff(0)``, ``(1)``
    and ``(2)``, for square orders 512-4096 and the odd orders 1023 and
    2047 (which peel);
 2. the :func:`repro.tune.measure.measure_crossover` scan over the
@@ -70,7 +70,7 @@ def _measure() -> dict:
                 a, b, c, cutoff=crit, backend="vendor")))
             runs.append(("fused", d, lambda crit=crit: dgefmm(
                 a, b, c, cutoff=crit, plan_cache=cache, pool=pool,
-                fuse=True)))
+                backend="vendor")))
         base = None
         for path, d, fn in runs:
             c.fill(np.nan)

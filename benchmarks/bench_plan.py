@@ -6,7 +6,7 @@ same-signature serial-plan replays must (a) allocate nothing fresh and
 (b) cut the *non-kernel overhead* — wall time above the pure
 kernel-sequence floor — by at least 20% versus the recursive driver,
 in the deep-recursion regime of a small explicit cutoff.  ``dgefmm``
-walks every unfused call, so the bench replays serial plans through
+walks every substrate call, so the bench replays serial plans through
 :func:`~repro.core.dgefmm.replay_serial`.
 
 The floor is measured honestly: the compiled op list is replayed over
@@ -182,7 +182,8 @@ def test_plan_fused_replay(benchmark):
     interpreted executor's per-op Python dispatch: the plan's ops run
     as one inline loop, and each base-case product is one strided
     ``np.matmul`` with the vendor kernel's arithmetic (343 direct
-    products here).  Acceptance asks >= 2x warm-replay throughput on
+    products here).  Fused replay is what ``dgefmm(backend="vendor",
+    plan_cache=)`` runs when the root recurses, so that call is timed.  Acceptance asks >= 2x warm-replay throughput on
     cache-hot signatures; the assert below uses 1.6x to keep headroom
     for CI-host jitter (the last run is recorded in
     BENCH_plan_fused.json).
@@ -208,7 +209,7 @@ def test_plan_fused_replay(benchmark):
 
         def fused():
             dgefmm(a, b, c_fus, 1.0, beta, cutoff=crit, pool=pool,
-                   plan_cache=cache, fuse=True)
+                   plan_cache=cache, backend="vendor")
 
         interpreted()
         fused()     # warm-up: compiles both plans, grows the arena
@@ -228,7 +229,8 @@ def test_plan_fused_replay(benchmark):
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
     sig = signature_for("serial", m, k, n, False, False, False, True,
-                        "float64", GemmConfig(cutoff=crit, fuse=True))
+                        "float64", GemmConfig(cutoff=crit,
+                                              backend="vendor"))
     fp = cache.peek(sig).fused
     emit(
         "Fused vs interpreted plan replay, m=192, tau=24",

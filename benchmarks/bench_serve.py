@@ -122,9 +122,9 @@ def test_microbatch_throughput(benchmark):
 def test_fused_serving_throughput(benchmark):
     """Fused vs walked micro-batched bursts on one hot signature.
 
-    Reuses the micro-batch burst harness with ``fuse`` on: every request
-    replays the same cache-hot fused program, where an unfused request
-    walks the recursion.  Order 48 at tau = 16 recurses two levels per
+    Reuses the micro-batch burst harness over the vendor kernel: every
+    request's root recurses, so it replays the same cache-hot fused
+    program, where a substrate request walks the recursion.  Order 48 at tau = 16 recurses two levels per
     request (8 internal nodes, 49 base kernels; the fused program runs
     them as 49 direct products), a small explicit cutoff under which
     the walk pays its per-node overhead.  The gap is
@@ -133,18 +133,18 @@ def test_fused_serving_throughput(benchmark):
     """
     reqs = _requests(n=200, order=48)
 
-    def burst(fuse):
+    def burst(backend):
         with GemmService(workers=1, capacity=1024, max_batch=32,
-                         cutoff=SimpleCutoff(16), fuse=fuse) as svc:
+                         cutoff=SimpleCutoff(16), backend=backend) as svc:
             t0 = time.perf_counter()
             futs = [svc.submit(a, b) for a, b in reqs]
             for f in futs:
                 f.result(timeout=60.0)
             return time.perf_counter() - t0, svc.stats()
 
-    t_walk, _ = _best(lambda: burst(False))
+    t_walk, _ = _best(lambda: burst("substrate"))
     t_fus, st = benchmark.pedantic(
-        lambda: _best(lambda: burst(True)), rounds=1, iterations=1,
+        lambda: _best(lambda: burst("vendor")), rounds=1, iterations=1,
     )
     n = len(reqs)
     emit(
@@ -201,15 +201,19 @@ def test_open_loop_load(benchmark):
 def test_open_loop_load_fused(benchmark):
     """Open-loop load with fused plans: every reply is still verified.
 
-    Same harness as :func:`test_open_loop_load` but with ``fuse=True``,
-    so the loadgen checks each fused reply bit-for-bit against a fused
-    reference replay.  The assertion of record is ``divergent == 0``:
+    Same harness as :func:`test_open_loop_load` but over the vendor
+    kernel, so requests whose root recurses replay cached fused plans
+    and the loadgen checks each reply bit-for-bit against the vendor
+    walk.  The assertion of record is ``divergent == 0``:
     fused serving under concurrent mixed-shape load must be
-    deterministic and correct, not merely fast.
+    deterministic and correct, not merely fast.  Dimensions reach 64:
+    every shape of the order-32 mix has a dimension at or below its
+    cutoff, so none would replay a fused plan; this mix holds one
+    recursing float32 shape (49×61×17, tau = 16) among six.
     """
     report = benchmark.pedantic(
         lambda: run_load(duration=2.0, rate=300, workers=2, n_shapes=6,
-                         seed=1, max_dim=32, fuse=True),
+                         seed=1, max_dim=64, backend="vendor"),
         rounds=1, iterations=1,
     )
     svc = report["service"]
@@ -225,10 +229,10 @@ def test_open_loop_load_fused(benchmark):
     emit_json(
         "serve_load_fused",
         {"duration": 2.0, "rate": 300, "workers": 2, "n_shapes": 6,
-         "seed": 1, "max_dim": 32, "fuse": True},
+         "seed": 1, "max_dim": 64, "backend": "vendor"},
         [report],
     )
-    assert report["fuse"] is True
+    assert report["backend"] == "vendor"
     assert report["divergent"] == 0 and report["errors"] == 0
     assert report["completed"] >= 500
     assert svc["plan_cache"]["hit_rate"] > 0.8

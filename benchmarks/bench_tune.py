@@ -81,7 +81,7 @@ def test_tune_loop(benchmark, tmp_path):
         want = np.zeros((ORDER, ORDER), order="F")
         dgefmm(a, b, want, cutoff=cfg.cutoff, scheme=cfg.scheme,
                peel=cfg.peel, nb=cfg.nb, backend=cfg.backend,
-               plan_cache=cache, fuse=cfg.fuse)
+               plan_cache=cache)
         exact += np.array_equal(got, want)
 
     ratio = t_default / t_tuned
@@ -113,7 +113,7 @@ def test_tune_loop(benchmark, tmp_path):
         f"crossover: {cross_line}; predicted opcount {pred['opcount']}, "
         f"traffic {pred['traffic']}\n"
         f"tuned config: {prof.scheme}/{prof.peel}, {prof.cutoff!r}, "
-        f"nb={prof.nb}, fuse={prof.fuse} "
+        f"nb={prof.nb}, backend={prof.backend} "
         f"(probe speedup {meas['speedup']:.2f}x in {meas['spent_s']:.1f} s)\n"
         f"serving {len(reqs)} x {ORDER}^3: default "
         f"{len(reqs) / t_default:.1f} req/s, tuned "

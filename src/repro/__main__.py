@@ -253,7 +253,7 @@ def _plan_cache_stats(args) -> int:
             b = np.asfortranarray(rng.standard_normal((kk, nn)))
             c = np.zeros((mm, nn), order="F")
             dgefmm(a, b, c, cutoff=crit, scheme=args.scheme,
-                   peel=args.peel, plan_cache=cache, fuse=True)
+                   peel=args.peel, plan_cache=cache, backend="vendor")
     stats = cache.stats()
     if args.json:
         _print_bench_json(
@@ -261,12 +261,12 @@ def _plan_cache_stats(args) -> int:
             {"shapes": ["x".join(map(str, s)) for s in shapes],
              "repeat": args.repeat, "cutoff": args.cutoff,
              "scheme": args.scheme, "peel": args.peel,
-             "max_plans": args.max_plans, "fuse": True},
+             "max_plans": args.max_plans, "backend": "vendor"},
             [stats],
         )
         return 0
     print(f"workload: {len(shapes)} shapes x {max(args.repeat, 1)} repeats,"
-          f" fused, cutoff {args.cutoff}")
+          f" vendor backend, cutoff {args.cutoff}")
     print(f"plan cache: {stats['plans']} plans, {stats['bytes']:,} B, "
           f"{stats['hits']} hits, {stats['misses']} misses, "
           f"{stats['evictions']} evictions")
@@ -402,7 +402,6 @@ def _cmd_fuzz(args) -> int:
         failures_path=args.failures,
         progress=progress,
         scheme=args.scheme or None,
-        fuse=args.fuse,
         dtype=args.dtype or None,
         accuracy=args.accuracy or None,
     )
@@ -411,7 +410,7 @@ def _cmd_fuzz(args) -> int:
             "fuzz",
             {"cases": args.cases, "seed": args.seed,
              "max_dim": args.max_dim, "replay": args.replay or None,
-             "scheme": args.scheme or None, "fuse": args.fuse,
+             "scheme": args.scheme or None,
              "dtype": args.dtype or None,
              "accuracy": args.accuracy or None},
             [report.to_dict()],
@@ -448,7 +447,7 @@ def _cmd_serve(args) -> int:
         seed=args.seed,
         max_dim=args.max_dim,
         scheme=args.scheme or None,
-        fuse=args.fuse,
+        backend=args.backend,
         request_timeout=args.timeout,
         verify=not args.no_verify,
     )
@@ -461,7 +460,7 @@ def _cmd_serve(args) -> int:
              "capacity": args.capacity, "max_batch": args.max_batch,
              "shapes": args.shapes, "seed": args.seed,
              "max_dim": args.max_dim, "scheme": args.scheme or None,
-             "fuse": args.fuse, "verify": not args.no_verify},
+             "backend": args.backend, "verify": not args.no_verify},
             [report], ok=ok,
         )
         return 0 if ok else 1
@@ -781,7 +780,7 @@ def _cmd_tune_search(args) -> int:
         return 0
     print(f"class {prof.key}: winner "
           f"{prof.scheme}/{prof.peel}, {prof.cutoff!r}, nb={prof.nb}, "
-          f"fuse={prof.fuse}")
+          f"backend={prof.backend}")
     print(f"  tuned {meas['tuned_s'] * 1e3:.2f} ms vs default "
           f"{meas['default_s'] * 1e3:.2f} ms "
           f"(speedup {meas['speedup']:.2f}x) in {meas['spent_s']:.1f} s "
@@ -820,7 +819,7 @@ def _cmd_tune_show(args) -> int:
         extra = f", speedup {speed:.2f}x" if speed else ""
         print(f"{r['key']} v{r['version']}: {r['scheme']}/{r['peel']}, "
               f"{r['cutoff']['kind']}, nb={r['nb']}, "
-              f"fuse={r['fuse']}{extra}{mark}")
+              f"backend={r['backend']}{extra}{mark}")
     return 0
 
 
@@ -884,6 +883,7 @@ def _cmd_selftest(args) -> int:
 
 
 def main(argv=None) -> int:
+    from repro.blas.level3 import BACKENDS
     from repro.core.schemes import SCHEME_NAMES
     from repro.fuzz.cases import DTYPES as FUZZ_DTYPES
 
@@ -985,8 +985,6 @@ def main(argv=None) -> int:
                    choices=[""] + list(SCHEME_NAMES),
                    help="pin every case to one scheme (per-scheme CI "
                         "smoke lanes); default: draw schemes per case")
-    p.add_argument("--fuse", action="store_true",
-                   help="also run the fused-execution paths per case")
     p.add_argument("--dtype", default="",
                    choices=[""] + list(FUZZ_DTYPES),
                    help="pin every case to one operand dtype (the CI "
@@ -1028,8 +1026,10 @@ def main(argv=None) -> int:
                    choices=[""] + list(SCHEME_NAMES),
                    help="pin the whole shape mix to one scheme "
                         "(mirrors 'repro fuzz --scheme')")
-    p.add_argument("--fuse", action="store_true",
-                   help="serve (and verify) through the fused plan path")
+    p.add_argument("--backend", default="substrate", choices=BACKENDS,
+                   help="base-case kernel of the served mix: substrate "
+                        "(default) or vendor (np.matmul leaves; a root "
+                        "that recurses replays its cached fused plan)")
     p.add_argument("--no-verify", dest="no_verify", action="store_true",
                    help="skip bit-identity verification against dgefmm")
     p.add_argument("--json", action="store_true",

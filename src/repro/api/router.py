@@ -9,10 +9,10 @@ request to the shard its **plan signature** consistently hashes to.
 Sharding by signature is the point of the whole design: a signature
 always lands on the same worker, so that worker's queue batches its
 requests together, its :class:`~repro.core.pool.WorkspacePool` keeps
-warm arenas sized for exactly the signatures it serves, and a fused
-signature compiles its plan once in the worker's private
-:class:`~repro.plan.cache.PlanCache` — warm serving without any
-cross-process cache coherence.
+warm arenas sized for exactly the signatures it serves, and a vendor
+signature whose root recurses compiles its fused plan once in the
+worker's private :class:`~repro.plan.cache.PlanCache` — warm serving
+without any cross-process cache coherence.
 
 The hash ring is the classic consistent-hashing construction (64
 virtual nodes per shard, BLAKE2b points): adding or losing a worker
@@ -143,7 +143,7 @@ def routing_signature(g: Dict[str, Any]) -> str:
     cfg = resolve_config(
         g["scheme"], g["peel"],
         None if g["tau"] is None else SimpleCutoff(g["tau"]),
-        DEFAULT_TILE, "substrate", False, g["dtype"], g.get("accuracy"),
+        DEFAULT_TILE, "substrate", g["dtype"], g.get("accuracy"),
     )
     sig = signature_for(
         "serial", m, k, n, g["transa"], g["transb"],

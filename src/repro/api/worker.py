@@ -6,7 +6,8 @@ Each worker is a separate OS process hosting its own
 :class:`~repro.core.pool.WorkspacePool`.  The router shards requests by
 plan signature, so every signature lands on the same worker run after
 run — its pooled arenas stay warm, and a request that a tuned profile
-fuses compiles its plan once, in this worker's cache (the amortization
+gives the vendor backend compiles its fused plan once, when its root
+recurses, in this worker's cache (the amortization
 the in-process service already exploits, now multiplied across
 processes instead of fighting over one GIL).
 

@@ -2,7 +2,7 @@
 
 One multiplication's behaviour is shaped by its knobs — cutoff
 criterion, scheme, peeling side, base-case tile edge, base-case
-kernel backend, plan fusion, numeric dtype and accuracy mode.  Before
+kernel backend, numeric dtype and accuracy mode.  Before
 this module each entry point (``dgefmm``,
 ``pdgefmm``, ``GemmService.submit``, the fuzz oracle, the CLI) validated
 its own copies of those knobs and hand-listed them into
@@ -48,8 +48,8 @@ __all__ = ["GemmConfig", "DEFAULT_CUTOFF", "BLAS_CUTOFF",
 #: how to measure machine-specific parameters the way Section 4.2 does.
 DEFAULT_CUTOFF = HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96)
 
-#: Default cutoff over ``np.matmul`` leaves (``backend="vendor"`` or
-#: fused replay), set by the Section 3.4 crossover scan over the vendor
+#: Default cutoff over ``np.matmul`` leaves (``backend="vendor"``),
+#: set by the Section 3.4 crossover scan over the vendor
 #: kernel with one BLAS thread (``benchmarks/bench_crossover.py``,
 #: ``BENCH_crossover.json``).  On the 2-vCPU reference host (OpenBLAS
 #: 0.3.31) no order of the scan won: from 512 to 4096 in steps of 512,
@@ -60,12 +60,11 @@ DEFAULT_CUTOFF = HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96)
 BLAS_CUTOFF = HybridCutoff(tau=4096, tau_m=3072, tau_k=3072, tau_n=3072)
 
 
-def default_cutoff(backend: str = "substrate",
-                   fuse: bool = False) -> CutoffCriterion:
+def default_cutoff(backend: str = "substrate") -> CutoffCriterion:
     """The cutoff a call gets when it names none: it follows the leaf
     kernel.  :data:`BLAS_CUTOFF` when the leaves are ``np.matmul`` (the
-    vendor backend, or fused replay), else :data:`DEFAULT_CUTOFF`."""
-    return BLAS_CUTOFF if backend == "vendor" or fuse else DEFAULT_CUTOFF
+    vendor backend), else :data:`DEFAULT_CUTOFF`."""
+    return BLAS_CUTOFF if backend == "vendor" else DEFAULT_CUTOFF
 
 
 #: Recognised values of the ``scheme`` argument — "auto" plus every
@@ -89,21 +88,14 @@ class GemmConfig:
     ``cutoff``
         A :class:`~repro.core.cutoff.CutoffCriterion` deciding
         recurse-vs-base at every level.  Left as None it takes
-        :func:`default_cutoff` of the config's ``backend`` and ``fuse``.
+        :func:`default_cutoff` of the config's ``backend``.
     ``nb``
         Tile edge for the base-case standard-algorithm kernel.
     ``backend``
         Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
-    ``fuse``
-        Opt-in plan fusion (:mod:`repro.plan.fuse`): the call runs as a
-        fused plan — the plan's ops replayed in one loop without per-op
-        dispatch, every base-case product one ``np.matmul`` with the
-        vendor kernel's arithmetic — taken from the driver's
-        ``plan_cache`` or compiled for the call.  Unfused serial calls
-        walk the recursion, which ignores the knob.  Fused results equal
-        ``backend="vendor"``'s bit for bit, not the tiled substrate
-        kernel's, so ``fuse`` keys the plan signature — fused and
-        interpreted plans never collide in a cache.
+        Under ``"vendor"`` with fast accuracy (:attr:`fusable`) serial
+        plans also carry a fused program (:mod:`repro.plan.fuse`),
+        which computes the vendor walk's bits.
     ``dtype``
         Canonical operand dtype (:data:`repro.blas.dtypes.DTYPES`).
         Drives kernel selection, workspace/arena element sizes and the
@@ -115,8 +107,7 @@ class GemmConfig:
         Kahan-accumulated floating point, ``"exact"`` integer/object
         arithmetic with no float intermediates.  Legal combinations:
         exact ⟺ exact dtype (int64/object); compensated requires an
-        inexact dtype; ``fuse`` requires ``"fast"`` (the fused program
-        has no compensated or exact replay).
+        inexact dtype.
 
     Declaration order matters — see the module docstring.
     """
@@ -126,14 +117,19 @@ class GemmConfig:
     cutoff: Optional[CutoffCriterion] = None
     nb: int = DEFAULT_TILE
     backend: str = "substrate"
-    fuse: bool = False
     dtype: str = "float64"
     accuracy: str = "fast"
 
+    @property
+    def fusable(self) -> bool:
+        """True when serial plans of this config carry a fused program:
+        ``np.matmul`` leaves (the vendor backend) under fast accuracy,
+        the one arithmetic :func:`~repro.plan.fuse.run_fused` replays."""
+        return self.backend == "vendor" and self.accuracy == "fast"
+
     def __post_init__(self) -> None:
         if self.cutoff is None:
-            object.__setattr__(self, "cutoff",
-                               default_cutoff(self.backend, self.fuse))
+            object.__setattr__(self, "cutoff", default_cutoff(self.backend))
         if self.scheme not in SCHEMES:
             raise ArgumentError(
                 "GemmConfig", "scheme",
@@ -160,11 +156,6 @@ class GemmConfig:
                 "GemmConfig", "backend",
                 f"must be one of {BACKENDS}, got {self.backend!r}",
             )
-        if not isinstance(self.fuse, bool):
-            raise ArgumentError(
-                "GemmConfig", "fuse",
-                f"must be a bool, got {type(self.fuse).__name__}",
-            )
         if self.dtype not in DTYPES:
             raise ArgumentError(
                 "GemmConfig", "dtype",
@@ -177,7 +168,7 @@ class GemmConfig:
             )
         # Legal (dtype, accuracy) combinations: exact arithmetic and the
         # exact dtypes imply each other; compensated rounding is a
-        # floating-point notion; fusion replays only the fast program.
+        # floating-point notion.
         if is_exact_dtype(self.dtype) and self.accuracy != "exact":
             raise ArgumentError(
                 "GemmConfig", "accuracy",
@@ -189,12 +180,6 @@ class GemmConfig:
                 "GemmConfig", "accuracy",
                 f"accuracy 'exact' requires an exact dtype "
                 f"(int64/object), got dtype {self.dtype!r}",
-            )
-        if self.fuse and self.accuracy != "fast":
-            raise ArgumentError(
-                "GemmConfig", "fuse",
-                f"plan fusion requires accuracy 'fast', "
-                f"got {self.accuracy!r}",
             )
 
 
@@ -211,28 +196,27 @@ def resolve_config(
     cutoff: Optional[CutoffCriterion],
     nb: Any,
     backend: Any,
-    fuse: Any,
     dtype: Any,
     accuracy: Optional[str],
 ) -> GemmConfig:
     """The validated :class:`GemmConfig` for one call's knobs, interned.
 
     ``cutoff=None`` takes :func:`default_cutoff` of the call's
-    ``backend`` and ``fuse``, and ``accuracy=None`` the dtype's default
+    ``backend``, and ``accuracy=None`` the dtype's default
     (:func:`~repro.blas.dtypes.default_accuracy`).
     Every front door resolves its knobs here, so a repeated call builds
     no config: the first one built for a knob tuple is returned again,
     from a memo of at most :data:`CONFIG_MEMO_MAX` entries.  The key
     holds each knob's type next to its value, so an input
-    ``GemmConfig`` rejects (``fuse=1``) never finds an accepted,
-    hash-equal twin (``fuse=True``), and only configs that passed
+    ``GemmConfig`` rejects (``nb=True``) never finds an accepted,
+    hash-equal twin (``nb=1``), and only configs that passed
     validation are stored.  Knobs that cannot be hashed (a criterion
     with ``__hash__ = None``) are validated and built on every call.
     """
-    key = (scheme, peel, cutoff, nb, backend, fuse, dtype, accuracy,
+    key = (scheme, peel, cutoff, nb, backend, dtype, accuracy,
            scheme.__class__, peel.__class__, cutoff.__class__,
-           nb.__class__, backend.__class__, fuse.__class__,
-           dtype.__class__, accuracy.__class__)
+           nb.__class__, backend.__class__, dtype.__class__,
+           accuracy.__class__)
     try:
         return _CONFIGS[key]
     except KeyError:
@@ -241,7 +225,7 @@ def resolve_config(
         hashable = False
     cfg = GemmConfig(
         scheme=scheme, peel=peel, cutoff=cutoff,
-        nb=nb, backend=backend, fuse=fuse, dtype=dtype,
+        nb=nb, backend=backend, dtype=dtype,
         accuracy=default_accuracy(dtype) if accuracy is None else accuracy,
     )
     if hashable:

@@ -148,9 +148,9 @@ def dgefmm(
         (:func:`~repro.core.config.default_cutoff`):
         :data:`DEFAULT_CUTOFF` over the substrate, and
         :data:`~repro.core.config.BLAS_CUTOFF` over ``np.matmul``
-        leaves, i.e. with ``backend="vendor"`` or ``fuse=True``.  An
-        explicit criterion always wins.  Recursion also stops whenever a
-        dimension drops below 2.
+        leaves, i.e. with ``backend="vendor"``.  An explicit criterion
+        always wins.  Recursion also stops whenever a dimension drops
+        below 2.
     scheme:
         ``"auto"`` (the paper's DGEFMM dispatch: STRASSEN1 when beta = 0,
         STRASSEN2 otherwise), or force any registry scheme
@@ -173,9 +173,10 @@ def dgefmm(
     pool:
         A :class:`~repro.core.pool.WorkspacePool` to check a reusable
         arena out of for this call (ignored when ``workspace`` is given,
-        and in dry mode, where phantom temporaries cost nothing).
-        Repeated same-shape calls through a pool amortize temporary
-        allocation to zero after the first, warm-up call.
+        when the root is a base case, which draws no temporaries, and
+        in dry mode, where phantom temporaries cost nothing).  Repeated
+        same-shape calls through a pool amortize temporary allocation
+        to zero after the first, warm-up call.
     nb:
         Tile edge for the base-case standard-algorithm kernel.
     backend:
@@ -185,17 +186,18 @@ def dgefmm(
         practicality experiments.  The backend picks the defaulted
         ``cutoff``.
     plan_cache:
-        A :class:`~repro.plan.cache.PlanCache` that a fused call fetches
-        its plan from, so repeated shapes compile once; its counters
-        land in ``ctx.stats["plan_cache"]``.  An unfused call walks the
-        recursion and never touches the cache.
+        A :class:`~repro.plan.cache.PlanCache` of fused plans.  A
+        vendor call under fast accuracy whose root recurses replays its
+        fused plan (:mod:`repro.plan.fuse`) from the cache, compiled on
+        the first call of its shape; the result is bit-identical to the
+        walk.  The cache's counters then land in
+        ``ctx.stats["plan_cache"]``.  Every other call walks the
+        recursion and never touches the cache: a base-case root, the
+        substrate backend, a non-fast accuracy, an explicit
+        ``workspace``, dry mode and object dtype.
     fuse:
-        Run the call as a fused plan (:mod:`repro.plan.fuse`): batched
-        and direct ``np.matmul`` leaves, from ``plan_cache`` when one is
-        given and compiled for the call otherwise (the same bits either
-        way).  In dry mode, or with an explicit ``workspace``, the call
-        walks instead, ignoring the knob except that a defaulted
-        ``cutoff`` is still :data:`~repro.core.config.BLAS_CUTOFF`.
+        Alias for ``backend="vendor"``, kept for callers that still
+        spell it.
     accuracy:
         Accuracy mode (:data:`repro.blas.dtypes.ACCURACIES`): ``"fast"``
         (native rounding), ``"compensated"`` (wide-promoted / Kahan
@@ -205,7 +207,7 @@ def dgefmm(
         operands, ``"fast"`` otherwise — so existing float callers and
         integer callers both keep working unannotated.
 
-    The scheme/peel/cutoff/nb/backend/fuse/dtype/accuracy knobs are
+    The scheme/peel/cutoff/nb/backend/dtype/accuracy knobs are
     validated as a :class:`~repro.core.config.GemmConfig`, built the
     first time a knob tuple is seen and interned after that
     (:func:`~repro.core.config.resolve_config`); the same frozen config
@@ -214,7 +216,7 @@ def dgefmm(
     ctx = ensure_context(ctx)
     call = _prologue(
         "dgefmm", a, b, c, alpha, beta, transa, transb, ctx,
-        cutoff, scheme, peel, nb, backend, fuse, accuracy,
+        cutoff, scheme, peel, nb, "vendor" if fuse else backend, accuracy,
     )
     if call is None:
         return c
@@ -263,6 +265,12 @@ class _Call(NamedTuple):
     transb: bool
     cfg: GemmConfig
 
+    def root(self) -> Any:
+        """The traversal's decision at the call's root node."""
+        m, k = self.a.shape
+        return decide(m, k, self.b.shape[1], 0, self.cfg.scheme,
+                      self.beta == 0.0, self.cfg.cutoff)
+
     def signature(self, kind: str, max_parallel_depth: int = 0):
         """The call's :class:`~repro.plan.compiler.PlanSignature`
         (interned per call shape by ``signature_for``)."""
@@ -292,7 +300,6 @@ def _prologue(
     peel: str,
     nb: int,
     backend: str,
-    fuse: bool,
     accuracy: Optional[str],
 ) -> Optional[_Call]:
     """The drivers' shared front door; ``None`` when the call is done.
@@ -307,8 +314,7 @@ def _prologue(
     require_matrix(where, "c", c)
     require_writable(where, "c", c)
     dt = canonical_dtype(getattr(c, "dtype", None) or "float64")
-    cfg = resolve_config(scheme, peel, cutoff, nb, backend, fuse, dt,
-                         accuracy)
+    cfg = resolve_config(scheme, peel, cutoff, nb, backend, dt, accuracy)
     if cfg.accuracy == "exact":
         # Integral scalars ride through every layer as Python ints, so
         # in-place integer scaling (``y *= beta``) never trips numpy's
@@ -354,22 +360,33 @@ def _serial(
     workspace: Optional[Workspace],
     pool: Optional["WorkspacePool"],
     plan_cache: Optional["PlanCache"],
+    root: Any = None,
 ) -> Any:
-    """``dgefmm``'s path after the prologue: a fused call replays its
-    fused plan; every other call walks and never touches ``plan_cache``."""
+    """``dgefmm``'s path after the prologue, chosen once per call from
+    the root node (``root``, when the caller has already decided it).
+
+    A base-case root walks with no pool checkout.  A recursing root
+    replays its fused plan from ``plan_cache`` when the config is
+    fusable (vendor leaves, fast accuracy) and the call has no explicit
+    ``workspace`` and runs typed; every other call walks, in a pooled
+    arena when ``pool`` is given and the call runs typed."""
+    if root is None:
+        root = call.root()
     # pooled arenas and plan temporaries carve typed views out of a byte
     # buffer — fine for every fixed-width dtype, impossible for object
     # arrays (and pointless in dry mode, where temporaries cost nothing)
-    typed = not ctx.dry and call.cfg.dtype != "object"
-    if call.cfg.fuse and workspace is None and typed:
-        _replay(call, c, ctx, call.signature("serial"), pool, plan_cache)
-        return c
-    if workspace is None:
-        if pool is not None and typed:
+    if (workspace is None and not isinstance(root, Base) and not ctx.dry
+            and call.cfg.dtype != "object"):
+        if plan_cache is not None and call.cfg.fusable:
+            _replay(call, c, ctx, call.signature("serial"), pool,
+                    plan_cache)
+            return c
+        if pool is not None:
             with pool.arena() as ws:
-                return _walk(call, c, ctx, ws)
+                return _walk(call, c, ctx, ws, root)
+    if workspace is None:
         workspace = Workspace(dry=ctx.dry)
-    return _walk(call, c, ctx, workspace)
+    return _walk(call, c, ctx, workspace, root)
 
 
 def _replay(
@@ -406,15 +423,16 @@ def replay_serial(
     pool: Optional["WorkspacePool"] = None, nb: int = DEFAULT_TILE,
     backend: str = "substrate", accuracy: Optional[str] = None,
 ) -> Any:
-    """:func:`dgefmm` as interpreted replay of its serial plan, taken
-    from ``plan_cache`` (an unfused ``dgefmm`` walks instead).  The one
-    route for checks and benches that hold serial replay against the
-    walk.  Updates C in place and returns the plan, or ``None`` when
-    the prologue answered a degenerate call."""
+    """:func:`dgefmm` as replay of its serial plan, taken from
+    ``plan_cache`` whatever the root: interpreted op by op, or the
+    plan's fused program when the config is fusable.  The one route
+    for checks and benches that hold serial replay against the walk.
+    Updates C in place and returns the plan, or ``None`` when the
+    prologue answered a degenerate call."""
     ctx = ensure_context(ctx)
     call = _prologue(
         "replay_serial", a, b, c, alpha, beta, transa, transb, ctx,
-        cutoff, scheme, peel, nb, backend, False, accuracy,
+        cutoff, scheme, peel, nb, backend, accuracy,
     )
     if call is None:
         return None
@@ -422,10 +440,12 @@ def replay_serial(
                    plan_cache)
 
 
-def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace) -> Any:
-    """Run :func:`_rec` with the numeric binding; report the peak."""
+def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace,
+          root: Any) -> Any:
+    """Run :func:`_rec` from the decided ``root`` with the numeric
+    binding; report the peak."""
     _rec(call.a, call.b, c, call.alpha, call.beta, 0, call.cfg.scheme,
-         _NumericBinding(call.cfg, ctx, ws))
+         _NumericBinding(call.cfg, ctx, ws), root)
     ctx.stats_max("workspace_peak_bytes", ws.peak_bytes)
     return c
 
@@ -476,6 +496,7 @@ def _rec(
     depth: int,
     scheme: str,
     bind: Any,
+    node: Any = None,
 ) -> None:
     """The DGEFMM walker: one traversal node, bound through ``bind``.
 
@@ -484,17 +505,20 @@ def _rec(
     side effect (:class:`_NumericBinding` executes, the plan compiler's
     recorder emits ops).  ``depth`` may start above 0 — parallel plans
     compile the serial subtrees below their parallel region at the
-    subtree's true depth.
+    subtree's true depth.  ``node`` is the traversal's decision for a
+    non-degenerate node whose caller already made it (a live call's
+    root); the walker decides every other node itself.
     """
     m, k = a.shape
     n = b.shape[1]
-    if m == 0 or n == 0:
-        return
-    if k == 0 or alpha == 0.0:
-        bind.kernels.axpby(0.0, c, beta, c, ctx=bind.ctx)
-        return
     cfg = bind.cfg
-    node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
+    if node is None:
+        if m == 0 or n == 0:
+            return
+        if k == 0 or alpha == 0.0:
+            bind.kernels.axpby(0.0, c, beta, c, ctx=bind.ctx)
+            return
+        node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
     if isinstance(node, Base):
         bind.event("base", m, k, n, depth)
         bind.gemm(a, b, c, alpha, beta)

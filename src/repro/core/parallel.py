@@ -86,7 +86,7 @@ from repro.core.dgefmm import _prologue, _replay, _serial
 # module, so they stay importable from it.
 from repro.core.peeling import apply_fixups, apply_fixups_head  # noqa: F401
 from repro.core.pool import WorkspacePool
-from repro.core.traversal import Base, decide
+from repro.core.traversal import Base
 from repro.errors import DimensionError
 
 __all__ = ["pdgefmm", "parallel_arena_count"]
@@ -145,7 +145,6 @@ def pdgefmm(
     nb: int = DEFAULT_TILE,
     backend: str = "substrate",
     plan_cache: Optional["PlanCache"] = None,
-    fuse: bool = False,
     accuracy: Optional[str] = None,
 ) -> Any:
     """Parallel Strassen GEMM: ``C <- alpha*op(A)*op(B) + beta*C``.
@@ -157,18 +156,19 @@ def pdgefmm(
     its true depth with the same frozen
     :class:`~repro.core.config.GemmConfig`.  The driver accepts the full
     serial knob set — ``cutoff``, ``scheme``, ``peel``, ``nb``,
-    ``backend``, ``fuse``, ``accuracy`` — and shares
+    ``backend``, ``accuracy`` — and shares
     :func:`~repro.core.dgefmm.dgefmm`'s prologue (validation, degenerate
     cases, copy-on-overlap).  As there, ``cutoff=None`` follows the leaf
     kernel (:func:`~repro.core.config.default_cutoff`): the substrate's
-    ``DEFAULT_CUTOFF``, or ``BLAS_CUTOFF`` with ``backend="vendor"`` or
-    ``fuse=True``.
+    ``DEFAULT_CUTOFF``, or ``BLAS_CUTOFF`` with ``backend="vendor"``.
 
     The call replays a parallel plan: fetched from ``plan_cache`` (a
     :class:`~repro.plan.cache.PlanCache`) when one is given, compiled
-    for this call otherwise.  Only a top-level base case and an
-    object-dtype problem take exactly ``dgefmm``'s path instead, and
-    are bit-identical to it.  ``pool`` supplies the per-worker arenas.
+    for this call otherwise.  Under the vendor backend and fast
+    accuracy its serial branches replay fused programs, bit-identical
+    to their walk.  Only a top-level base case and an object-dtype
+    problem take exactly ``dgefmm``'s path instead, and are
+    bit-identical to it.  ``pool`` supplies the per-worker arenas.
     Depth-sensitive cutoff criteria (e.g.
     :class:`~repro.core.cutoff.DepthCutoff`) are fully supported: the
     traversal passes the current depth to ``stop`` at every node.  Not
@@ -185,16 +185,13 @@ def pdgefmm(
         )
     call = _prologue(
         "pdgefmm", a, b, c, alpha, beta, transa, transb, ctx,
-        cutoff, scheme, peel, nb, backend, fuse, accuracy,
+        cutoff, scheme, peel, nb, backend, accuracy,
     )
     if call is None:
         return c
-    cfg = call.cfg
-    m, k = call.a.shape
-    node = decide(m, k, call.b.shape[1], 0, cfg.scheme, call.beta == 0.0,
-                  cfg.cutoff)
-    if cfg.dtype == "object" or isinstance(node, Base):
-        return _serial(call, c, ctx, None, pool, plan_cache)
+    root = call.root()
+    if call.cfg.dtype == "object" or isinstance(root, Base):
+        return _serial(call, c, ctx, None, pool, plan_cache, root)
     _replay(call, c, ctx, call.signature("parallel", max_parallel_depth),
             pool, plan_cache, workers)
     return c

@@ -1,17 +1,21 @@
 """The differential oracle: one case, every execution path, cross-checked.
 
-For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs seven
+For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs nine
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
 - ``plan``     — the same call as interpreted replay of its serial
   plan through a :class:`~repro.plan.cache.PlanCache`
   (:func:`repro.core.dgefmm.replay_serial`: ``dgefmm`` walks every
-  unfused call);
+  substrate call);
 - ``vendor`` and ``vendor-plan`` — the walk and the plan replay again
   with ``backend="vendor"``: every leaf is numpy's BLAS ``np.matmul``,
   which writes C directly when it can, so the leaf meets the case's
-  aliasing, NaN-poisoned C and strided layouts;
+  aliasing, NaN-poisoned C and strided layouts.  A fast case's vendor
+  plan replays its fused program (:mod:`repro.plan.fuse`);
+- ``fused-replay`` — ``dgefmm(backend="vendor")`` through the plan
+  cache, the engine choice a vendor caller gets: a fast case whose
+  root recurses replays its cached fused plan, every other case walks;
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
   worker budget, parallel depth, and the full scheme/peel knob set,
   with no cache: a parallel plan compiled for this call, whose levels
@@ -19,19 +23,17 @@ result-producing paths:
   case or an object-dtype case takes ``dgefmm``'s walk);
 - ``parallel-plan`` — pdgefmm through a plan cache, replaying the
   cached plan;
+- ``parallel-fused`` — ``pdgefmm(backend="vendor")`` through the plan
+  cache, whose serial branches replay fused programs in fast cases;
 - ``served`` — the case submitted to a
-  :class:`~repro.serve.service.GemmService` with the case's knobs and
-  fuse off: admission through the drivers' prologue, then ``dgefmm``'s
-  walk into the service's private output.
+  :class:`~repro.serve.service.GemmService` with the case's knobs:
+  admission through the drivers' prologue, then ``dgefmm``'s walk into
+  the service's private output.
 
-With ``fuse=True`` three more paths join: ``fused`` (``dgefmm`` with
-the fusion pass on and no cache, so a fused plan compiled for the
-call), ``fused-replay`` (the same call through the plan cache) and
-``parallel-fused``.
-Fused *serving* stays out: the service writes a fresh Fortran-ordered
-output, and a leaf that ``np.matmul`` writes straight into C can
-follow C's layout, so it need not match a ``fused`` call on the
-caller's C.
+Vendor *serving* stays out: the service writes a fresh
+Fortran-ordered output, and a leaf that ``np.matmul`` writes straight
+into C can follow C's layout, so it need not match a ``vendor`` call on
+the caller's C.
 
 Checks, in decreasing strictness:
 
@@ -40,11 +42,10 @@ Checks, in decreasing strictness:
    replays the same kernels on the same views in the same order as the
    walk, and a per-call compile must replay exactly like the cached
    plan — any drift is a bug, not roundoff);
-   ``vendor`` vs ``fused`` and ``fused`` vs ``fused-replay`` must be
-   bit-identical too — fused replay runs the vendor kernel's
-   arithmetic at every leaf and the interpreted stream's everywhere
-   else, and a per-call fused compile replays like the cached fused
-   plan; ``served`` vs ``serial`` must be bit-identical unless C
+   ``vendor`` vs ``fused-replay`` must be bit-identical too — fused
+   replay runs the vendor kernel's arithmetic at every leaf and the
+   interpreted stream's everywhere else; ``served`` vs ``serial`` must
+   be bit-identical unless C
    aliases an input (the service then reads the aliased view where
    ``dgefmm`` reads its contiguous copy-on-overlap copy, which may
    round differently);
@@ -124,15 +125,15 @@ def reference_result(case: FuzzCase, a, b, c0) -> np.ndarray:
     return expect
 
 
-#: dgefmm paths: (through the plan cache, backend, fuse); the cached
-#: unfused ones replay the serial plan (``replay_serial``)
-_DGEFMM_PATHS = {
-    "serial": (False, "substrate", False),
-    "plan": (True, "substrate", False),
-    "vendor": (False, "vendor", False),
-    "vendor-plan": (True, "vendor", False),
-    "fused": (False, "substrate", True),
-    "fused-replay": (True, "substrate", True),
+#: serial paths: (how, backend) — ``"walk"`` is ``dgefmm`` with no
+#: cache, ``"cached"`` is ``dgefmm`` through the plan cache and
+#: ``"replay"`` replays the serial plan (``replay_serial``)
+_SERIAL_PATHS = {
+    "serial": ("walk", "substrate"),
+    "plan": ("replay", "substrate"),
+    "vendor": ("walk", "vendor"),
+    "vendor-plan": ("replay", "vendor"),
+    "fused-replay": ("cached", "vendor"),
 }
 
 
@@ -146,18 +147,18 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
         return service.call(
             a, b, c, alpha, beta, case.transa, case.transb,
             cutoff=crit, scheme=case.scheme, peel=case.peel,
-            fuse=False, accuracy=case.accuracy,
+            accuracy=case.accuracy,
         )
-    if path in _DGEFMM_PATHS:
-        cached, backend, fused = _DGEFMM_PATHS[path]
+    if path in _SERIAL_PATHS:
+        how, backend = _SERIAL_PATHS[path]
         knobs = dict(cutoff=crit, scheme=case.scheme, peel=case.peel,
                      backend=backend, accuracy=case.accuracy)
-        if cached and not fused:
+        if how == "replay":
             replay_serial(a, b, c, alpha, beta, case.transa, case.transb,
                           plan_cache=plan_cache, **knobs)
         else:
             dgefmm(a, b, c, alpha, beta, case.transa, case.transb,
-                   plan_cache=plan_cache if cached else None, fuse=fused,
+                   plan_cache=plan_cache if how == "cached" else None,
                    **knobs)
     else:
         pdgefmm(
@@ -165,10 +166,9 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
             cutoff=crit, scheme=case.scheme, peel=case.peel,
             workers=case.workers, max_parallel_depth=case.depth,
             pool=pool if case.pool else None,
-            plan_cache=(plan_cache
-                        if path in ("parallel-plan", "parallel-fused")
-                        else None),
-            fuse=path == "parallel-fused", accuracy=case.accuracy,
+            plan_cache=None if path == "parallel" else plan_cache,
+            backend="vendor" if path == "parallel-fused" else "substrate",
+            accuracy=case.accuracy,
         )
     return c
 
@@ -177,18 +177,15 @@ def run_case(
     case: FuzzCase,
     plan_cache: Optional[Any] = None,
     pool: Optional[Any] = None,
-    fuse: bool = False,
     service: Optional[GemmService] = None,
 ) -> List[Dict[str, Any]]:
     """Run every applicable path for ``case``; return divergence records.
 
     An empty list means the case conforms.  Each record carries the
     ``path``, a ``kind`` (``"exception"``, ``"reference-mismatch"``, or
-    ``"bit-divergence"``), and a human-readable ``detail``.  ``fuse``
-    adds the fused-execution paths (module docstring) — checked
-    against the reference tolerance, bit-compared to ``vendor`` and
-    for replay determinism.  ``service`` runs the ``served`` path
-    (default: a one-worker service for this case).
+    ``"bit-divergence"``), and a human-readable ``detail``.
+    ``service`` runs the ``served`` path (default: a one-worker service
+    for this case).
     """
     if plan_cache is None:
         from repro.plan import PlanCache
@@ -200,19 +197,14 @@ def run_case(
         pool = WorkspacePool()
     if service is None:
         with GemmService(workers=1) as own:
-            return run_case(case, plan_cache, pool, fuse, own)
+            return run_case(case, plan_cache, pool, own)
 
     a, b, _c, c0 = materialize(case)
     expect = reference_result(case, a, b, c0)
     atol = tolerance_for(case, expect)
 
-    paths = ["serial", "plan", "vendor", "vendor-plan", "parallel",
-             "parallel-plan", "served"]
-    # fused programs are compiled for the fast kernels only (GemmConfig
-    # rejects fuse with any other accuracy), so the fused paths join the
-    # cross-check only for fast-discipline cases
-    if fuse and case.accuracy == "fast":
-        paths += ["fused", "fused-replay", "parallel-fused"]
+    paths = ["serial", "plan", "vendor", "vendor-plan", "fused-replay",
+             "parallel", "parallel-plan", "parallel-fused", "served"]
 
     failures: List[Dict[str, Any]] = []
     results: Dict[str, np.ndarray] = {}
@@ -248,8 +240,7 @@ def run_case(
             })
 
     pairs = [("serial", "plan"), ("vendor", "vendor-plan"),
-             ("parallel", "parallel-plan"), ("vendor", "fused"),
-             ("fused", "fused-replay")]
+             ("parallel", "parallel-plan"), ("vendor", "fused-replay")]
     if case.alias == "none":
         pairs.append(("serial", "served"))
     for lhs, rhs in pairs:

@@ -109,7 +109,6 @@ def run_fuzz(
     failures_path: Optional[str] = None,
     progress: Optional[Any] = None,
     scheme: Optional[str] = None,
-    fuse: bool = False,
     dtype: Optional[str] = None,
     accuracy: Optional[str] = None,
 ) -> FuzzReport:
@@ -122,9 +121,7 @@ def run_fuzz(
     ``--replay``.  ``progress`` is an optional callable
     ``(index, total, divergent)`` invoked after each case.  ``scheme``
     pins every case (drawn or replayed) to one scheme — the per-scheme
-    CI smoke lanes; all other knobs keep their drawn values.  ``fuse``
-    adds the fused-execution paths to every case (see
-    :mod:`repro.fuzz.oracle`).
+    CI smoke lanes; all other knobs keep their drawn values.
 
     ``dtype``/``accuracy`` pin the precision dimension — the CI
     precision-matrix lanes.  Dtype compatibility wins over an accuracy
@@ -166,7 +163,7 @@ def run_fuzz(
             report.cases += 1
             report._cover(case)
             failures = run_case(case, plan_cache=plan_cache, pool=pool,
-                                fuse=fuse, service=service)
+                                service=service)
             if failures:
                 report.divergent += 1
                 report.failures.append(

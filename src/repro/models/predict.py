@@ -106,7 +106,7 @@ def config_cost(
     measured wall time — the quantitative form of the paper's Section
     3.4 warning that op counts alone mistune real code.  Only the
     traversal-shaping knobs (``cutoff``, ``scheme``) affect the model;
-    ``nb``/``backend``/``fuse`` change constants the ladder does not
+    ``nb``/``backend`` change constants the ladder does not
     see, which is precisely the error the benchmark measures.
     """
     return strassen_cost(

@@ -10,19 +10,21 @@ thread-safe LRU :class:`~repro.plan.cache.PlanCache`, and replays them
 with :func:`~repro.plan.executor.execute_plan` at zero per-call
 planning or allocation cost (pool-backed arenas, precomputed byte
 offsets); a serial plan's results are bit-identical to the walk.  The
-drivers replay plans where something consumes them: ``dgefmm(...,
-fuse=True)`` runs a fused plan and ``pdgefmm`` a parallel one, each
-from ``plan_cache=`` when given and compiled for the call otherwise.
-An unfused ``dgefmm`` call walks the recursion.
+drivers replay plans where something consumes them: ``pdgefmm`` a
+parallel one, and ``dgefmm`` the fused plan of a vendor call under
+fast accuracy whose root recurses, each from ``plan_cache=`` when given
+(``pdgefmm`` compiles for the call otherwise).  Every other ``dgefmm``
+call walks the recursion.
 
-With ``fuse=True`` on :class:`~repro.core.config.GemmConfig`, compiled
-plans additionally carry a :class:`~repro.plan.fuse.FusedProgram` —
-the op stream with every base-case product replaced by one direct
-``np.matmul`` step (:func:`~repro.plan.fuse.fuse_plan`) — which the
-executor replays in place of the interpreted loop.  Fused replay is
-charge-identical to the interpreted stream and bit-identical to the
-vendor kernel's path (``backend="vendor"``), not to the substrate
-kernel's; ``fuse`` therefore keys the plan signature.
+Compiled serial plans of a fusable config (``backend="vendor"``, fast
+accuracy: :attr:`~repro.core.config.GemmConfig.fusable`) additionally
+carry a :class:`~repro.plan.fuse.FusedProgram` — the op stream with
+every base-case product replaced by one direct ``np.matmul`` step
+(:func:`~repro.plan.fuse.fuse_plan`) — which the executor replays in
+place of the interpreted loop.  Fused replay is charge-identical to the
+interpreted stream and bit-identical to the vendor walk: a vendor call
+with a cache replays a fused plan when its root recurses, and computes
+the bits it would have walked.
 """
 
 from repro.plan.cache import PlanCache

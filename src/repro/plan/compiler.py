@@ -126,7 +126,7 @@ PlanSignature.__doc__ = """The cache key: everything the plan's structure depend
     dataclass) objects themselves.
 
     The behaviour-knob fields (``scheme``, ``peel``, ``cutoff``, ``nb``,
-    ``backend``, ``fuse``, ``dtype``, ``accuracy``) are not hand-listed:
+    ``backend``, ``dtype``, ``accuracy``) are not hand-listed:
     they are generated from ``dataclasses.fields(GemmConfig)`` at
     class-creation time, in declaration order, between the problem
     fields and ``max_parallel_depth``.  A knob added to ``GemmConfig``
@@ -266,9 +266,10 @@ class ExecutionPlan:
         self.charge_bytes = int(charge_bytes)
         self.counts = counts
         #: optional :class:`~repro.plan.fuse.FusedProgram` attached by
-        #: the compiler when the signature's config has ``fuse=True``;
-        #: the executor replays it for plain numeric contexts and falls
-        #: back to the interpreted op stream otherwise
+        #: the compiler to a serial plan whose config is fusable (vendor
+        #: leaves, fast accuracy); the executor replays it for plain
+        #: numeric contexts and falls back to the interpreted op stream
+        #: otherwise
         self.fused = None
         self.nbytes = (
             256
@@ -580,12 +581,8 @@ class _Recorder:
         counts["mul_flops_total"] = self.mul_flops_total
         counts["add_flops_total"] = self.add_flops_total
         cfg = self.cfg
-        # a fused plan's interpreted stream (the executor's fallback
-        # under tracing, dry runs and machine models) runs the leaves
-        # fused replay runs, so both compute the same bits
         return ExecutionPlan(
-            signature, m, k, n, self.dtype, cfg.nb,
-            "vendor" if cfg.fuse else cfg.backend,
+            signature, m, k, n, self.dtype, cfg.nb, cfg.backend,
             tuple(self.region_descs), tuple(self.ops), branches,
             tuple(self.epilogue), self.ws.required, self.ws.peak,
             charge, counts, cfg.accuracy,
@@ -623,7 +620,7 @@ def _compile_serial(
     a, b, c = _roots(m, k, n, dtype)
     _rec(a, b, c, alpha, beta, depth, scheme, rec)
     plan = rec.build(signature, m, k, n)
-    if cfg.fuse:
+    if cfg.fusable:
         plan.fused = fuse_plan(plan)
         plan.nbytes += 96 * len(plan.fused.ops)
     return plan

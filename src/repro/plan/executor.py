@@ -14,16 +14,19 @@ around the kernels — per-node cutoff evaluation, peeling decisions,
 scheme dispatch, workspace frames and allocation accounting, closure
 construction, and recursion bookkeeping.
 
-Plans run where something consumes them: fused calls (``fuse=True``,
-through :func:`repro.core.dgefmm.dgefmm` and the serving engine), the
-parallel plans of :func:`repro.core.parallel.pdgefmm` (whose branch
-leaves are serial plans), and the explicit :func:`~repro.plan.compiler.
-compile_plan` / :func:`execute_plan` route.  An unfused serial call
-walks the recursion instead: at the default cutoff, interpreted replay
-of a serial plan measured no faster than the walk it mirrors.  A fused
-plan replays its :class:`~repro.plan.fuse.FusedProgram` (one inline
-loop, vendor-kernel leaves) through :func:`~repro.plan.fuse.run_fused`
-instead of the op-by-op loop below.
+Plans run where something consumes them: the fused plan of a vendor
+call under fast accuracy whose root recurses (through
+:func:`repro.core.dgefmm.dgefmm` and the serving engine, from a plan
+cache), the parallel plans of :func:`repro.core.parallel.pdgefmm`
+(whose branch leaves are serial plans), and the explicit
+:func:`~repro.plan.compiler.compile_plan` / :func:`execute_plan` route.
+Every other serial call walks the recursion instead: at the default
+cutoff, interpreted replay of a serial plan measured no faster than the
+walk it mirrors.  A plan that carries a
+:class:`~repro.plan.fuse.FusedProgram` (a fusable config's serial
+plan: vendor leaves, fast accuracy) replays it through
+:func:`~repro.plan.fuse.run_fused` — one inline loop, bit-identical to
+the vendor walk — instead of the op-by-op loop below.
 
 Arenas come from a :class:`~repro.core.pool.WorkspacePool` when one is
 supplied: the executor reserves the plan's precomputed requirement once
@@ -169,8 +172,7 @@ def _exec(plan, va, vb, vc, st, ctx, pool, workers) -> None:
     # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
     # dry runs skip numerics per kernel, and machine models charge
     # modeled seconds per call — all three fall back to the interpreted
-    # stream, which a fused plan records with vendor leaves, so the
-    # fallback computes the fused replay's bits.
+    # stream, whose vendor leaves compute the fused replay's bits.
     fused = plan.fused
     if fused is not None and (
         ctx.trace or ctx.dry or ctx.machine is not None

@@ -27,20 +27,22 @@ tally is an integer-valued float below 2**53, so the sums equal the
 interpreted replay's per-op charges exactly.
 
 Numerics: fused replay is **bit-identical** to the vendor kernel's
-path — ``dgefmm(..., backend="vendor")`` and ``pdgefmm(...,
-backend="vendor")`` at the same cutoff — and not to the substrate
-kernel, whose tiled ``einsum`` accumulates in another order.  That is
-why ``fuse`` is a :class:`~repro.core.config.GemmConfig` field: it keys
-:class:`~repro.plan.compiler.PlanSignature`, so fused and substrate
-plans never collide in one cache.  A leaf whose output overlaps one of
-its inputs needs no analysis: numpy buffers an ``out`` that overlaps an
-input, exactly as for the vendor ``dgemm``.
+walk — ``dgefmm(..., backend="vendor")`` at the same cutoff — so it is
+that backend's engine, not a knob: the compiler fuses every serial plan
+of a vendor config under fast accuracy
+(:attr:`~repro.core.config.GemmConfig.fusable`), and ``dgefmm`` replays
+the fused plan from its plan cache when the call's root recurses and
+walks otherwise.  Substrate plans never fuse (its tiled ``einsum``
+accumulates in another order), and ``backend`` keys
+:class:`~repro.plan.compiler.PlanSignature`, so the two never collide
+in one cache.  A leaf whose output overlaps one of its inputs needs no
+analysis: numpy buffers an ``out`` that overlaps an input, exactly as
+for the vendor ``dgemm``.
 
 The fused program runs only for plain numeric replay — no tracing, no
 dry run, no attached machine model (those need per-op hooks).  The
-executor falls back to the plan's interpreted stream otherwise, and the
-compiler records a fused plan's stream with vendor leaves, so the
-fallback computes the same bits.
+executor falls back to the plan's interpreted stream otherwise, whose
+vendor leaves compute the same bits.
 """
 
 from __future__ import annotations

@@ -16,9 +16,10 @@ correctness failure, not a statistic.
 
 The mix repeats deliberately: production GEMM traffic is dominated by
 recurring shapes, and the repeat is what the workspace pool and, with
-``fuse=True``, the plan cache amortize against — the report's
-``plan_cache.hit_rate`` shows the latter (it stays 0 for unfused
-traffic, which walks the recursion).
+``backend="vendor"``, the plan cache amortize against — the report's
+``plan_cache.hit_rate`` shows the latter (only vendor requests under
+fast accuracy whose root recurses replay a cached fused plan; the rest
+walk the recursion and never touch the cache).
 """
 
 from __future__ import annotations
@@ -33,7 +34,6 @@ from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.errors import ServiceOverloaded, ServiceTimeout
 from repro.fuzz.cases import FuzzCase, draw_case, materialize
-from repro.plan.cache import PlanCache
 from repro.serve.service import GemmService
 
 __all__ = ["build_mix", "run_load"]
@@ -44,7 +44,6 @@ def build_mix(
     seed: int = 0,
     max_dim: int = 48,
     scheme: Optional[str] = None,
-    fast_only: bool = False,
     dtypes: Optional[Sequence[str]] = None,
 ) -> List[FuzzCase]:
     """A deterministic mix of ``n_shapes`` serveable fuzz cases.
@@ -54,10 +53,7 @@ def build_mix(
     plain case) — everything else, including degenerate dimensions,
     zero scalars, mixed dtypes and hostile layouts, stays in the mix.
     ``scheme`` pins every case to one scheme (all other knobs keep
-    their drawn values), mirroring ``repro fuzz --scheme``.
-    ``fast_only`` additionally drops cases whose accuracy SLO is not
-    ``"fast"`` — the fused plan path compiles against the fast kernels
-    only, so a fused run must serve a fast-only mix.  ``dtypes``
+    their drawn values), mirroring ``repro fuzz --scheme``.  ``dtypes``
     restricts the mix to an allowlist — the network path passes
     :data:`~repro.api.protocol.WIRE_DTYPES`, since exact dtypes don't
     travel over the wire.
@@ -68,8 +64,6 @@ def build_mix(
         case = draw_case(rng, max_dim=max_dim)
         if case.alias != "none":
             continue
-        if fast_only and case.accuracy != "fast":
-            continue
         if dtypes is not None and case.dtype not in dtypes:
             continue
         mix.append(case)
@@ -78,19 +72,16 @@ def build_mix(
     return mix
 
 
-def _reference(case: FuzzCase, a, b, c, *,
-               fuse: bool = False,
-               plan_cache: Optional[PlanCache] = None) -> np.ndarray:
+def _reference(case: FuzzCase, a, b, c,
+               backend: str = "substrate") -> np.ndarray:
     """Direct dgefmm on operands materialized exactly like the service.
 
     The service starts ``beta == 0`` outputs from Fortran-ordered zeros
     and ``beta != 0`` outputs from a plain copy of the caller's C; the
     reference does the same, so bit-identity is the guarantee that the
-    service runs ``dgefmm``'s own code and nothing else.  Under ``fuse``
-    the reference runs through the fused plan path too: fused leaves
-    run the vendor kernel, not the substrate kernel the unfused walk
-    runs, so the monitor keeps asserting exact equality against the
-    same path.
+    service runs ``dgefmm``'s own code and nothing else.  The reference
+    walks with no plan cache: where a vendor request replays its fused
+    plan, the check also holds fused replay to the walk's bits.
     """
     alpha, beta = case.scalars()
     if beta != 0.0:
@@ -98,10 +89,9 @@ def _reference(case: FuzzCase, a, b, c, *,
     else:
         dt = np.result_type(a, b)
         out = np.zeros((case.m, case.n), dtype=dt, order="F")
-    kwargs = {"plan_cache": plan_cache, "fuse": True} if fuse else {}
     dgefmm(a, b, out, alpha, beta, case.transa, case.transb,
            cutoff=SimpleCutoff(case.tau), scheme=case.scheme,
-           peel=case.peel, accuracy=case.accuracy, **kwargs)
+           peel=case.peel, backend=backend, accuracy=case.accuracy)
     return out
 
 
@@ -117,7 +107,7 @@ def run_load(
     seed: int = 0,
     max_dim: int = 48,
     scheme: Optional[str] = None,
-    fuse: bool = False,
+    backend: str = "substrate",
     request_timeout: Optional[float] = None,
     verify: bool = True,
     service: Optional[GemmService] = None,
@@ -133,9 +123,9 @@ def run_load(
     surface works, including the network
     :class:`~repro.api.client.GemmClient`; otherwise one is built from
     the knobs and closed before returning.  ``scheme`` pins the whole
-    mix to one scheme.  ``fuse`` serves (and verifies) the mix through
-    the fused plan path; it applies to the locally-built service —
-    configure an injected ``service`` directly.
+    mix to one scheme.  ``backend`` is the leaf kernel the mix is
+    served (and verified) with; it applies to the locally-built service
+    — configure an injected ``service`` directly.
 
     ``canonical_operands`` converts every operand to Fortran order
     before anything touches it.  Network serving needs this: the wire
@@ -145,10 +135,9 @@ def run_load(
     and bit-identity stays assertable end to end.
     """
     mix = build_mix(n_shapes=n_shapes, seed=seed, max_dim=max_dim,
-                    scheme=scheme, fast_only=fuse, dtypes=dtypes)
+                    scheme=scheme, dtypes=dtypes)
     operands: List[Tuple[Any, Any, Any]] = []
     expected: List[Optional[np.ndarray]] = []
-    ref_cache = PlanCache() if (verify and fuse) else None
     for case in mix:
         a, b, c, c0 = materialize(case)
         if canonical_operands:
@@ -157,14 +146,13 @@ def run_load(
             c = np.asarray(c, order="F")
         operands.append((a, b, c))
         expected.append(
-            _reference(case, a, b, c, fuse=fuse, plan_cache=ref_cache)
-            if verify else None
+            _reference(case, a, b, c, backend) if verify else None
         )
 
     own_service = service is None
     svc = service if service is not None else GemmService(
         workers=workers, capacity=capacity, policy=policy,
-        max_batch=max_batch, fuse=fuse,
+        max_batch=max_batch, backend=backend,
     )
     inflight: List[Tuple[int, Any]] = []   # (mix index, future)
     attempts = rejected = 0
@@ -246,7 +234,7 @@ def run_load(
         "errors": errors,
         "divergent": divergent,
         "verified": bool(verify),
-        "fuse": bool(fuse),
+        "backend": backend,
         "failures": failures,
         "mix": [
             {"m": c.m, "k": c.k, "n": c.n, "dtype": c.dtype,

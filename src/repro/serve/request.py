@@ -7,7 +7,8 @@ so operand validation, dtype and accuracy resolution, exact-scalar
 coercion and the degenerate cases are exactly ``dgefmm``'s.  The
 request keeps the prologue's call, that output, and the call's serial
 :class:`~repro.plan.compiler.PlanSignature` — the key the micro-batcher
-groups by and, for a fused request, the plan cache's key.  A worker
+groups by and, for a request that replays a fused plan, the plan
+cache's key.  A worker
 runs the call through ``dgefmm``'s own serial path.  Degenerate
 problems (empty output, ``k == 0``, ``alpha == 0``) are answered by the
 prologue at admission; they carry no call and no signature, so each
@@ -35,7 +36,6 @@ import numpy as np
 from repro.blas.level3 import DEFAULT_TILE
 from repro.blas.validate import opshape, require_matrix
 from repro.context import ExecutionContext, ensure_context
-from repro.core.config import resolve_config
 from repro.core.cutoff import CutoffCriterion
 from repro.core.dgefmm import _prologue
 from repro.errors import ServiceTimeout
@@ -142,12 +142,8 @@ class GemmRequest:
     request stay independent.  ``call`` is the prologue's validated
     call (None for a degenerate problem, whose ``out`` already holds
     the answer) and ``ctx`` takes the prologue's charges.
-
-    ``fuse=None`` is a *defaulted* fuse: it fuses only when the
-    resolved accuracy is ``"fast"`` (fused programs exist for the fast
-    kernels only), whereas an explicit ``fuse=True`` conflict is a
-    validation error.  ``cutoff=None`` takes the default of the kernel
-    the request ends up with, fused or not, like ``dgefmm``'s.
+    ``cutoff=None`` takes the default of the request's leaf kernel, like
+    ``dgefmm``'s.
     """
 
     __slots__ = ("call", "out", "signature", "future", "deadline", "seq",
@@ -168,7 +164,6 @@ class GemmRequest:
         peel: str = "tail",
         nb: int = DEFAULT_TILE,
         backend: str = "substrate",
-        fuse: Optional[bool] = False,
         accuracy: Optional[str] = None,
         deadline: Optional[float] = None,
         ctx: Optional[ExecutionContext] = None,
@@ -186,16 +181,8 @@ class GemmRequest:
         call = _prologue(
             where, a, b, out, alpha, beta, transa, transb,
             ensure_context(ctx), cutoff, scheme, peel, nb, backend,
-            False if fuse is None else fuse, accuracy,
+            accuracy,
         )
-        if fuse is None and call is not None and call.cfg.accuracy == "fast":
-            # re-resolved from the caller's cutoff: a defaulted one
-            # follows the fused leaves, as in dgefmm(fuse=True)
-            cfg = call.cfg
-            call = call._replace(cfg=resolve_config(
-                cfg.scheme, cfg.peel, cutoff, cfg.nb, cfg.backend, True,
-                cfg.dtype, cfg.accuracy,
-            ))
         self.call = call
         self.out = out
         self.signature = None if call is None else call.signature("serial")

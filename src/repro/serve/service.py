@@ -3,7 +3,8 @@
 The service runs streams of requests through ``dgefmm``'s own serial
 path: a :class:`~repro.core.pool.WorkspacePool` amortizes workspace to
 zero fresh allocation, a :class:`~repro.plan.cache.PlanCache` compiles
-each fused signature's plan once, and the micro-batching scheduler
+the fused plan of each vendor signature whose root recurses once, and
+the micro-batching scheduler
 amortizes the worker handoff — queue lock, worker wakeup — across
 batches of same-signature requests.
 
@@ -15,8 +16,10 @@ Life of a request::
              -> AdmissionQueue (policy: reject/block/shed)
              -> worker takes an oldest-first same-signature batch
              -> one call into dgefmm's serial path per request: the
-                walk in a pooled arena (a private workspace for object
-                dtype), or a fused plan from the PlanCache
+                walk (in a pooled arena when the root recurses and the
+                dtype is typed), or, for a vendor request under fast
+                accuracy whose root recurses, its fused plan from the
+                PlanCache — bit-identical to the walk
              -> future resolves; metrics record wait/compute/latency
 
 Results are **bit-identical** to a direct :func:`~repro.core.dgefmm.
@@ -83,23 +86,23 @@ class GemmService:
         None (the default) leaves it to each request's config, which
         takes :func:`~repro.core.config.default_cutoff` of the
         request's leaf kernel: ``DEFAULT_CUTOFF`` over the substrate,
-        ``BLAS_CUTOFF`` when the request fuses or a tuned profile gives
-        it the vendor backend.
-    fuse:
-        Default for the per-request ``fuse`` knob: serve requests as
-        fused plans (:mod:`repro.plan.fuse`), cached in ``plan_cache``,
-        instead of walking the recursion.  Part of the plan signature,
-        so fused and unfused traffic batch separately.
+        ``BLAS_CUTOFF`` over the vendor kernel.
+    backend:
+        Base-case kernel backend of requests no tuned profile governs
+        (:data:`repro.blas.level3.BACKENDS`).  A ``"vendor"`` request
+        under fast accuracy whose root recurses replays its fused plan
+        (:mod:`repro.plan.fuse`), cached in ``plan_cache``, instead of
+        walking; the bits are the walk's either way.
     plan_cache, pool, metrics:
         Bring-your-own shared instances (e.g. one cache across several
-        services), or None for private ones.  Only fused requests use
+        services), or None for private ones.  Only fused replays use
         the plan cache.
     profiles:
         Optional tuned-profile resolver consulted at admission — any
         object exposing ``resolve(m, k, n, dtype=..., beta_zero=...)
         -> profile-or-None`` where a profile carries the GemmConfig
         knob attributes (``scheme``/``peel``/``cutoff``/``nb``/
-        ``backend``/``fuse``), plus ``stats()``.  In practice a
+        ``backend``), plus ``stats()``.  In practice a
         :class:`repro.tune.store.ProfileStore`; the parameter is
         duck-typed because the serve layer sits *below* tune in the
         layering lint and must not import it.  Resolution order per
@@ -121,7 +124,7 @@ class GemmService:
         policy: str = "reject",
         max_batch: int = 32,
         cutoff: Optional[CutoffCriterion] = None,
-        fuse: bool = False,
+        backend: str = "substrate",
         plan_cache: Optional[PlanCache] = None,
         pool: Optional[WorkspacePool] = None,
         metrics: Optional[MetricsRegistry] = None,
@@ -137,7 +140,7 @@ class GemmService:
                 f"must be >= 1, got {max_batch}",
             )
         self.cutoff = cutoff
-        self.fuse = bool(fuse)
+        self.backend = backend
         self.plan_cache = plan_cache if plan_cache is not None else PlanCache()
         self.pool = pool if pool is not None else WorkspacePool()
         self.metrics = metrics if metrics is not None else MetricsRegistry()
@@ -205,7 +208,6 @@ class GemmService:
         scheme: Optional[str] = None,
         peel: Optional[str] = None,
         nb: Optional[int] = None,
-        fuse: Optional[bool] = None,
         accuracy: Optional[str] = None,
     ) -> GemmFuture:
         """Queue ``C <- alpha*op(A)*op(B) + beta*C``; returns a future.
@@ -221,7 +223,7 @@ class GemmService:
         the future resolves.
 
         The knob arguments (``cutoff``/``scheme``/``peel``/``nb``/
-        ``fuse``/``accuracy``) default to None, meaning *no per-request
+        ``accuracy``) default to None, meaning *no per-request
         override*: the effective value then comes from the tuned
         profile resolved for this problem's signature class (when the
         service has a ``profiles`` store and it holds a matching
@@ -235,10 +237,8 @@ class GemmService:
         :data:`repro.core.config.ACCURACIES`); unset, it defaults to
         the profile's, else — in the drivers' prologue — to the dtype's
         natural discipline (``"exact"`` for integer/object operands,
-        ``"fast"`` otherwise).  A non-``"fast"`` resolution silently
-        drops a *defaulted* fuse knob (fused programs are compiled for
-        the fast kernels only) — an *explicit* ``fuse=True`` conflict
-        is rejected at validation instead.
+        ``"fast"`` otherwise).  The backend comes from the profile, else
+        from the service.
 
         Admission runs ``dgefmm``'s own prologue, so every validation
         error it raises — malformed operands, illegal knobs, a
@@ -256,10 +256,6 @@ class GemmService:
         prof = self._resolve_profile(a, b, c, transa, transb, beta)
         if prof is not None:
             self._m_profile.inc()
-        # a fuse defaulted on (by the profile or the service) stays
-        # None: the request fuses it only if the accuracy is "fast"
-        if fuse is None and not (prof.fuse if prof is not None else self.fuse):
-            fuse = False
         req = GemmRequest(
             a, b, c, alpha, beta, transa, transb,
             cutoff=cutoff if cutoff is not None else (
@@ -274,8 +270,7 @@ class GemmService:
             nb=nb if nb is not None else (
                 prof.nb if prof is not None else DEFAULT_TILE
             ),
-            backend=prof.backend if prof is not None else "substrate",
-            fuse=fuse,
+            backend=prof.backend if prof is not None else self.backend,
             # accuracy SLO: explicit > tuned profile > dtype default
             accuracy=accuracy if accuracy is not None else getattr(
                 prof, "accuracy", None),
@@ -405,10 +400,9 @@ class GemmService:
         if sig is None:
             return "degenerate"
         b = "b0" if sig.beta_zero else "bg"
-        f = "fused" if sig.fuse else "interp"
         return (
-            f"{sig.m}x{sig.k}x{sig.n}:{sig.dtype}:{b}:{sig.scheme}:{f}"
-            f":{sig.accuracy}"
+            f"{sig.m}x{sig.k}x{sig.n}:{sig.dtype}:{b}:{sig.scheme}"
+            f":{sig.backend}:{sig.accuracy}"
         )
 
     def _record_signature(self, sig: Optional[Any], latency_ms: float) -> None:
@@ -431,7 +425,7 @@ class GemmService:
                         "dtype": sig.dtype,
                         "beta_zero": sig.beta_zero,
                         "scheme": sig.scheme,
-                        "fuse": sig.fuse,
+                        "backend": sig.backend,
                         "accuracy": sig.accuracy,
                     }
                     meta["count"] = 0

@@ -9,7 +9,7 @@ loop *against the serving stack, while it serves*:
   the cost-model ladder's predictions alongside (the predictor's error
   is tracked in ``BENCH_tune.json``);
 - :mod:`repro.tune.search` — budgeted successive halving over the knob
-  grid ``(cutoff, nb, scheme, peel, fuse)``, producing a
+  grid ``(cutoff, nb, backend, scheme, peel)``, producing a
   :class:`~repro.tune.profile.TunedProfile` per signature class;
 - :mod:`repro.tune.profile` / :mod:`repro.tune.store` — versioned,
   host-fingerprinted profile JSON and the thread-safe

@@ -30,15 +30,15 @@ __all__ = ["hot_swap_check"]
 def _reference(a: np.ndarray, b: np.ndarray, cfg: GemmConfig,
                cache: PlanCache) -> np.ndarray:
     """Direct dgefmm under ``cfg``, as the service runs it (the serving
-    path's ground truth — a fused config replays its fused plan from
-    ``cache``, an unfused one walks)."""
+    path's ground truth — through ``cache``, so a vendor config whose
+    root recurses replays its fused plan)."""
     c = np.zeros((a.shape[0], b.shape[1]),
                  dtype=np.result_type(a, b), order="F")
     dgefmm(
         a, b, c,
         cutoff=cfg.cutoff, scheme=cfg.scheme, peel=cfg.peel,
         nb=cfg.nb, backend=cfg.backend,
-        plan_cache=cache, fuse=cfg.fuse, accuracy=cfg.accuracy,
+        plan_cache=cache, accuracy=cfg.accuracy,
     )
     return c
 

@@ -71,11 +71,11 @@ def time_config(
 ) -> float:
     """Median wall seconds for one multiplication under ``config``.
 
-    Runs ``dgefmm`` the way a serving worker does: the walk for an
-    unfused config, a fused plan from a warm cache for a fused one (the
-    warmup run inside :func:`~repro.utils.timing.time_call` absorbs
-    compilation) — tuning the cold path would optimize a state
-    production never sits in.  A private cache is used unless the
+    Runs ``dgefmm`` the way a serving worker does, through a warm plan
+    cache: a vendor config whose root recurses replays its fused plan
+    (the warmup run inside :func:`~repro.utils.timing.time_call`
+    absorbs compilation), every other config walks — tuning the cold
+    path would optimize a state production never sits in.  A private cache is used unless the
     caller shares one across candidates of the same signature.
     """
     cache = plan_cache if plan_cache is not None else PlanCache(max_plans=8)
@@ -95,7 +95,6 @@ def time_config(
             nb=config.nb,
             backend=config.backend,
             plan_cache=cache,
-            fuse=config.fuse,
             accuracy=config.accuracy,
         )
 

@@ -4,7 +4,7 @@ The paper calibrated cutoffs per machine by hand (Tables 2-3); the tune
 subsystem discovers them on the running host and has to hand the result
 to a *serving* process that was launched before the measurement ran.
 The unit of exchange is a :class:`TunedProfile`: one winning knob
-combination — ``(scheme, peel, cutoff, nb, fuse)``, exactly the fields
+combination — ``(scheme, peel, cutoff, nb, backend)``, exactly the fields
 of :class:`~repro.core.config.GemmConfig` the tuner searches — bound to
 a **signature class** (a shape/dtype/scalar bucket, :func:`class_key`),
 stamped with the fingerprint of the host it was measured on, and
@@ -122,7 +122,7 @@ class TunedProfile:
 
     ``key``
         The :func:`class_key` bucket this profile serves.
-    ``scheme``/``peel``/``cutoff``/``nb``/``backend``/``fuse``
+    ``scheme``/``peel``/``cutoff``/``nb``/``backend``
         The knob values — the same vocabulary as
         :class:`~repro.core.config.GemmConfig`, validated identically
         (construction runs ``to_config()`` once); a ``cutoff`` left None
@@ -147,7 +147,6 @@ class TunedProfile:
     cutoff: Optional[CutoffCriterion] = None
     nb: int = DEFAULT_TILE
     backend: str = "substrate"
-    fuse: bool = False
     accuracy: str = "fast"
     version: int = 1
     created: str = ""
@@ -182,8 +181,7 @@ class TunedProfile:
         """
         return GemmConfig(
             scheme=self.scheme, peel=self.peel, cutoff=self.cutoff,
-            nb=self.nb, backend=self.backend, fuse=self.fuse,
-            accuracy=self.accuracy,
+            nb=self.nb, backend=self.backend, accuracy=self.accuracy,
         )
 
     def to_json(self) -> Dict[str, Any]:
@@ -196,7 +194,6 @@ class TunedProfile:
             "cutoff": cutoff_to_json(self.cutoff),
             "nb": self.nb,
             "backend": self.backend,
-            "fuse": self.fuse,
             "accuracy": self.accuracy,
             "version": self.version,
             "created": self.created,
@@ -220,8 +217,10 @@ class TunedProfile:
             peel=doc.get("peel", "tail"),
             cutoff=cutoff_from_json(doc["cutoff"]),
             nb=int(doc.get("nb", DEFAULT_TILE)),
-            backend=doc.get("backend", "substrate"),
-            fuse=bool(doc.get("fuse", False)),
+            # a document's "fuse": true selected fused replay, which
+            # computes the vendor backend's bits
+            backend=("vendor" if doc.get("fuse")
+                     else doc.get("backend", "substrate")),
             # documents written before the precision dimension carry no
             # accuracy key; they decode to the fast discipline
             accuracy=doc.get("accuracy", "fast"),
@@ -240,7 +239,7 @@ class TunedProfile:
         return (
             f"TunedProfile({self.key!r} v{self.version}: "
             f"{self.scheme}/{self.peel}, {self.cutoff!r}, nb={self.nb}, "
-            f"fuse={self.fuse})"
+            f"backend={self.backend})"
         )
 
 

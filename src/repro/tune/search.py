@@ -1,6 +1,6 @@
 """Budgeted knob-space search: successive halving over measured time.
 
-The knob space ``(cutoff, nb, scheme, peel, fuse)`` is small but
+The knob space ``(cutoff, nb, backend, scheme, peel)`` is small but
 measurement is expensive — a single probe of a 512-square candidate
 costs real milliseconds, and a tuner sharing a host with serving
 traffic gets a *budget*, not an open meter.  Successive halving spends
@@ -45,16 +45,18 @@ from repro.tune.store import host_fingerprint
 __all__ = ["default_grid", "successive_halving", "tune_class"]
 
 
-def default_grid(include_fused: bool = True) -> List[GemmConfig]:
-    """The default candidate set (~20 configs across every knob).
+def default_grid() -> List[GemmConfig]:
+    """The default candidate set (23 configs across every knob).
 
     Covers each knob's plausible values without exploding the product:
     three cutoff stances (never recurse — the DGEMM baseline every
     tuning run must be allowed to pick; a simple eq. 11 criterion at
     two taus; the paper's hybrid eq. 15 at two scales), three base-case
-    tiles, fused replay and the walk, plus single variants for the
-    ``peel`` and ``scheme`` knobs (their effect is secondary but they
-    must be reachable).
+    tiles of the substrate kernel, one vendor-kernel candidate per
+    cutoff (the tile does not reach ``np.matmul`` leaves; under
+    ``NeverRecurse`` it is the host BLAS alone), plus single variants
+    for the ``peel`` and ``scheme`` knobs (their effect is secondary
+    but they must be reachable).
     """
     grid: List[GemmConfig] = []
     cutoffs = [
@@ -64,13 +66,10 @@ def default_grid(include_fused: bool = True) -> List[GemmConfig]:
         HybridCutoff(tau=64, tau_m=48, tau_k=48, tau_n=48),
         DEFAULT_CUTOFF,
     ]
-    fuses = (False, True) if include_fused else (False,)
     for cutoff in cutoffs:
         for nb in (96, 160, 256):
-            for fuse in fuses:
-                if isinstance(cutoff, NeverRecurse) and fuse:
-                    continue  # nothing to fuse below a no-recursion cutoff
-                grid.append(GemmConfig(cutoff=cutoff, nb=nb, fuse=fuse))
+            grid.append(GemmConfig(cutoff=cutoff, nb=nb))
+        grid.append(GemmConfig(cutoff=cutoff, backend="vendor"))
     # secondary knobs: one probe each, riding the default cutoff/tile
     grid.append(GemmConfig(peel="head"))
     grid.append(GemmConfig(scheme="strassen1_general"))
@@ -164,9 +163,8 @@ def tune_class(
 
     ``dtype``/``accuracy`` pin the precision class being tuned: every
     candidate is probed with operands of that dtype under that rounding
-    discipline (fused candidates drop out for non-fast accuracies —
-    fused programs are compiled for the fast kernels only), and the
-    winning profile carries the accuracy so admission resolves it.
+    discipline, and the winning profile carries the accuracy so
+    admission resolves it.
     """
     if budget_s <= 0:
         raise ArgumentError(
@@ -178,7 +176,6 @@ def tune_class(
     candidates = [
         dataclasses.replace(cfg, dtype=dtype, accuracy=accuracy)
         for cfg in candidates
-        if not (cfg.fuse and accuracy != "fast")
     ]
 
     # cheap model-predicted ordering: if the deadline truncates a rung,
@@ -223,7 +220,6 @@ def tune_class(
         cutoff=best_cfg.cutoff,
         nb=best_cfg.nb,
         backend=best_cfg.backend,
-        fuse=best_cfg.fuse,
         accuracy=best_cfg.accuracy,
         version=version,
         created=datetime.datetime.now(datetime.timezone.utc).isoformat(),

@@ -915,7 +915,7 @@ class TestProfileReload:
 
         prof = TunedProfile(
             key=class_key(m, m, m),
-            cutoff=_SC(32), nb=96, fuse=True,
+            cutoff=_SC(32), nb=96, backend="vendor",
         )
         store = ProfileStore(str(directory))
         store.put(prof)
@@ -923,8 +923,6 @@ class TestProfileReload:
         return prof
 
     def test_reload_and_post_swap_bit_identity(self, server, tmp_path):
-        from repro.plan import PlanCache
-
         m = 96
         prof = self._write_profile(tmp_path, m)
         rng = np.random.default_rng(11)
@@ -950,8 +948,8 @@ class TestProfileReload:
             assert prof.key in rep["profiles"]["keys"], rep
 
         # post-swap: the same knobless request resolves the tuned
-        # config; reference goes through the plan path because the
-        # tuned config is fused
+        # vendor config, whose recursing root replays a fused plan in
+        # the worker; the reference walks, which gives the same bits
         post = GemmClient("127.0.0.1", server.port, client_id="reload-post")
         try:
             got = post.call(a, b)
@@ -960,13 +958,12 @@ class TestProfileReload:
         cfg = prof.to_config()
         want = np.zeros((m, m), order="F")
         dgefmm(a, b, want, cutoff=cfg.cutoff, scheme=cfg.scheme,
-               peel=cfg.peel, nb=cfg.nb, backend=cfg.backend,
-               plan_cache=PlanCache(max_plans=4), fuse=cfg.fuse)
+               peel=cfg.peel, nb=cfg.nb, backend=cfg.backend)
         assert np.array_equal(got, want)
 
         # an explicit per-request knob still beats the profile — for
         # that knob; resolution is per-knob, so the unpinned knobs
-        # (nb, fuse) keep coming from the profile
+        # (nb, backend) keep coming from the profile
         explicit = GemmClient("127.0.0.1", server.port,
                               client_id="reload-explicit")
         try:
@@ -975,8 +972,7 @@ class TestProfileReload:
             explicit.close()
         want = np.zeros((m, m), order="F")
         dgefmm(a, b, want, cutoff=CUT, scheme=cfg.scheme, peel=cfg.peel,
-               nb=cfg.nb, backend=cfg.backend,
-               plan_cache=PlanCache(max_plans=4), fuse=cfg.fuse)
+               nb=cfg.nb, backend=cfg.backend)
         assert np.array_equal(got, want)
 
     def test_reload_endpoint_over_http(self, server, tmp_path):

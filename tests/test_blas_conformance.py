@@ -32,7 +32,7 @@ CUT = SimpleCutoff(4)
 def _paths(a, b, c, alpha=1.0, beta=0.0, **kw):
     """Run serial / planned / parallel / planned-parallel on private
     copies of the operands; returns ``{name: result}``.  ``plan`` is
-    interpreted replay of the serial plan (``dgefmm`` walks unfused
+    interpreted replay of the serial plan (``dgefmm`` walks substrate
     calls even when given a cache)."""
     cache = PlanCache()
     out = {}

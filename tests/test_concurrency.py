@@ -203,9 +203,9 @@ class TestPlanCacheConcurrency:
         """N threads churn mixed signatures through a byte-bound cache:
         counters must balance exactly and the bounds must hold.  Then
         they churn more distinct call shapes through fused
-        ``dgefmm(plan_cache=)`` calls than the front doors' memos hold:
-        results and kernel tallies equal a per-call fused compile's, and
-        every memo stays bounded."""
+        ``dgefmm(backend="vendor", plan_cache=)`` calls than the front
+        doors' memos hold: results and kernel tallies equal the vendor
+        walk's, and every memo stays bounded."""
         sigs = self._signatures(12)
         # size the byte bound to force evictions: hold ~4 plans' worth
         nbytes = sorted(compile_plan(s).nbytes for s in sigs)
@@ -252,15 +252,16 @@ class TestPlanCacheConcurrency:
                 m, k, n = 9 + i, 10 + j, 12      # distinct across threads
                 a = np.asfortranarray(rng.standard_normal((m, k)).astype(dt))
                 b = np.asfortranarray(rng.standard_normal((k, n)).astype(dt))
-                knobs = dict(cutoff=SimpleCutoff(8), nb=4 + i, fuse=True)
-                compiled, cached = ExecutionContext(), ExecutionContext()
+                knobs = dict(cutoff=SimpleCutoff(8), nb=4 + i,
+                             backend="vendor")
+                walked, cached = ExecutionContext(), ExecutionContext()
                 ref = np.zeros((m, n), dtype=dt, order="F")
                 out = np.zeros((m, n), dtype=dt, order="F")
-                dgefmm(a, b, ref, ctx=compiled, **knobs)
+                dgefmm(a, b, ref, ctx=walked, **knobs)
                 dgefmm(a, b, out, ctx=cached, plan_cache=cache, **knobs)
                 assert np.array_equal(out, ref)
-                assert cached.kernel_calls == compiled.kernel_calls
-                assert cached.flops == compiled.flops
+                assert cached.kernel_calls == walked.kernel_calls
+                assert cached.flops == walked.flops
 
         old = sys.getswitchinterval()
         sys.setswitchinterval(1e-6)
@@ -315,17 +316,18 @@ class TestPlanCacheConcurrency:
         assert st["misses"] == 1 and st["hits"] == 7
 
     def test_shared_cache_across_services(self):
-        """One PlanCache serving two fused GemmServices stays
-        consistent: their 20 requests compile one plan between them."""
+        """One PlanCache serving two vendor GemmServices stays
+        consistent: their 20 requests compile one fused plan between
+        them."""
         from repro.serve import GemmService
 
         cache = PlanCache(max_plans=8)
         rng = np.random.default_rng(0)
         a = rng.standard_normal((24, 24))
         b = rng.standard_normal((24, 24))
-        with GemmService(workers=2, plan_cache=cache, fuse=True,
+        with GemmService(workers=2, plan_cache=cache, backend="vendor",
                          cutoff=SimpleCutoff(8)) as s1, \
-                GemmService(workers=2, plan_cache=cache, fuse=True,
+                GemmService(workers=2, plan_cache=cache, backend="vendor",
                             cutoff=SimpleCutoff(8)) as s2:
             futs = [s.submit(a, b) for _ in range(10) for s in (s1, s2)]
             ref = futs[0].result(timeout=30.0)

@@ -131,7 +131,7 @@ class TestValidation:
     def test_interning_accepts_and_rejects_as_before(self, rng):
         """Warm memos (dtype names, configs, signatures) accept and
         reject exactly what a cold call does.  Each case runs twice,
-        after calls with its accepted hash-equal twins (``fuse=True``,
+        after calls with its accepted hash-equal twins (``nb=1``,
         ``nb=32``) have filled the memos."""
         a = np.asfortranarray(rng.standard_normal((18, 22)))
         b = np.asfortranarray(rng.standard_normal((22, 14)))
@@ -143,16 +143,16 @@ class TestValidation:
             dgefmm(a, b, c, cutoff=CUT, **kw)
             np.testing.assert_allclose(c, expect, atol=1e-12)
 
-        call(fuse=True, plan_cache=cache)
+        call(nb=1, backend="vendor", plan_cache=cache)
         call(nb=32)
         for _ in range(2):
             with pytest.raises(ArgumentError):
-                call(fuse=1, plan_cache=cache)
+                call(nb=True, backend="vendor", plan_cache=cache)
             half = np.zeros((4, 4), dtype=np.float16)
             with pytest.raises(ArgumentError):
                 dgefmm(half, half, half.copy())
             call(scheme=np.str_("auto"))
-            call(nb=np.int64(32), fuse=True, plan_cache=cache)
+            call(nb=np.int64(32), backend="vendor", plan_cache=cache)
 
         class Unhashable(SimpleCutoff):
             __hash__ = None
@@ -162,10 +162,10 @@ class TestValidation:
             dgefmm(a, b, c, cutoff=Unhashable(8))   # the walk runs
             np.testing.assert_allclose(c, expect, atol=1e-12)
             c = np.zeros((18, 14), order="F")
-            dgefmm(a, b, c, cutoff=Unhashable(8), fuse=True)  # compiled
+            dgefmm(a, b, c, cutoff=Unhashable(8), backend="vendor")
             np.testing.assert_allclose(c, expect, atol=1e-12)
             with pytest.raises(TypeError):   # PlanCache hashes the key
-                dgefmm(a, b, c, cutoff=Unhashable(8), fuse=True,
+                dgefmm(a, b, c, cutoff=Unhashable(8), backend="vendor",
                        plan_cache=cache)
 
 
@@ -258,34 +258,37 @@ class TestMemoryCoefficients:
 class TestDefaultCutoff:
     """A defaulted cutoff follows the leaf kernel; an explicit one wins."""
 
-    #: (backend, fuse) -> the criterion a defaulted cutoff resolves to
+    #: (backend, whether a tuned profile or the service default gives
+    #: the service that backend) -> the criterion a defaulted cutoff
+    #: resolves to
     LEAF_DEFAULTS = [
         ("substrate", False, DEFAULT_CUTOFF),
-        ("substrate", True, BLAS_CUTOFF),
+        ("substrate", True, DEFAULT_CUTOFF),
         ("vendor", False, BLAS_CUTOFF),
         ("vendor", True, BLAS_CUTOFF),
     ]
 
     @staticmethod
-    def _events(backend, fuse, cutoff):
+    def _events(backend, cutoff):
         ctx = ExecutionContext(dry=True, trace=True)
         dgefmm(Phantom(256, 256), Phantom(256, 256), Phantom(256, 256),
-               cutoff=cutoff, backend=backend, fuse=fuse, ctx=ctx)
+               cutoff=cutoff, backend=backend, ctx=ctx)
         return ctx.events
 
     @staticmethod
-    def _service_follows_dgefmm(rng, backend, fuse, cutoff=None):
-        """True when a GemmService for (backend, fuse) runs ``dgefmm``'s
-        cutoff.  A fused service replays the plan ``dgefmm`` compiled
-        for the same knobs (the signature holds the criterion).  An
-        unfused one walks: it returns ``dgefmm``'s bits, which differ
-        from ``dgefmm``'s at the other leaf kernel's default cutoff,
-        and leaves the plan cache empty."""
+    def _service_follows_dgefmm(rng, backend, profiled, cutoff=None):
+        """True when a GemmService whose requests get ``backend`` (from
+        a tuned profile when ``profiled``, else from the service) runs
+        ``dgefmm``'s cutoff.  A vendor root that recurses replays the
+        fused plan ``dgefmm`` compiled for the same knobs (the signature
+        holds the criterion).  Every other request walks: it returns
+        ``dgefmm``'s bits, which differ from ``dgefmm``'s at the other
+        leaf kernel's default cutoff, and leaves the plan cache empty."""
 
-        class Profiles:   # the only way to a vendor-backend service
+        class Profiles:
             prof = SimpleNamespace(scheme="auto", peel="tail", cutoff=None,
                                    nb=DEFAULT_TILE, backend=backend,
-                                   fuse=fuse, accuracy=None)
+                                   accuracy=None)
 
             def resolve(self, m, k, n, dtype=None, beta_zero=True):
                 return self.prof
@@ -299,41 +302,43 @@ class TestDefaultCutoff:
 
         def direct(crit):
             c = np.zeros((256, 256), order="F")
-            dgefmm(a, b, c, cutoff=crit, backend=backend, fuse=fuse,
-                   plan_cache=cache)
+            dgefmm(a, b, c, cutoff=crit, backend=backend, plan_cache=cache)
             return c
 
         ref = direct(cutoff)
         with GemmService(
-                workers=1, plan_cache=cache, fuse=fuse,
-                profiles=Profiles() if backend == "vendor" else None,
+                workers=1, plan_cache=cache,
+                backend="substrate" if profiled else backend,
+                profiles=Profiles() if profiled else None,
         ) as svc:
             got = svc.submit(a, b, cutoff=cutoff).result(timeout=60)
-        if fuse:
-            return cache.misses == 1 and cache.hits >= 1
+        # order 256 recurses under the explicit SimpleCutoff(48) only
+        if backend == "vendor" and cutoff is not None:
+            replayed = cache.misses == 1 and cache.hits >= 1
+        else:
+            replayed = len(cache) == 0
         other = BLAS_CUTOFF if backend == "substrate" else DEFAULT_CUTOFF
-        return (np.array_equal(got, ref) and len(cache) == 0
+        return (np.array_equal(got, ref) and replayed
                 and not np.array_equal(got, direct(other)))
 
-    @pytest.mark.parametrize("backend,fuse,want", LEAF_DEFAULTS)
-    def test_every_front_door_defaults_alike(self, rng, backend, fuse, want):
-        assert resolve_config("auto", "tail", None, 160, backend, fuse,
+    @pytest.mark.parametrize("backend,profiled,want", LEAF_DEFAULTS)
+    def test_every_front_door_defaults_alike(self, rng, backend, profiled,
+                                             want):
+        assert resolve_config("auto", "tail", None, 160, backend,
                               "float64", None).cutoff == want
-        assert GemmConfig(backend=backend, fuse=fuse).cutoff == want
-        assert self._events(backend, fuse, None) == self._events(
-            backend, fuse, want)
-        assert self._service_follows_dgefmm(rng, backend, fuse)
+        assert GemmConfig(backend=backend).cutoff == want
+        assert self._events(backend, None) == self._events(backend, want)
+        assert self._service_follows_dgefmm(rng, backend, profiled)
 
-    @pytest.mark.parametrize("backend,fuse,default", LEAF_DEFAULTS)
-    def test_explicit_cutoff_wins(self, rng, backend, fuse, default):
+    @pytest.mark.parametrize("backend,profiled,default", LEAF_DEFAULTS)
+    def test_explicit_cutoff_wins(self, rng, backend, profiled, default):
         crit = SimpleCutoff(48)
-        assert resolve_config("auto", "tail", crit, 160, backend, fuse,
+        assert resolve_config("auto", "tail", crit, 160, backend,
                               "float64", None).cutoff == crit
-        assert GemmConfig(cutoff=crit, backend=backend,
-                          fuse=fuse).cutoff == crit
-        assert self._events(backend, fuse, crit) != self._events(
-            backend, fuse, default)
-        assert self._service_follows_dgefmm(rng, backend, fuse, crit)
+        assert GemmConfig(cutoff=crit, backend=backend).cutoff == crit
+        assert self._events(backend, crit) != self._events(backend,
+                                                           default)
+        assert self._service_follows_dgefmm(rng, backend, profiled, crit)
 
     def test_the_two_defaults_differ_at_order_256(self):
         assert DEFAULT_CUTOFF.recurse(256, 256, 256)

@@ -1,12 +1,16 @@
 """The fusion pass (:mod:`repro.plan.fuse`) and fused replay.
 
-The contract under test, in decreasing strictness:
+Fused replay is the vendor backend's engine, not a knob: a serial plan
+of a vendor config under fast accuracy carries a fused program, and
+``dgefmm(backend="vendor", plan_cache=)`` replays it when the call's
+root recurses.  The contract under test, in decreasing strictness:
 
 1. **Vendor identity** — fused replay is bit-identical to the vendor
-   kernel's path: ``dgefmm(..., fuse=True)`` equals ``dgefmm(...,
-   backend="vendor")`` and ``pdgefmm(..., fuse=True)`` equals
-   ``pdgefmm(..., backend="vendor")`` at the same cutoff, and a traced
-   fused call (the interpreted fallback) equals the untraced one.
+   walk: ``dgefmm(..., backend="vendor", plan_cache=)`` equals
+   ``dgefmm(..., backend="vendor")`` with no cache, ``pdgefmm(...,
+   backend="vendor")``'s fused branches equal their interpreted
+   fallback, a traced call (the interpreted fallback) equals the
+   untraced one, and the ``fuse=True`` alias is ``backend="vendor"``.
 2. **Charge parity** — kernel calls and mul/add flop tallies charged by
    a fused replay equal the interpreted replay's exactly (aggregate
    charging of identical per-op tallies).
@@ -18,6 +22,8 @@ The contract under test, in decreasing strictness:
    them for the interpreted path.
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -27,8 +33,13 @@ from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.schemes import SCHEME_NAMES
-from repro.errors import ArgumentError
-from repro.plan import PlanCache, compile_plan, execute_plan, fuse_plan
+from repro.plan import (
+    PlanCache,
+    PlanSignature,
+    compile_plan,
+    execute_plan,
+    fuse_plan,
+)
 from repro.plan.compiler import signature_for
 from repro.plan.fuse import OP_DIRECT
 from repro.plan.ops import OP_GEMM
@@ -44,9 +55,10 @@ SHAPES = [
 ]
 
 
-def _sig(m, k, n, beta=0.0, fuse=True, scheme="auto", cutoff=CUT,
-         dtype="float64"):
-    cfg = GemmConfig(scheme=scheme, cutoff=cutoff, fuse=fuse)
+def _sig(m, k, n, beta=0.0, backend="vendor", scheme="auto", cutoff=CUT,
+         dtype="float64", accuracy="fast"):
+    cfg = GemmConfig(scheme=scheme, cutoff=cutoff, backend=backend,
+                     accuracy=accuracy)
     return signature_for("serial", m, k, n, False, False,
                          False, beta == 0.0, dtype, cfg)
 
@@ -71,7 +83,12 @@ def _mats(rng, m, k, n, dtype="float64", transa=False, transb=False):
 # ---------------------------------------------------------------------- #
 class TestFusionPass:
     def test_fused_attached_only_when_requested(self):
-        assert compile_plan(_sig(16, 16, 16, fuse=False)).fused is None
+        """Every fast vendor serial plan carries a fused program; a
+        substrate or compensated one does not."""
+        assert compile_plan(_sig(16, 16, 16, backend="substrate")).fused \
+            is None
+        assert compile_plan(_sig(16, 16, 16, dtype="float32",
+                                 accuracy="compensated")).fused is None
         plan = compile_plan(_sig(16, 16, 16))
         assert plan.fused is not None
         assert plan.fused.n_direct == sum(
@@ -109,12 +126,12 @@ class TestFusionPass:
 
     def test_fused_plan_bytes_count_the_fused_program(self):
         """PlanCache byte accounting sees the fused program too."""
-        unfused = compile_plan(_sig(64, 64, 64, fuse=False))
+        unfused = compile_plan(_sig(64, 64, 64, backend="substrate"))
         fused = compile_plan(_sig(64, 64, 64))
         assert fused.nbytes > unfused.nbytes
 
     def test_parallel_plan_children_fused(self):
-        cfg = GemmConfig(cutoff=CUT, fuse=True)
+        cfg = GemmConfig(cutoff=CUT, backend="vendor")
         sig = signature_for("parallel", 32, 32, 32, False, False,
                             False, True, "float64", cfg,
                             max_parallel_depth=1)
@@ -132,8 +149,12 @@ class TestFusionPass:
             fuse_plan(compile_plan(sig))
 
     def test_fuse_knob_is_validated(self):
-        with pytest.raises(ArgumentError):
-            GemmConfig(fuse="yes")
+        """``fuse`` is no knob: the engine follows from the config, so
+        neither GemmConfig nor the plan signature has the field."""
+        with pytest.raises(TypeError):
+            GemmConfig(fuse=True)
+        assert "fuse" not in {f.name for f in dataclasses.fields(
+            PlanSignature)}
 
 
 # ---------------------------------------------------------------------- #
@@ -182,8 +203,8 @@ class TestFusedNumerics:
         ctx_f, ctx_i = ExecutionContext(), ExecutionContext()
         _run(compile_plan(_sig(m, k, n, beta=0.5)), a, b,
              c.copy(order="F"), 1.5, 0.5, ctx=ctx_f)
-        _run(compile_plan(_sig(m, k, n, beta=0.5, fuse=False)), a, b,
-             c.copy(order="F"), 1.5, 0.5, ctx=ctx_i)
+        _run(compile_plan(_sig(m, k, n, beta=0.5, backend="substrate")),
+             a, b, c.copy(order="F"), 1.5, 0.5, ctx=ctx_i)
         assert ctx_f.kernel_calls == ctx_i.kernel_calls
         assert ctx_f.flops == ctx_i.flops
         assert ctx_f.mul_flops == ctx_i.mul_flops
@@ -203,7 +224,7 @@ class TestFusedNumerics:
 
 # ---------------------------------------------------------------------- #
 class TestVendorIdentity:
-    """Fused replay computes the vendor kernel's bits: every OP_DIRECT
+    """Fused replay computes the vendor walk's bits: every OP_DIRECT
     is ``dgemm(backend="vendor")``'s arithmetic and every other op the
     interpreted stream's."""
 
@@ -212,72 +233,94 @@ class TestVendorIdentity:
     @pytest.mark.parametrize("scheme", SCHEME_NAMES)
     def test_dgefmm_fused_equals_vendor(self, scheme, dtype):
         rng = np.random.default_rng(21)
+        cache = PlanCache()
         for peel in ("tail", "head"):
             for transa, transb in ((False, False), (True, True)):
                 a, b, c = _mats(rng, 37, 29, 41, dtype, transa, transb)
                 for alpha in (1.0, 1.5):
                     for beta in (0.0, 0.5, 1.0):
                         knobs = dict(cutoff=CUT, scheme=scheme,
-                                     peel=peel)
+                                     peel=peel, backend="vendor")
                         fused = c.copy(order="F")
                         dgefmm(a, b, fused, alpha, beta, transa, transb,
-                               fuse=True, **knobs)
+                               plan_cache=cache, **knobs)
                         vendor = c.copy(order="F")
                         dgefmm(a, b, vendor, alpha, beta, transa, transb,
-                               backend="vendor", **knobs)
+                               **knobs)
                         assert np.array_equal(fused, vendor), (
                             peel, transa, alpha, beta)
+        # the recursing root replayed cached fused plans
+        assert cache.misses and cache.hits
 
     @pytest.mark.parametrize("workers", [1, 3])
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_pdgefmm_fused_equals_vendor(self, workers, depth, beta):
+        """pdgefmm's fused branches equal their interpreted vendor
+        fallback, which a tracing context selects."""
         rng = np.random.default_rng(22)
         for dtype in ("float64", "complex64"):
             a, b, c = _mats(rng, 45, 38, 52, dtype)
             knobs = dict(cutoff=CUT, workers=workers,
-                         max_parallel_depth=depth)
+                         max_parallel_depth=depth, backend="vendor")
             fused = c.copy(order="F")
-            pdgefmm(a, b, fused, 1.5, beta, fuse=True,
-                    plan_cache=PlanCache(), **knobs)
+            pdgefmm(a, b, fused, 1.5, beta, plan_cache=PlanCache(),
+                    **knobs)
             vendor = c.copy(order="F")
-            pdgefmm(a, b, vendor, 1.5, beta, backend="vendor", **knobs)
+            pdgefmm(a, b, vendor, 1.5, beta,
+                    ctx=ExecutionContext(trace=True), **knobs)
             assert np.array_equal(fused, vendor), dtype
 
     @pytest.mark.parametrize("cutoff,shape", [(None, (300, 200, 250)),
                                               (CUT, (37, 29, 41))])
     def test_traced_fused_call_keeps_its_bits(self, cutoff, shape):
         """Tracing swaps fused replay for the interpreted stream; the
-        result must not move (the default cutoff compiles one leaf)."""
+        result must not move (the default cutoff's root is a base case,
+        which walks)."""
         rng = np.random.default_rng(23)
         a, b, c = _mats(rng, *shape)
+        cache = PlanCache()
         for alpha, beta in ((1.0, 0.0), (1.5, 0.5)):
+            knobs = dict(cutoff=cutoff, backend="vendor", plan_cache=cache)
             plain = c.copy(order="F")
-            dgefmm(a, b, plain, alpha, beta, cutoff=cutoff, fuse=True)
+            dgefmm(a, b, plain, alpha, beta, **knobs)
             traced = c.copy(order="F")
             ctx = ExecutionContext(trace=True)
-            dgefmm(a, b, traced, alpha, beta, cutoff=cutoff, fuse=True,
-                   ctx=ctx)
+            dgefmm(a, b, traced, alpha, beta, ctx=ctx, **knobs)
             assert ctx.events
             assert np.array_equal(plain, traced)
             plain = c.copy(order="F")
-            pdgefmm(a, b, plain, alpha, beta, cutoff=cutoff, fuse=True,
-                    workers=2)
+            pdgefmm(a, b, plain, alpha, beta, workers=2, **knobs)
             traced = c.copy(order="F")
-            pdgefmm(a, b, traced, alpha, beta, cutoff=cutoff, fuse=True,
-                    workers=2, ctx=ExecutionContext(trace=True))
+            pdgefmm(a, b, traced, alpha, beta, workers=2,
+                    ctx=ExecutionContext(trace=True), **knobs)
             assert np.array_equal(plain, traced)
+
+    @pytest.mark.parametrize("accuracy", ["fast", "compensated"])
+    def test_fuse_alias_is_the_vendor_backend(self, accuracy):
+        """``dgefmm(fuse=True)`` is ``backend="vendor"`` bit for bit,
+        with and without a cache, under either accuracy."""
+        rng = np.random.default_rng(24)
+        a, b, c = _mats(rng, 37, 29, 41, "float32")
+        for cache in (None, PlanCache()):
+            knobs = dict(cutoff=CUT, plan_cache=cache, accuracy=accuracy)
+            alias = c.copy(order="F")
+            dgefmm(a, b, alias, 1.5, 0.5, fuse=True, **knobs)
+            vendor = c.copy(order="F")
+            dgefmm(a, b, vendor, 1.5, 0.5, backend="vendor", **knobs)
+            assert np.array_equal(alias, vendor), cache
 
 
 # ---------------------------------------------------------------------- #
 class TestFusedDriverPath:
-    """dgefmm/pdgefmm with ``fuse=True`` — the conformance pins of
-    tests/test_blas_conformance.py, replayed through fused execution."""
+    """dgefmm/pdgefmm over the vendor kernel with a plan cache — the
+    conformance pins of tests/test_blas_conformance.py, replayed
+    through fused execution."""
 
     def _fused(self, a, b, c, alpha=1.0, beta=0.0, cache=None, **kw):
         dgefmm(a, b, c, alpha, beta, cutoff=CUT,
                plan_cache=cache if cache is not None else PlanCache(),
-               fuse=True, **kw)
+               backend="vendor", **kw)
         return c
 
     def test_beta_zero_overwrites_nan_c(self):
@@ -327,13 +370,19 @@ class TestFusedDriverPath:
         np.testing.assert_allclose(bb, expect, atol=1e-10 * 12)
 
     def test_fuse_mutation_misses_cache(self):
+        """Fused and unfused plans of one shape never share an entry:
+        the backend and the accuracy that decide fusion key the cache."""
         cache = PlanCache()
-        for fuse in (False, True):
-            cache.get_or_compile(signature_for(
+        for backend, accuracy in (("substrate", "fast"), ("vendor", "fast"),
+                                  ("vendor", "compensated")):
+            plan = cache.get_or_compile(signature_for(
                 "serial", 16, 16, 16, False, False, False, True,
-                "float64", GemmConfig(cutoff=CUT, fuse=fuse),
+                "float64", GemmConfig(cutoff=CUT, backend=backend,
+                                      accuracy=accuracy),
             ))
-        assert (cache.misses, cache.hits) == (2, 0)
+            assert (plan.fused is not None) == (
+                backend == "vendor" and accuracy == "fast")
+        assert (cache.misses, cache.hits) == (3, 0)
 
     def test_parallel_driver_fused(self):
         rng = np.random.default_rng(9)
@@ -341,7 +390,7 @@ class TestFusedDriverPath:
         expect = 1.5 * (a @ b) + 0.5 * c
         got = c.copy(order="F")
         pdgefmm(a, b, got, 1.5, 0.5, cutoff=SimpleCutoff(12),
-                plan_cache=PlanCache(), fuse=True, workers=3)
+                plan_cache=PlanCache(), backend="vendor", workers=3)
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(got - expect)) <= 1e-9 * scale
 
@@ -353,30 +402,35 @@ class TestFusedService:
 
         rng = np.random.default_rng(10)
         a, b, c = _mats(rng, 24, 20, 28)
-        ref_cache = PlanCache()
         expect = np.array(c, copy=True)
-        dgefmm(a, b, expect, 1.0, 0.5, cutoff=CUT,
-               plan_cache=ref_cache, fuse=True)
-        with GemmService(workers=2, cutoff=CUT, fuse=True) as svc:
+        dgefmm(a, b, expect, 1.0, 0.5, cutoff=CUT, backend="vendor")
+        with GemmService(workers=2, cutoff=CUT, backend="vendor") as svc:
             futs = [svc.submit(a, b, c, 1.0, 0.5) for _ in range(8)]
             for fut in futs:
-                # fused serving is bit-identical to fused dgefmm
+                # fused serving is bit-identical to the vendor walk
                 assert np.array_equal(fut.result(30.0), expect)
             assert svc.plan_cache.stats()["plans"] == 1
 
     def test_submit_fuse_override(self):
+        """The engine follows each request's root: only a vendor request
+        whose root recurses leaves a plan, and that plan is fused."""
         from repro.serve.service import GemmService
 
         rng = np.random.default_rng(12)
         a, b, _c = _mats(rng, 16, 16, 16)
+        small, _, _ = _mats(rng, 4, 4, 4)
         with GemmService(workers=1, cutoff=CUT) as svc:
             svc.submit(a, b).result(30.0)
-            # the unfused request walks; only the fused one leaves a plan
+            # the substrate request walks
             assert svc.plan_cache.stats()["plans"] == 0
-            svc.submit(a, b, fuse=True).result(30.0)
+        with GemmService(workers=1, cutoff=CUT, backend="vendor") as svc:
+            svc.submit(small, small).result(30.0)
+            # a base-case root walks too
+            assert svc.plan_cache.stats()["plans"] == 0
+            svc.submit(a, b).result(30.0)
             sig = signature_for("serial", 16, 16, 16, False, False, False,
                                 True, "float64",
-                                GemmConfig(cutoff=CUT, fuse=True))
+                                GemmConfig(cutoff=CUT, backend="vendor"))
             assert svc.plan_cache.stats()["plans"] == 1
             assert svc.plan_cache.peek(sig).fused is not None
 
@@ -386,5 +440,5 @@ class TestFusedFuzz:
     def test_small_fused_campaign(self):
         from repro.fuzz.runner import run_fuzz
 
-        rep = run_fuzz(cases=60, seed=20250808, fuse=True)
+        rep = run_fuzz(cases=60, seed=20250808)
         assert rep.ok, rep.failures

@@ -150,10 +150,10 @@ class TestOracle:
         assert failures
         assert any(f["kind"] == "reference-mismatch" for f in failures)
 
-    def test_oracle_catches_a_vendor_leaf_mutant(self, monkeypatch):
-        """One nudged output element in the vendor leaf is caught, on
-        the two paths whose leaves are the vendor kernel."""
-        import repro.blas.level3 as level3
+    @staticmethod
+    def _nudge_matmul(monkeypatch, module):
+        """Nudge one output element of every ``np.matmul`` ``module``
+        makes; returns the vendor-leaf case the mutant tests run."""
 
         class Nudged:
             def __getattr__(self, name):
@@ -165,17 +165,42 @@ class TestOracle:
                 out[0, 0] += 1.0
                 return out
 
-        monkeypatch.setattr(level3, "np", Nudged())
-        case = FuzzCase(
+        monkeypatch.setattr(module, "np", Nudged())
+        return FuzzCase(
             m=16, k=16, n=16, transa=False, transb=False,
             alpha=1.0, beta=0.0, dtype="float64", layout_a="F",
             layout_b="F", layout_c="F", scheme="auto", peel="tail",
             tau=4, workers=1, depth=1, alias="none", nan_c=False,
             pool=False, seed=5,
         )
-        failures = run_case(case)
-        assert {f["path"] for f in failures} == {"vendor", "vendor-plan"}
-        assert {f["kind"] for f in failures} == {"reference-mismatch"}
+
+    def test_oracle_catches_a_vendor_leaf_mutant(self, monkeypatch):
+        """One nudged output element in the vendor leaf is caught: off
+        the reference on the vendor walk, whose leaves are the vendor
+        kernel, and off the walk's bits on the fused replays paired
+        with it."""
+        import repro.blas.level3 as level3
+
+        failures = run_case(self._nudge_matmul(monkeypatch, level3))
+        assert {(f["path"], f["kind"]) for f in failures} == {
+            ("vendor", "reference-mismatch"),
+            ("vendor-plan", "bit-divergence"),
+            ("fused-replay", "bit-divergence"),
+        }
+
+    def test_oracle_catches_a_fused_leaf_mutant(self, monkeypatch):
+        """The same nudge in fused replay's leaf is caught on every path
+        that replays a fused program, and against the vendor walk."""
+        import repro.plan.fuse as fuse
+
+        failures = run_case(self._nudge_matmul(monkeypatch, fuse))
+        assert {(f["path"], f["kind"]) for f in failures} == {
+            ("vendor-plan", "reference-mismatch"),
+            ("fused-replay", "reference-mismatch"),
+            ("parallel-fused", "reference-mismatch"),
+            ("vendor-plan", "bit-divergence"),
+            ("fused-replay", "bit-divergence"),
+        }
 
 
 class TestRunner:

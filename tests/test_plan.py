@@ -47,10 +47,9 @@ CUT = SimpleCutoff(8)
 
 
 def _sig(m, k, n, beta=0.0, scheme="auto", peel="tail", cutoff=CUT,
-         dtype="float64", kind="serial", depth=0, fuse=False,
-         accuracy="fast"):
+         dtype="float64", kind="serial", depth=0, accuracy="fast"):
     cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=cutoff,
-                     nb=DEFAULT_TILE, backend="substrate", fuse=fuse,
+                     nb=DEFAULT_TILE, backend="substrate",
                      dtype=dtype, accuracy=accuracy)
     return signature_for(kind, m, k, n, False, False, False, beta == 0.0,
                          dtype, cfg, max_parallel_depth=depth)
@@ -192,11 +191,11 @@ class TestPooledReplay:
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c = np.zeros((m, n), order="F")
         dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache,
-               fuse=True)
+               backend="vendor")
         warm = pool.new_buffer_bytes
         for _ in range(5):
             dgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache,
-                   fuse=True)
+                   backend="vendor")
         assert pool.new_buffer_bytes == warm
         stats = cache.stats()
         assert stats == {**stats, "hits": 5, "misses": 1, "plans": 1}
@@ -211,16 +210,18 @@ class TestPooledReplay:
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c = np.zeros((m, n), order="F")
         dgefmm(a, b, c, cutoff=SimpleCutoff(8), pool=pool,
-               plan_cache=cache, fuse=True)
+               plan_cache=cache, backend="vendor")
         warm = pool.new_buffer_bytes
         dgefmm(a, b, c, cutoff=SimpleCutoff(8), pool=pool,
-               plan_cache=cache, fuse=True)
+               plan_cache=cache, backend="vendor")
         assert pool.new_buffer_bytes == warm
         np.testing.assert_allclose(c, a @ b, atol=1e-10)
 
 
 class TestOneSerialEngine:
-    """Unfused serial calls walk; ``fuse`` alone selects plan replay."""
+    """``dgefmm`` picks its engine once per call from the root: a vendor
+    call under fast accuracy with a cache replays its fused plan when
+    the root recurses; every other serial call walks."""
 
     def test_unfused_calls_leave_the_cache_untouched(self, rng):
         m = k = n = 64
@@ -249,25 +250,72 @@ class TestOneSerialEngine:
             assert stats[key] == 0, key
 
     @pytest.mark.parametrize("order,cutoff", [
-        (512, None),                 # BLAS_CUTOFF: one np.matmul leaf
-        (96, SimpleCutoff(16)),      # recursing: batched leaves
+        (512, None),                 # BLAS_CUTOFF: a base-case root
+        (96, SimpleCutoff(16)),      # recursing: fused replay
     ])
     def test_uncached_fused_call_equals_cached(self, rng, order, cutoff):
         a = np.asfortranarray(rng.standard_normal((order, order)))
         b = np.asfortranarray(rng.standard_normal((order, order)))
         c0 = np.asfortranarray(rng.standard_normal((order, order)))
         cached = c0.copy(order="F")
-        dgefmm(a, b, cached, 1.0, 0.5, cutoff=cutoff, fuse=True,
+        dgefmm(a, b, cached, 1.0, 0.5, cutoff=cutoff, backend="vendor",
                plan_cache=PlanCache())
         ctx = ExecutionContext()
         uncached = c0.copy(order="F")
-        dgefmm(a, b, uncached, 1.0, 0.5, cutoff=cutoff, fuse=True, ctx=ctx)
+        dgefmm(a, b, uncached, 1.0, 0.5, cutoff=cutoff, backend="vendor",
+               ctx=ctx)
         assert np.array_equal(uncached, cached)
         assert "plan_cache" not in ctx.stats
         par = c0.copy(order="F")
-        pdgefmm(a, b, par, 1.0, 0.5, cutoff=cutoff, fuse=True)
+        pdgefmm(a, b, par, 1.0, 0.5, cutoff=cutoff, backend="vendor")
         if cutoff is None:           # a base-case root: dgefmm's path
             assert np.array_equal(par, cached)
+
+    def test_root_picks_the_engine(self, rng, monkeypatch):
+        """A base-case root never touches the cache, a recursing vendor
+        root misses once and then hits, and with no cache nothing is
+        compiled."""
+        a = np.asfortranarray(rng.standard_normal((48, 48)))
+        b = np.asfortranarray(rng.standard_normal((48, 48)))
+        cache = PlanCache()
+        for _ in range(2):
+            c = np.zeros((48, 48), order="F")
+            dgefmm(a, b, c, backend="vendor", plan_cache=cache)
+        assert (cache.misses, cache.hits) == (0, 0)
+        for _ in range(3):
+            c = np.zeros((48, 48), order="F")
+            dgefmm(a, b, c, cutoff=SimpleCutoff(16), backend="vendor",
+                   plan_cache=cache)
+        assert (cache.misses, cache.hits) == (1, 2)
+
+        from repro.plan import cache as plan_cache_mod
+        from repro.plan import compiler
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("compiled without a plan cache")
+
+        monkeypatch.setattr(compiler, "compile_plan", refuse)
+        monkeypatch.setattr(compiler, "fuse_plan", refuse)
+        monkeypatch.setattr(plan_cache_mod, "compile_plan", refuse)
+        got = np.zeros((48, 48), order="F")
+        dgefmm(a, b, got, cutoff=SimpleCutoff(16), backend="vendor")
+        assert np.array_equal(got, c)
+
+    def test_base_root_skips_the_pool(self, rng):
+        """A base-case root checks out no arena, reports a zero
+        workspace peak and returns the unpooled call's bits."""
+        a = np.asfortranarray(rng.standard_normal((49, 21)))
+        b = np.asfortranarray(rng.standard_normal((21, 78)))
+        ref = np.zeros((49, 78), order="F")
+        dgefmm(a, b, ref)
+        pool = WorkspacePool()
+        ctx = ExecutionContext()
+        c = np.zeros((49, 78), order="F")
+        dgefmm(a, b, c, pool=pool, ctx=ctx)
+        assert np.array_equal(c, ref)
+        assert ctx.stats["workspace_peak_bytes"] == 0
+        stats = pool.stats()
+        assert stats["created"] == 0 and stats["outstanding"] == 0
 
 
 class TestPlanCache:
@@ -311,7 +359,8 @@ class TestPlanCache:
         a = np.asfortranarray(rng.standard_normal((16, 16)))
         b = np.asfortranarray(rng.standard_normal((16, 16)))
         c = np.zeros((16, 16), order="F")
-        dgefmm(a, b, c, cutoff=CUT, ctx=ctx, plan_cache=cache, fuse=True)
+        dgefmm(a, b, c, cutoff=CUT, ctx=ctx, plan_cache=cache,
+               backend="vendor")
         assert ctx.stats["plan_cache"]["misses"] == 1
 
     def test_hit_rate_agrees_with_stats(self):
@@ -500,8 +549,8 @@ class TestSignatureCompleteness:
     about operand shapes — and require every mutation to MISS.  A hit
     here would mean replaying a plan compiled for different semantics.
     The driver is ``pdgefmm``, which caches a plan for every config:
-    ``dgefmm`` caches fused plans only, and a compensated config cannot
-    fuse.
+    ``dgefmm`` caches only the fused plans of recursing vendor calls
+    under fast accuracy.
     """
 
     DIM = 12
@@ -532,7 +581,6 @@ class TestSignatureCompleteness:
             ("accuracy", dict(accuracy="compensated")),
             ("cutoff", dict(cutoff=SimpleCutoff(6))),
             ("backend", dict(backend="vendor")),
-            ("fuse", dict(fuse=True)),
             ("beta-class", dict(beta=0.0)),
         ]
         for idx, (name, kw) in enumerate(variants, start=2):
@@ -624,7 +672,7 @@ class TestWarmFrontDoors:
             "walk": lambda: dgefmm(a, b, c),
             "planned": lambda: dgefmm(a, b, c, plan_cache=cache, pool=pool),
             "fused": lambda: dgefmm(a, b, c, plan_cache=cache, pool=pool,
-                                    fuse=True),
+                                    backend="vendor"),
             "vendor": lambda: dgefmm(a, b, c, backend="vendor"),
             "pdgefmm-base": lambda: pdgefmm(a, b, c, workers=2),
             "pdgefmm-parallel": lambda: pdgefmm(
@@ -635,14 +683,15 @@ class TestWarmFrontDoors:
             warm = self._repeat(tally, fn)
             assert warm, f"{name}: the first calls built nothing to count"
 
-    @pytest.mark.parametrize("fuse", [False, True])
-    def test_service_admission(self, tally, rng, fuse):
+    @pytest.mark.parametrize("vendor", [False, True])
+    def test_service_admission(self, tally, rng, vendor):
         from repro.serve import GemmService
 
         a = rng.standard_normal((7, 96)).astype(np.float32)
         b = rng.standard_normal((96, 26)).astype(np.float32)
         c = rng.standard_normal((7, 26)).astype(np.float32)
-        with GemmService(workers=1, fuse=fuse) as svc:
+        backend = "vendor" if vendor else "substrate"
+        with GemmService(workers=1, backend=backend) as svc:
             self._repeat(tally, lambda: svc.submit(a, b, c, 1.0, 0.5)
                          .result(timeout=30))
 
@@ -659,32 +708,32 @@ class TestWarmFrontDoors:
 #: shard on a two-shard ring): a changed key moves a signature's shard
 ROUTING_KEYS = [
     (dict(m=7, k=96, n=26, transa=False, transb=False, beta=0.0,
-          dtype="float64"), 1,
+          dtype="float64"), 0,
      "PlanSignature(kind='serial', m=7, k=96, n=26, transa=False, "
      "transb=False, alpha_zero=False, beta_zero=True, scheme='auto', "
      "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "tau_n=96), nb=160, backend='substrate', "
      "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
     (dict(m=31, k=7, n=20, transa=True, transb=True, beta=0.5,
-          dtype="float64"), 1,
+          dtype="float64"), 0,
      "PlanSignature(kind='serial', m=31, k=7, n=20, transa=True, "
      "transb=True, alpha_zero=False, beta_zero=False, scheme='auto', "
      "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "tau_n=96), nb=160, backend='substrate', "
      "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
     (dict(m=34, k=48, n=10, transa=False, transb=False, beta=0.5,
-          dtype="float32"), 0,
+          dtype="float32"), 1,
      "PlanSignature(kind='serial', m=34, k=48, n=10, transa=False, "
      "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
      "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "tau_n=96), nb=160, backend='substrate', "
      "dtype='float32', accuracy='fast', max_parallel_depth=0)"),
     (dict(m=49, k=15, n=59, transa=True, transb=False, beta=0.5,
           dtype="complex128"), 0,
      "PlanSignature(kind='serial', m=49, k=15, n=59, transa=True, "
      "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
      "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', fuse=False, "
+     "tau_n=96), nb=160, backend='substrate', "
      "dtype='complex128', accuracy='fast', max_parallel_depth=0)"),
     (dict(m=12, k=30, n=7, transa=False, transb=True, beta=0.5,
           dtype="float32", scheme="strassen2", peel="head", tau=8,
@@ -692,7 +741,7 @@ ROUTING_KEYS = [
      "PlanSignature(kind='serial', m=12, k=30, n=7, transa=False, "
      "transb=True, alpha_zero=False, beta_zero=False, "
      "scheme='strassen2', peel='head', cutoff=SimpleCutoff(tau=8), "
-     "nb=160, backend='substrate', fuse=False, dtype='float32', "
+     "nb=160, backend='substrate', dtype='float32', "
      "accuracy='compensated', max_parallel_depth=0)"),
 ]
 

@@ -14,7 +14,7 @@ that contract:
   (the regression that motivated it);
 - the exact discipline is exact — int64 and object (Fraction) results
   equal the mathematical product, with no float intermediates;
-- illegal (dtype, accuracy, fuse) combinations fail at construction;
+- illegal (dtype, accuracy) combinations fail at construction;
 - a served ``accuracy="compensated"`` request is bit-identical to a
   direct compensated dgefmm call (the admission-resolution guarantee);
 - the wire protocol carries the SLO and rejects what it cannot serve;
@@ -239,8 +239,6 @@ class TestExactDiscipline:
         with pytest.raises(ArgumentError):
             GemmConfig(dtype="int64", accuracy="compensated")
         with pytest.raises(ArgumentError):
-            GemmConfig(fuse=True, accuracy="compensated")
-        with pytest.raises(ArgumentError):
             GemmConfig(dtype="float16")
         with pytest.raises(ArgumentError):
             GemmConfig(accuracy="sloppy")
@@ -311,47 +309,41 @@ class TestServedAccuracy:
         assert np.array_equal(got, want)
 
     def test_defaulted_fuse_drops_for_compensated(self, rng):
-        """A fuse-by-default service still honours a non-fast SLO: the
-        defaulted fuse is dropped rather than rejected, and the result
-        is bit-identical to the unfused compensated reference."""
+        """A vendor service, whose fast requests replay fused plans,
+        still honours a non-fast SLO: a compensated request walks the
+        vendor kernel, bit-identical to the direct compensated call,
+        and leaves no plan behind."""
         from repro.serve.service import GemmService
 
         a = np.asfortranarray(
             rng.standard_normal((36, 36)).astype(np.float32))
         b = np.asfortranarray(
             rng.standard_normal((36, 36)).astype(np.float32))
-        want = self._direct(a, b, "compensated")
-        svc = GemmService(workers=1, fuse=True)
+        want = np.zeros((36, 36), dtype=np.float32, order="F")
+        dgefmm(a, b, want, cutoff=CUT, backend="vendor",
+               accuracy="compensated")
+        svc = GemmService(workers=1, cutoff=CUT, backend="vendor")
         try:
             got = svc.submit(a, b, accuracy="compensated").result(
                 timeout=30.0)
+            assert svc.plan_cache.stats()["plans"] == 0
+            svc.submit(a, b).result(timeout=30.0)
+            assert svc.plan_cache.stats()["plans"] == 1  # fast: fused
         finally:
             svc.close()
         assert np.array_equal(got, want)
 
-    def test_explicit_fuse_conflict_rejected(self, rng):
-        from repro.serve.service import GemmService
-
-        a = np.asfortranarray(rng.standard_normal((16, 16)))
-        b = np.asfortranarray(rng.standard_normal((16, 16)))
-        svc = GemmService(workers=1)
-        try:
-            with pytest.raises(ArgumentError):
-                svc.submit(a, b, fuse=True, accuracy="compensated")
-        finally:
-            svc.close()
-
-    @pytest.mark.parametrize("fuse", [False, True])
+    @pytest.mark.parametrize("vendor", [False, True])
     @pytest.mark.parametrize("dtype", ["int64", "object"])
-    def test_int64_served_exact(self, rng, dtype, fuse):
+    def test_int64_served_exact(self, rng, dtype, vendor):
         """Exact dtypes are served under their default accuracy,
-        ``"exact"``: object operands take dgefmm's walk (they cannot be
-        planned), and a fuse-by-default service drops its defaulted
-        fuse rather than rejecting the request."""
+        ``"exact"``, on either leaf kernel: they walk (object operands
+        cannot be planned, and only fast vendor calls replay fused)."""
         from repro.serve.service import GemmService
 
         a, b, _ = _operands(rng, dtype, 20, 20, 20)
-        svc = GemmService(workers=1, fuse=fuse)
+        svc = GemmService(workers=1,
+                          backend="vendor" if vendor else "substrate")
         try:
             got = svc.submit(a, b).result(timeout=30.0)
         finally:

@@ -289,7 +289,7 @@ def test_scheme_mutation_misses_plan_cache():
     for idx, scheme in enumerate(SCHEME_NAMES):
         c = c0.copy(order="F")
         dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache,
-               fuse=True)
+               backend="vendor")
         stats = cache.stats()
         assert stats["misses"] == idx + 1, scheme
         assert stats["hits"] == 0
@@ -297,7 +297,7 @@ def test_scheme_mutation_misses_plan_cache():
     for idx, scheme in enumerate(SCHEME_NAMES):
         c = c0.copy(order="F")
         dgefmm(a, b, c, cutoff=crit, scheme=scheme, plan_cache=cache,
-               fuse=True)
+               backend="vendor")
         stats = cache.stats()
         assert stats["misses"] == len(SCHEME_NAMES)
         assert stats["hits"] == idx + 1, scheme

@@ -331,7 +331,7 @@ class TestGemmService:
                 assert np.array_equal(got, _direct(a, b, c, alpha, beta))
             st = svc.stats()
         assert st["counters"]["requests_completed"] == 60
-        # unfused requests walk: the plan cache stays empty
+        # substrate requests walk: the plan cache stays empty
         assert st["plan_cache"]["plans"] == st["plan_cache"]["misses"] == 0
 
     def test_transposes_and_dtypes(self):
@@ -715,14 +715,15 @@ class TestLoadgen:
 
     @pytest.mark.slow
     def test_acceptance_500_requests_zero_divergence(self):
-        """>=500 mixed-shape requests with zero divergence; fused, the
-        repeating mix hits the plan cache on more than 80% of them."""
+        """>=500 mixed-shape requests with zero divergence; over the
+        vendor kernel, the repeating mix's recursing roots hit the plan
+        cache on more than 80% of their lookups."""
         rep = run_load(duration=4.0, rate=150, workers=3, n_shapes=8,
                        seed=0, max_dim=48)
         assert rep["attempts"] >= 500
         assert rep["divergent"] == 0 and rep["errors"] == 0
         rep = run_load(duration=2.0, rate=150, workers=3, n_shapes=8,
-                       seed=0, max_dim=48, fuse=True)
+                       seed=0, max_dim=48, backend="vendor")
         assert rep["divergent"] == 0 and rep["errors"] == 0
         assert rep["service"]["plan_cache"]["hit_rate"] > 0.8
 
@@ -804,12 +805,12 @@ class TestSignatureBreakdown:
             st = svc.stats()
         sigs = st["signatures"]
         assert len(sigs) == 2
-        big = sigs["16x16x16:float64:b0:auto:interp:fast"]
+        big = sigs["16x16x16:float64:b0:auto:substrate:fast"]
         assert big["count"] == 3
         assert big["m"] == 16 and big["beta_zero"] is True
         assert big["latency_ms"]["count"] == 3
         assert big["latency_ms"]["mean"] > 0.0
-        assert sigs["4x4x4:float64:b0:auto:interp:fast"]["count"] == 1
+        assert sigs["4x4x4:float64:b0:auto:substrate:fast"]["count"] == 1
         json.dumps(st)  # the breakdown must stay JSON-clean
 
     def test_degenerate_traffic_buckets_separately(self):

@@ -29,8 +29,15 @@ import time
 import numpy as np
 import pytest
 
+from repro.blas.level3 import BACKENDS
 from repro.core.config import PEELS, SCHEMES, GemmConfig
-from repro.core.cutoff import DepthCutoff, HybridCutoff, SimpleCutoff
+from repro.core.dgefmm import dgefmm
+from repro.core.cutoff import (
+    DepthCutoff,
+    HybridCutoff,
+    NeverRecurse,
+    SimpleCutoff,
+)
 from repro.errors import ArgumentError
 from repro.plan.compiler import signature_for
 from repro.serve.service import GemmService
@@ -127,7 +134,7 @@ _knobs = st.fixed_dictionaries({
     "peel": st.sampled_from(PEELS),
     "cutoff": _criteria,
     "nb": st.integers(1, 1024),
-    "fuse": st.booleans(),
+    "backend": st.sampled_from(BACKENDS),
 })
 
 
@@ -143,7 +150,7 @@ def test_profile_knob_space_config_signature_and_roundtrip(knobs, version):
     )
     cfg = prof.to_config()
     assert isinstance(cfg, GemmConfig)
-    for name in ("scheme", "peel", "cutoff", "nb", "backend", "fuse"):
+    for name in ("scheme", "peel", "cutoff", "nb", "backend"):
         assert getattr(cfg, name) == getattr(prof, name)
 
     # the signature is derived structurally from the config: two
@@ -224,7 +231,7 @@ def test_store_save_load_round_trip(tmp_path):
     store = ProfileStore(str(tmp_path))
     prof = TunedProfile(
         key=class_key(200, 200, 200),
-        cutoff=SimpleCutoff(128), nb=96, fuse=True, version=3,
+        cutoff=SimpleCutoff(128), nb=96, backend="vendor", version=3,
         host=host_fingerprint(), measured={"speedup": 2.0},
     )
     store.put(prof)
@@ -334,6 +341,32 @@ def test_successive_halving_expired_deadline_returns_none():
     assert trace[0]["measured"] == 0
 
 
+def test_legacy_fused_profile_loads_as_vendor(rng):
+    """A document that set ``"fuse": true`` selected fused replay, which
+    computes the vendor backend's bits: it loads as ``backend="vendor"``,
+    and no document written now carries the key."""
+    prof = TunedProfile(key=class_key(64, 64, 64), cutoff=SimpleCutoff(16))
+    doc = dict(prof.to_json(), fuse=True)
+    legacy = TunedProfile.from_json(json.loads(json.dumps(doc)))
+    assert legacy.backend == "vendor"
+    assert legacy == dataclasses.replace(prof, backend="vendor")
+    assert "fuse" not in legacy.to_json()
+    assert TunedProfile.from_json(dict(doc, fuse=False)) == prof
+
+    # served, the legacy profile replays a fused plan with the vendor
+    # walk's bits
+    store = ProfileStore()
+    store.put(legacy)
+    a = np.asfortranarray(rng.standard_normal((64, 64)))
+    b = np.asfortranarray(rng.standard_normal((64, 64)))
+    with GemmService(workers=1, profiles=store) as svc:
+        got = svc.submit(a, b).result(timeout=30.0)
+        assert svc.plan_cache.stats()["plans"] == 1
+    want = np.zeros((64, 64), order="F")
+    dgefmm(a, b, want, cutoff=SimpleCutoff(16), backend="vendor")
+    assert np.array_equal(got, want)
+
+
 def test_successive_halving_validates_args():
     with pytest.raises(ArgumentError):
         successive_halving([], lambda c, r: 1.0)
@@ -342,7 +375,7 @@ def test_successive_halving_validates_args():
 
 
 def test_tune_class_picks_measured_winner(monkeypatch):
-    winner = GemmConfig(cutoff=SimpleCutoff(64), nb=96, fuse=True)
+    winner = GemmConfig(cutoff=SimpleCutoff(64), nb=96, backend="vendor")
     grid = [GemmConfig(cutoff=SimpleCutoff(128)), winner]
 
     def fake_time_config(m, k, n, config, **kw):
@@ -378,10 +411,14 @@ def test_tune_class_rejects_nonpositive_budget():
 def test_default_grid_is_valid_and_covers_knobs():
     grid = default_grid()
     assert len(set(grid)) == len(grid)
-    assert any(cfg.fuse for cfg in grid)
     assert any(cfg.peel == "head" for cfg in grid)
     assert any(cfg.scheme != "auto" for cfg in grid)
-    assert not any(cfg.fuse for cfg in default_grid(include_fused=False))
+    # one vendor candidate per cutoff, the host BLAS alone included
+    vendor = [cfg for cfg in grid if cfg.backend == "vendor"]
+    cutoffs = {cfg.cutoff for cfg in grid}
+    assert {cfg.cutoff for cfg in vendor} == cutoffs
+    assert len(vendor) == len(cutoffs)
+    assert any(isinstance(cfg.cutoff, NeverRecurse) for cfg in vendor)
 
 
 # --------------------------------------------------------------------- #
@@ -533,7 +570,7 @@ def test_service_resolution_order_explicit_beats_profile():
 def test_end_to_end_tune_persist_hot_swap(tmp_path, monkeypatch):
     """The acceptance-criteria loop, with measurement stubbed for speed:
     tune -> persist -> hot-swap mid-run -> zero dropped, zero diverging."""
-    winner = GemmConfig(cutoff=SimpleCutoff(50), nb=96, fuse=True)
+    winner = GemmConfig(cutoff=SimpleCutoff(50), nb=96, backend="vendor")
     grid = [GemmConfig(cutoff=SimpleCutoff(128)), winner]
 
     def fake_time_config(m, k, n, config, **kw):
