@@ -78,10 +78,10 @@ def test_plan_overhead(benchmark):
     assert pool.new_buffer_bytes == warm_bytes
     assert cache.stats()["misses"] == 1
 
-    sig = signature_for("serial", m, k, n, False, False, False,
+    sig = signature_for(m, k, n, False, False, False,
                         beta == 0.0, "float64", GemmConfig(cutoff=crit))
     plan = cache.get_or_compile(sig)  # a hit: planned() compiled it
-    assert cache.stats()["misses"] == 1 and not plan.branches
+    assert cache.stats()["misses"] == 1
 
     # kernel-sequence floor: same ops, operands pre-resolved
     buf = _aligned_buffer(plan.arena_bytes)
@@ -92,9 +92,6 @@ def test_plan_overhead(benchmark):
 
     def floor():
         _run_ops(plan.ops_quiet, views, st, ctx, plan.nb, plan.backend)
-        if plan.epilogue_quiet:
-            _run_ops(plan.epilogue_quiet, views, st, ctx, plan.nb,
-                     plan.backend)
 
     t_floor = _best(floor)
     t_rec = _best(recursive)
@@ -228,7 +225,7 @@ def test_plan_fused_replay(benchmark):
         rows.append({"beta": beta, "path": "fused_warm", "best_s": t_fus})
 
     benchmark.pedantic(lambda: None, rounds=1, iterations=1)
-    sig = signature_for("serial", m, k, n, False, False, False, True,
+    sig = signature_for(m, k, n, False, False, False, True,
                         "float64", GemmConfig(cutoff=crit,
                                               backend="vendor"))
     fp = cache.peek(sig).fused
@@ -269,7 +266,6 @@ def test_plan_fused_replay(benchmark):
 #: decide() kernel, not to pin CI-host jitter.
 _PRE_REFACTOR_S = {
     "compile_serial": 4.77e-3,
-    "compile_parallel": 6.08e-3,
     "replay_warm": 10.38e-3,
     "recursive": 11.57e-3,
 }
@@ -281,17 +277,16 @@ def test_traversal_refactor_guard(benchmark):
 
     The single-traversal-core refactor routed every walker through one
     decide() kernel; this guard re-runs the plan bench's workload and
-    asserts none of compile (serial + parallel mirror), warm replay, or
-    the eager recursive walk regressed past 3x the numbers recorded
-    before the refactor.
+    asserts none of compile, warm replay, or the eager recursive walk
+    regressed past 3x the numbers recorded before the refactor.  (The
+    parallel-plan compile it also timed is gone: parallel levels run
+    live.)
     """
     m = k = n = 192
     crit = SimpleCutoff(24)
     cfg = GemmConfig(cutoff=crit)
-    sig_s = signature_for("serial", m, k, n, False, False, False, True,
+    sig_s = signature_for(m, k, n, False, False, False, True,
                           "float64", cfg)
-    sig_p = signature_for("parallel", m, k, n, False, False, False,
-                          True, "float64", cfg, 1)
 
     rng = np.random.default_rng(2)
     a = np.asfortranarray(rng.standard_normal((m, k)))
@@ -309,7 +304,6 @@ def test_traversal_refactor_guard(benchmark):
     replay()  # warm the cache and the pooled arena
     measured = {
         "compile_serial": _best(lambda: compile_plan(sig_s), 3),
-        "compile_parallel": _best(lambda: compile_plan(sig_p), 3),
         "replay_warm": _best(replay),
         "recursive": benchmark.pedantic(lambda: _best(recursive),
                                         rounds=1, iterations=1),

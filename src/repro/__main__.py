@@ -200,16 +200,8 @@ def _plan_signature(args):
     n = args.n if args.n is not None else args.order
     cfg = GemmConfig(scheme=args.scheme, peel=args.peel,
                      cutoff=SimpleCutoff(args.cutoff))
-    if args.parallel:
-        # parallel signatures carry the full knob set too; depth is
-        # part of the signature, the worker budget never is
-        return signature_for(
-            "parallel", m, k, n, False, False, False, args.beta == 0.0,
-            args.dtype, cfg, args.depth,
-        )
     return signature_for(
-        "serial", m, k, n, False, False, False, args.beta == 0.0,
-        args.dtype, cfg,
+        m, k, n, False, False, False, args.beta == 0.0, args.dtype, cfg,
     )
 
 
@@ -356,14 +348,12 @@ def _cmd_plan(args) -> int:
         else:
             print("\n".join(lines))
         return 0
-    counts = _counts_json(plan.total_counts())
+    counts = _counts_json(plan.counts)
     row = {
         "n_ops": plan.n_ops,
         "regions": len(plan.regions),
-        "branches": len(plan.branches),
         "arena_bytes": plan.arena_bytes,
         "peak_bytes": plan.peak_bytes,
-        "charge_bytes": plan.charge_bytes,
         "plan_nbytes": plan.nbytes,
         "counts": counts,
     }
@@ -371,11 +361,9 @@ def _cmd_plan(args) -> int:
         _print_bench_json("plan_compile", _sig_params(sig), [row])
         return 0
     print(f"signature: {sig}")
-    print(f"ops {plan.n_ops}, regions {len(plan.regions)}, "
-          f"branches {len(plan.branches)}")
+    print(f"ops {plan.n_ops}, regions {len(plan.regions)}")
     print(f"arena {plan.arena_bytes:,} B, workspace peak "
-          f"{plan.peak_bytes:,} B, pool charge {plan.charge_bytes:,} B, "
-          f"plan size ~{plan.nbytes:,} B")
+          f"{plan.peak_bytes:,} B, plan size ~{plan.nbytes:,} B")
     print(f"recursion: {counts['recurse']} recurse, {counts['base']} base, "
           f"{counts['peel']} peel, max depth {counts['max_depth']}")
     print(f"mul flops {int(counts['mul_flops']):,}; kernel calls: "
@@ -950,10 +938,6 @@ def main(argv=None) -> int:
                    choices=["float64", "float32", "complex128"])
     p.add_argument("--beta", type=float, default=0.0,
                    help="beta scalar class for the signature (0 or not)")
-    p.add_argument("--parallel", action="store_true",
-                   help="compile a pdgefmm-style parallel plan")
-    p.add_argument("--depth", type=int, default=1,
-                   help="max_parallel_depth for --parallel plans")
     p.add_argument("--max-ops", dest="max_ops", type=int, default=60,
                    help="op lines shown by the explain action")
     p.add_argument("--max-plans", dest="max_plans", type=int, default=64,

@@ -146,8 +146,8 @@ def routing_signature(g: Dict[str, Any]) -> str:
         DEFAULT_TILE, "substrate", g["dtype"], g.get("accuracy"),
     )
     sig = signature_for(
-        "serial", m, k, n, g["transa"], g["transb"],
-        False, g["beta"] == 0, g["dtype"], cfg,
+        m, k, n, g["transa"], g["transb"], False, g["beta"] == 0,
+        g["dtype"], cfg,
     )
     return repr(sig)
 

@@ -254,7 +254,9 @@ class _Call(NamedTuple):
 
     ``a``/``b`` are the transpose-resolved operand views (overlap with C
     already resolved); ``alpha``/``beta`` are Python ints under exact
-    accuracy.
+    accuracy.  ``depth`` is the depth of the call's root in the
+    recursion: 0 for a driver's call, the true depth for a product
+    below a parallel level (:mod:`repro.core.parallel`).
     """
 
     a: Any
@@ -264,14 +266,15 @@ class _Call(NamedTuple):
     transa: bool
     transb: bool
     cfg: GemmConfig
+    depth: int = 0
 
     def root(self) -> Any:
         """The traversal's decision at the call's root node."""
         m, k = self.a.shape
-        return decide(m, k, self.b.shape[1], 0, self.cfg.scheme,
+        return decide(m, k, self.b.shape[1], self.depth, self.cfg.scheme,
                       self.beta == 0.0, self.cfg.cutoff)
 
-    def signature(self, kind: str, max_parallel_depth: int = 0):
+    def signature(self):
         """The call's :class:`~repro.plan.compiler.PlanSignature`
         (interned per call shape by ``signature_for``)."""
         # lazy import: repro.plan compiles through this module's walker
@@ -279,9 +282,8 @@ class _Call(NamedTuple):
 
         m, k = self.a.shape
         return signature_for(
-            kind, m, k, self.b.shape[1], self.transa, self.transb,
-            False, self.beta == 0.0, self.cfg.dtype, self.cfg,
-            max_parallel_depth,
+            m, k, self.b.shape[1], self.transa, self.transb,
+            False, self.beta == 0.0, self.cfg.dtype, self.cfg, self.depth,
         )
 
 
@@ -363,7 +365,8 @@ def _serial(
     root: Any = None,
 ) -> Any:
     """``dgefmm``'s path after the prologue, chosen once per call from
-    the root node (``root``, when the caller has already decided it).
+    the root node (``root``, when the caller has already decided it);
+    also the path of every product below a ``pdgefmm`` parallel level.
 
     A base-case root walks with no pool checkout.  A recursing root
     replays its fused plan from ``plan_cache`` when the config is
@@ -378,8 +381,7 @@ def _serial(
     if (workspace is None and not isinstance(root, Base) and not ctx.dry
             and call.cfg.dtype != "object"):
         if plan_cache is not None and call.cfg.fusable:
-            _replay(call, c, ctx, call.signature("serial"), pool,
-                    plan_cache)
+            _replay(call, c, ctx, pool, plan_cache)
             return c
         if pool is not None:
             with pool.arena() as ws:
@@ -393,24 +395,18 @@ def _replay(
     call: _Call,
     c: Any,
     ctx: ExecutionContext,
-    sig: Any,
     pool: Optional["WorkspacePool"],
-    plan_cache: Optional["PlanCache"],
-    workers: int = 1,
+    plan_cache: "PlanCache",
 ) -> Any:
-    """Replay ``sig``'s plan into ``c`` and return the plan: fetched
-    from ``plan_cache`` when one is given (its counters land in
-    ``ctx.stats["plan_cache"]``), compiled for this call otherwise."""
-    # lazy imports: repro.plan compiles through this module's walker
-    from repro.plan.compiler import compile_plan
+    """Replay the call's plan from ``plan_cache`` into ``c`` and return
+    the plan; the cache's counters land in ``ctx.stats["plan_cache"]``."""
+    # lazy import: repro.plan compiles through this module's walker
     from repro.plan.executor import execute_plan
 
-    plan = (plan_cache.get_or_compile(sig) if plan_cache is not None
-            else compile_plan(sig))
+    plan = plan_cache.get_or_compile(call.signature())
     execute_plan(plan, call.a, call.b, c, call.alpha, call.beta, ctx=ctx,
-                 pool=pool, workers=workers)
-    if plan_cache is not None:
-        ctx.stats_set("plan_cache", plan_cache.stats())
+                 pool=pool)
+    ctx.stats_set("plan_cache", plan_cache.stats())
     return plan
 
 
@@ -436,16 +432,15 @@ def replay_serial(
     )
     if call is None:
         return None
-    return _replay(call, c, ctx, call.signature("serial"), pool,
-                   plan_cache)
+    return _replay(call, c, ctx, pool, plan_cache)
 
 
 def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace,
           root: Any) -> Any:
     """Run :func:`_rec` from the decided ``root`` with the numeric
     binding; report the peak."""
-    _rec(call.a, call.b, c, call.alpha, call.beta, 0, call.cfg.scheme,
-         _NumericBinding(call.cfg, ctx, ws), root)
+    _rec(call.a, call.b, c, call.alpha, call.beta, call.depth,
+         call.cfg.scheme, _NumericBinding(call.cfg, ctx, ws), root)
     ctx.stats_max("workspace_peak_bytes", ws.peak_bytes)
     return c
 
@@ -503,11 +498,11 @@ def _rec(
     ``scheme`` is the node's scheme (it changes down the tree per the
     traversal's ``child_scheme``); ``bind`` carries the config and every
     side effect (:class:`_NumericBinding` executes, the plan compiler's
-    recorder emits ops).  ``depth`` may start above 0 — parallel plans
-    compile the serial subtrees below their parallel region at the
-    subtree's true depth.  ``node`` is the traversal's decision for a
-    non-degenerate node whose caller already made it (a live call's
-    root); the walker decides every other node itself.
+    recorder emits ops).  ``depth`` may start above 0 — a product below
+    a parallel level walks (or compiles its plan) at its true depth.
+    ``node`` is the traversal's decision for a non-degenerate node
+    whose caller already made it (a live call's root); the walker
+    decides every other node itself.
     """
     m, k = a.shape
     n = b.shape[1]

@@ -22,10 +22,11 @@ Two classes implement the fix:
     given problem size, repeated calls perform **zero** new allocations.
 
 :class:`WorkspacePool`
-    A thread-safe check-out/check-in pool of such arenas.  Every node of
-    a parallel plan replay checks out its own arena, so arenas are
-    never shared between concurrent multiplications; check-in makes
-    the (grown) buffer available to the next call.
+    A thread-safe check-out/check-in pool of such arenas.  Every
+    ``pdgefmm`` parallel level and every recursing product below it
+    checks out its own arena, so arenas are never shared between
+    concurrent multiplications; check-in makes the (grown) buffer
+    available to the next call.
 
 Sizing comes from the paper's Table 1 bounds
 (:func:`workspace_bound_bytes`): e.g. STRASSEN2 needs at most

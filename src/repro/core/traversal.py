@@ -5,9 +5,9 @@ dynamic peeling of odd dimensions (Section 3.3), and
 STRASSEN1/STRASSEN2 scheme dispatch (Section 3.2).  Four walkers
 consume that recursion: the DGEFMM walker
 (:func:`repro.core.dgefmm._rec`, which executes live or records plan
-ops depending on its binding), the plan compiler's parallel-level
-dispatch, the closed-form recursion analytics, and the cost-model
-predictor.  This module is the *only* place the per-node decision
+ops depending on its binding), ``pdgefmm``'s parallel levels
+(:mod:`repro.core.parallel`), the closed-form recursion analytics, and
+the cost-model predictor.  This module is the *only* place the per-node decision
 lives; every walker consumes :func:`decide` and interprets the returned
 node in its own way (execute kernels, record plan ops, tally counts, or
 sum model costs).

@@ -30,8 +30,9 @@ Only three temporaries exist per level — one S, one T, one P block —
 so an ⟨mbar,kbar,nbar;R⟩ level costs ``mk/(mbar*kbar) + kn/(kbar*nbar)
 + mn/(mbar*nbar)`` extra elements regardless of R.
 
-A parallel level runs the same data: :func:`fan_out` gives each of the
-R products its own temporaries, and :func:`combine` writes C from them.
+A parallel level (:mod:`repro.core.parallel`) runs the same data live:
+:func:`fan_out` gives each of the R products its own temporaries, the
+products run concurrently, and :func:`combine` writes C from them.
 """
 
 from __future__ import annotations
@@ -40,6 +41,7 @@ from typing import Any, Callable, Optional
 
 from repro.blas.addsub import NUMERIC_KERNELS, BlockKernels
 from repro.context import ExecutionContext
+from repro.core.pool import _align_up
 from repro.core.schemes import Scheme, get_scheme
 from repro.core.workspace import Workspace
 
@@ -117,8 +119,8 @@ def make_uvw_level(scheme_name: str):
     return uvw_level
 
 
-def fan_out(sch: Scheme, a: Any, b: Any, ws: Any, dt: Any,
-            em: BlockKernels) -> tuple:
+def fan_out(sch: Scheme, a: Any, b: Any, ws: Workspace, dt: Any,
+            em: BlockKernels, ctx: ExecutionContext) -> tuple:
     """``sch``'s R products as independent (S, T, P) triples: S is the A
     block itself for a single-+1 U row, else its own ``ws`` temporary;
     T likewise from V; P is always its own temporary."""
@@ -127,7 +129,7 @@ def fan_out(sch: Scheme, a: Any, b: Any, ws: Any, dt: Any,
 
     def operand(terms, blocks):
         tmp = None if _is_block(terms) else ws.alloc(*blocks[0].shape, dt)
-        return _operand(terms, blocks, tmp, em, None)
+        return _operand(terms, blocks, tmp, em, ctx)
 
     p_shape = ablk[0].shape[0], bblk[0].shape[1]
     return tuple(
@@ -136,15 +138,28 @@ def fan_out(sch: Scheme, a: Any, b: Any, ws: Any, dt: Any,
     )
 
 
+def fan_out_bytes(sch: Scheme, a: Any, b: Any, itemsize: int) -> int:
+    """Arena bytes that cover :func:`fan_out`'s temporaries for ``a`` and
+    ``b`` under a pooled arena's 64-byte-aligned bump allocation."""
+    am, ak = a.shape[0] // sch.mbar, a.shape[1] // sch.kbar
+    bn = b.shape[1] // sch.nbar
+    temps = (
+        [am * ak] * sum(not _is_block(t) for t in nonzero_rows(sch.u))
+        + [ak * bn] * sum(not _is_block(t) for t in nonzero_rows(sch.v))
+        + [am * bn] * sch.r
+    )
+    return sum(_align_up(t * itemsize) for t in temps)
+
+
 def combine(sch: Scheme, jobs: tuple, c: Any, alpha: Any, beta: Any,
-            em: BlockKernels) -> None:
+            em: BlockKernels, ctx: ExecutionContext) -> None:
     """``C_i <- alpha * sum_r W[i][r] * P_r + beta * C_i`` for the
     :func:`fan_out` jobs; beta rides each block's first AXPBY."""
     cblk = split_blocks(c, sch.mbar, sch.nbar)
     for ci, terms in zip(cblk, nonzero_rows(sch.w)):
         for i, (r, wc) in enumerate(terms):
             em.axpby(alpha if wc > 0 else -alpha, jobs[r][2],
-                     1.0 if i else beta, ci)
+                     1.0 if i else beta, ci, ctx=ctx)
 
 
 def _is_block(terms) -> bool:

@@ -1,7 +1,7 @@
 """Differential fuzzing: the standing DGEMM-conformance harness.
 
 Four execution paths now produce every DGEFMM result — the recursive
-driver, multi-level parallel plan replay, compiled serial-plan replay,
+driver, the multi-level parallel driver, compiled serial-plan replay,
 and the serving engine — and all four must agree with the reference
 GEMM *and* (where the schedule is shared) with each other bit-for-bit.
 This package draws randomized cases over the full knob space (shapes

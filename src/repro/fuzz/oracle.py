@@ -18,13 +18,14 @@ result-producing paths:
   root recurses replays its cached fused plan, every other case walks;
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
   worker budget, parallel depth, and the full scheme/peel knob set,
-  with no cache: a parallel plan compiled for this call, whose levels
-  fan out the scheme's R products from its U/V/W (a top-level base
-  case or an object-dtype case takes ``dgefmm``'s walk);
-- ``parallel-plan`` — pdgefmm through a plan cache, replaying the
-  cached plan;
+  with no cache: live parallel levels that fan out the scheme's R
+  products from its U/V/W, with ``dgefmm``'s walk below them (a
+  top-level base case takes ``dgefmm``'s walk whole);
+- ``parallel-serial`` — the same ``pdgefmm`` call at ``workers=1``,
+  every product run in turn on the calling thread;
 - ``parallel-fused`` — ``pdgefmm(backend="vendor")`` through the plan
-  cache, whose serial branches replay fused programs in fast cases;
+  cache, whose recursing products below the parallel levels replay
+  fused programs in fast cases;
 - ``served`` — the case submitted to a
   :class:`~repro.serve.service.GemmService` with the case's knobs:
   admission through the drivers' prologue, then ``dgefmm``'s walk into
@@ -37,11 +38,11 @@ the caller's C.
 
 Checks, in decreasing strictness:
 
-1. ``serial`` vs ``plan``, ``vendor`` vs ``vendor-plan`` and
-   ``parallel`` vs ``parallel-plan`` must be **bit-identical** (a plan
-   replays the same kernels on the same views in the same order as the
-   walk, and a per-call compile must replay exactly like the cached
-   plan — any drift is a bug, not roundoff);
+1. ``serial`` vs ``plan`` and ``vendor`` vs ``vendor-plan`` must be
+   **bit-identical** (a plan replays the same kernels on the same views
+   in the same order as the walk — any drift is a bug, not roundoff),
+   and so must ``parallel`` vs ``parallel-serial`` (the thread schedule
+   never reorders the arithmetic);
    ``vendor`` vs ``fused-replay`` must be bit-identical too — fused
    replay runs the vendor kernel's arithmetic at every leaf and the
    interpreted stream's everywhere else; ``served`` vs ``serial`` must
@@ -161,13 +162,15 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
                    plan_cache=plan_cache if how == "cached" else None,
                    **knobs)
     else:
+        fused = path == "parallel-fused"
         pdgefmm(
             a, b, c, alpha, beta, case.transa, case.transb,
             cutoff=crit, scheme=case.scheme, peel=case.peel,
-            workers=case.workers, max_parallel_depth=case.depth,
+            workers=1 if path == "parallel-serial" else case.workers,
+            max_parallel_depth=case.depth,
             pool=pool if case.pool else None,
-            plan_cache=None if path == "parallel" else plan_cache,
-            backend="vendor" if path == "parallel-fused" else "substrate",
+            plan_cache=plan_cache if fused else None,
+            backend="vendor" if fused else "substrate",
             accuracy=case.accuracy,
         )
     return c
@@ -204,7 +207,7 @@ def run_case(
     atol = tolerance_for(case, expect)
 
     paths = ["serial", "plan", "vendor", "vendor-plan", "fused-replay",
-             "parallel", "parallel-plan", "parallel-fused", "served"]
+             "parallel", "parallel-serial", "parallel-fused", "served"]
 
     failures: List[Dict[str, Any]] = []
     results: Dict[str, np.ndarray] = {}
@@ -240,7 +243,7 @@ def run_case(
             })
 
     pairs = [("serial", "plan"), ("vendor", "vendor-plan"),
-             ("parallel", "parallel-plan"), ("vendor", "fused-replay")]
+             ("parallel", "parallel-serial"), ("vendor", "fused-replay")]
     if case.alias == "none":
         pairs.append(("serial", "served"))
     for lhs, rhs in pairs:

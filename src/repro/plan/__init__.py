@@ -3,20 +3,20 @@
 The recursion that :func:`repro.core.dgefmm.dgefmm` walks — cutoff
 tests (paper eq. 15), dynamic peeling, scheme dispatch, workspace
 frames — is a pure function of the problem *signature* (dimensions,
-scalar zero-classes, dtype, scheme, cutoff).  This package compiles
+scalar zero-classes, dtype, scheme, cutoff, root depth).  This package compiles
 that walk once per signature into a flat, immutable
 :class:`~repro.plan.compiler.ExecutionPlan`, caches plans in a
 thread-safe LRU :class:`~repro.plan.cache.PlanCache`, and replays them
 with :func:`~repro.plan.executor.execute_plan` at zero per-call
 planning or allocation cost (pool-backed arenas, precomputed byte
-offsets); a serial plan's results are bit-identical to the walk.  The
-drivers replay plans where something consumes them: ``pdgefmm`` a
-parallel one, and ``dgefmm`` the fused plan of a vendor call under
-fast accuracy whose root recurses, each from ``plan_cache=`` when given
-(``pdgefmm`` compiles for the call otherwise).  Every other ``dgefmm``
-call walks the recursion.
+offsets); a plan's results are bit-identical to the walk.  The drivers
+replay a plan from ``plan_cache=`` in one case only: the fused plan of
+a vendor call under fast accuracy whose root recurses — a ``dgefmm``
+call, or a product below a ``pdgefmm`` parallel level, whose plan is
+keyed by its depth.  Every other call walks the recursion, and the
+parallel levels run live.
 
-Compiled serial plans of a fusable config (``backend="vendor"``, fast
+Compiled plans of a fusable config (``backend="vendor"``, fast
 accuracy: :attr:`~repro.core.config.GemmConfig.fusable`) additionally
 carry a :class:`~repro.plan.fuse.FusedProgram` — the op stream with
 every base-case product replaced by one direct ``np.matmul`` step

@@ -32,15 +32,11 @@ and beta are zero; nonzero scalars flow through compilation as
 one plan serves every nonzero value bit-identically.  Exact-accuracy
 plans store their literals as ``np.int64`` (:func:`_encode_exact`).
 
-Parallel plans are the only form of parallel execution
-(:func:`repro.core.parallel.pdgefmm` replays them).  Every non-base
-node is built from its scheme's registry data: the U/V operand sums of
-:func:`repro.core.uvw.fan_out` are its prologue, the R independent
-products become *branches* (each a self-contained sub-plan over the
-branch's operand windows), and the W combine of
-:func:`repro.core.uvw.combine` plus any peeling fix-up form the
-epilogue.  The worker *budget* is an execution-time knob — the plan's
-structure depends only on ``max_parallel_depth`` and the config.
+A plan is one serial subtree rooted at the signature's ``depth``: 0 for
+a driver's call, the true depth for a product below a
+:func:`repro.core.parallel.pdgefmm` parallel level, so depth-sensitive
+criteria compile the recursion that product walks.  Parallel levels
+themselves run live and compile nothing.
 """
 
 from __future__ import annotations
@@ -58,11 +54,7 @@ from repro.blas.level3 import gemm_flops
 from repro.context import RecursionEvent
 from repro.core.config import GemmConfig
 from repro.core.dgefmm import _rec
-from repro.core.peeling import core_views
 from repro.core.pool import _align_up
-from repro.core.schemes import LEVEL_SCHEME, get_scheme
-from repro.core.traversal import Base, decide
-from repro.core.uvw import combine, fan_out
 from repro.errors import ArgumentError
 from repro.plan.fuse import fuse_plan
 from repro.plan.ops import (
@@ -95,13 +87,12 @@ def _signature_config(self) -> GemmConfig:
 
 #: The plan-cache key, derived *structurally* from ``GemmConfig``: the
 #: problem fields come first, then every ``GemmConfig`` field in
-#: declaration order, then ``max_parallel_depth``.  Adding a knob to
-#: ``GemmConfig`` automatically adds it to the cache key — signature
-#: completeness is a property of the type, not an audit.
+#: declaration order, then ``depth``.  Adding a knob to ``GemmConfig``
+#: automatically adds it to the cache key — signature completeness is a
+#: property of the type, not an audit.
 PlanSignature = make_dataclass(
     "PlanSignature",
     [
-        ("kind", str),
         ("m", int),
         ("k", int),
         ("n", int),
@@ -111,25 +102,26 @@ PlanSignature = make_dataclass(
         ("beta_zero", bool),
     ]
     + [(f.name, f.type, field(default=f.default)) for f in fields(GemmConfig)]
-    + [("max_parallel_depth", int, field(default=0))],
+    + [("depth", int, field(default=0))],
     frozen=True,
     namespace={"config": _signature_config},
 )
 PlanSignature.__module__ = __name__
 PlanSignature.__doc__ = """The cache key: everything the plan's structure depends on.
 
-    ``kind`` is ``"serial"`` (the :func:`~repro.core.dgefmm.dgefmm`
-    path) or ``"parallel"`` (:func:`~repro.core.parallel.pdgefmm`;
-    ``max_parallel_depth`` then matters, the worker budget never does —
-    it only sets how many threads replay the branches).  Scalars enter
-    as zero/nonzero *classes*; cutoff criteria are the (hashable frozen
+    ``depth`` is the depth of the plan's root in the recursion: 0 for a
+    driver's call, the true depth for a product below a
+    :func:`~repro.core.parallel.pdgefmm` parallel level (whose ``scheme``
+    is then the level's child scheme), so a depth-sensitive criterion
+    never replays a plan compiled for another depth.  Scalars enter as
+    zero/nonzero *classes*; cutoff criteria are the (hashable frozen
     dataclass) objects themselves.
 
     The behaviour-knob fields (``scheme``, ``peel``, ``cutoff``, ``nb``,
     ``backend``, ``dtype``, ``accuracy``) are not hand-listed:
     they are generated from ``dataclasses.fields(GemmConfig)`` at
     class-creation time, in declaration order, between the problem
-    fields and ``max_parallel_depth``.  A knob added to ``GemmConfig``
+    fields and ``depth``.  A knob added to ``GemmConfig``
     therefore cannot be forgotten here — the type system keeps the
     plan-cache key complete.  The operand ``dtype`` and the ``accuracy``
     mode are config fields (not problem fields): :func:`signature_for`
@@ -138,7 +130,8 @@ PlanSignature.__doc__ = """The cache key: everything the plan's structure depend
     re-validates) the ``GemmConfig`` the knob fields encode.
 
     Deliberately excluded because they cannot change the result or the
-    plan's structure: ``workers`` (execution-time thread budget),
+    plan's structure: ``workers`` and ``max_parallel_depth`` (how a
+    ``pdgefmm`` call runs the levels above its plans),
     ``pool``/``workspace`` (where temporaries live, not what is
     computed), ``ctx`` (instrumentation sink), and operand memory
     layout/strides (plans bind root windows per call; the kernels accept
@@ -155,7 +148,6 @@ _SIGNATURES: dict = {}
 
 
 def signature_for(
-    kind: str,
     m: int,
     k: int,
     n: int,
@@ -165,7 +157,7 @@ def signature_for(
     beta_zero: bool,
     dtype: str,
     config: GemmConfig,
-    max_parallel_depth: int = 0,
+    depth: int = 0,
 ) -> "PlanSignature":
     """The :class:`PlanSignature` of a problem and a ``GemmConfig``.
 
@@ -182,8 +174,8 @@ def signature_for(
     so a repeated call builds none.  A config that cannot be hashed
     skips the memo and gets a fresh signature, as before.
     """
-    key = (kind, m, k, n, transa, transb, alpha_zero, beta_zero, dtype,
-           config, max_parallel_depth)
+    key = (m, k, n, transa, transb, alpha_zero, beta_zero, dtype, config,
+           depth)
     try:
         return _SIGNATURES[key]
     except KeyError:
@@ -193,9 +185,8 @@ def signature_for(
     if canonical_dtype(dtype) != config.dtype:
         config = replace(config, dtype=canonical_dtype(dtype))
     sig = PlanSignature(
-        kind, m, k, n, transa, transb, alpha_zero, beta_zero,
-        *(getattr(config, f.name) for f in fields(GemmConfig)),
-        max_parallel_depth,
+        m, k, n, transa, transb, alpha_zero, beta_zero,
+        *(getattr(config, f.name) for f in fields(GemmConfig)), depth,
     )
     if hashable:
         _SIGNATURES[key] = sig
@@ -208,25 +199,21 @@ def signature_for(
 class ExecutionPlan:
     """An immutable, flat, replayable DGEFMM program.
 
-    ``ops`` is the serial body (a parallel node's prologue); ``branches``
-    holds the node's independent products as ``(a_idx, b_idx, c_idx,
-    child_plan)`` with indices into this plan's region table;
-    ``epilogue`` combines the products and applies peeling fix-ups.  A
-    serial plan has empty branches/epilogue.  ``ops_quiet`` /
-    ``epilogue_quiet`` are the same programs with trace-replay EVENT ops
-    stripped, chosen when the executing context is not tracing.
+    ``ops`` is the op stream over the interned region table
+    ``regions``; ``ops_quiet`` is the same program with trace-replay
+    EVENT ops stripped, chosen when the executing context is not
+    tracing.
     """
 
     __slots__ = (
         "signature", "m", "k", "n", "dtype", "nb", "backend", "accuracy",
-        "regions", "ops", "ops_quiet", "branches", "epilogue",
-        "epilogue_quiet", "arena_bytes", "peak_bytes", "charge_bytes",
+        "regions", "ops", "ops_quiet", "arena_bytes", "peak_bytes",
         "counts", "nbytes", "fused", "_temp_cache",
     )
 
     def __init__(
         self,
-        signature: Optional["PlanSignature"],
+        signature: "PlanSignature",
         m: int,
         k: int,
         n: int,
@@ -235,11 +222,8 @@ class ExecutionPlan:
         backend: str,
         regions: Tuple[tuple, ...],
         ops: Tuple[tuple, ...],
-        branches: Tuple[tuple, ...],
-        epilogue: Tuple[tuple, ...],
         arena_bytes: int,
         peak_bytes: int,
-        charge_bytes: int,
         counts: dict,
         accuracy: str = "fast",
     ) -> None:
@@ -256,14 +240,8 @@ class ExecutionPlan:
         self.regions = regions
         self.ops = ops
         self.ops_quiet = tuple(op for op in ops if op[0] != OP_EVENT)
-        self.branches = branches
-        self.epilogue = epilogue
-        self.epilogue_quiet = tuple(
-            op for op in epilogue if op[0] != OP_EVENT
-        )
         self.arena_bytes = int(arena_bytes)
         self.peak_bytes = int(peak_bytes)
-        self.charge_bytes = int(charge_bytes)
         self.counts = counts
         #: optional :class:`~repro.plan.fuse.FusedProgram` attached by
         #: the compiler to a serial plan whose config is fusable (vendor
@@ -271,12 +249,7 @@ class ExecutionPlan:
         #: numeric contexts and falls back to the interpreted op stream
         #: otherwise
         self.fused = None
-        self.nbytes = (
-            256
-            + 64 * len(regions)
-            + 96 * (len(ops) + len(epilogue))
-            + sum(child.nbytes for *_ids, child in branches)
-        )
+        self.nbytes = 256 + 64 * len(regions) + 96 * len(ops)
         #: per-arena-buffer cache of bound temporary views (warm calls
         #: skip re-carving the arena); keyed by the buffer's id with the
         #: buffer itself stored so entries can never alias a new buffer
@@ -285,38 +258,8 @@ class ExecutionPlan:
     # ------------------------------------------------------------------ #
     @property
     def n_ops(self) -> int:
-        """Total executable ops (events excluded), branches included."""
-        return (
-            len(self.ops_quiet)
-            + len(self.epilogue_quiet)
-            + sum(child.n_ops for *_ids, child in self.branches)
-        )
-
-    def total_counts(self) -> dict:
-        """Aggregate op/flop tallies over this plan and all branches."""
-        total = {
-            "recurse": self.counts["recurse"],
-            "base": self.counts["base"],
-            "peel": self.counts["peel"],
-            "max_depth": self.counts["max_depth"],
-            "mul_flops": self.counts["mul_flops"],
-            "mul_flops_total": self.counts["mul_flops_total"],
-            "add_flops_total": self.counts["add_flops_total"],
-            "base_shapes": dict(self.counts["base_shapes"]),
-            "kernel_calls": Counter(self.counts["kernel_calls"]),
-        }
-        for *_ids, child in self.branches:
-            sub = child.total_counts()
-            for key in ("recurse", "base", "peel", "mul_flops",
-                        "mul_flops_total", "add_flops_total"):
-                total[key] += sub[key]
-            total["max_depth"] = max(total["max_depth"], sub["max_depth"])
-            for shape, cnt in sub["base_shapes"].items():
-                total["base_shapes"][shape] = (
-                    total["base_shapes"].get(shape, 0) + cnt
-                )
-            total["kernel_calls"].update(sub["kernel_calls"])
-        return total
+        """Executable ops (events excluded)."""
+        return len(self.ops_quiet)
 
     def describe(self, max_ops: Optional[int] = None) -> List[str]:
         """Human-readable op listing for ``python -m repro plan explain``."""
@@ -326,19 +269,7 @@ class ExecutionPlan:
             root = ("A", "B", "C", f"T@{off}")[kind]
             return f"{root}[{r0}:{r0 + rows},{c0}:{c0 + cols}]"
 
-        lines: List[str] = []
-        for op in self.ops + (("--branches--",) if self.branches else ()):
-            if op == ("--branches--",):
-                for i, (ai, bi, ci, child) in enumerate(self.branches):
-                    lines.append(
-                        f"branch {i}: {reg(ai)} x {reg(bi)} -> {reg(ci)} "
-                        f"({child.n_ops} ops, "
-                        f"{'parallel' if child.branches else 'serial'})"
-                    )
-                continue
-            lines.append(_op_repr(op, reg))
-        for op in self.epilogue:
-            lines.append(_op_repr(op, reg))
+        lines = [_op_repr(op, reg) for op in self.ops]
         if max_ops is not None and len(lines) > max_ops:
             lines = lines[:max_ops] + [
                 f"... ({len(lines) - max_ops} more ops)"
@@ -346,9 +277,8 @@ class ExecutionPlan:
         return lines
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        kind = "parallel" if self.branches else "serial"
         return (
-            f"ExecutionPlan({kind}, {self.m}x{self.k}x{self.n}, "
+            f"ExecutionPlan({self.m}x{self.k}x{self.n}, "
             f"{self.n_ops} ops, arena={self.arena_bytes}B)"
         )
 
@@ -445,8 +375,6 @@ class _Recorder:
         self.dtype = np.dtype(dtype)
         self.ws = _RecordingWorkspace()
         self.ops: List[tuple] = []
-        self.epilogue: List[tuple] = []
-        self._sink = self.ops
         self._intern: dict = {}
         self.region_descs: List[tuple] = []
         self.kernel_calls: Counter = Counter()
@@ -462,9 +390,6 @@ class _Recorder:
         # chosen once per plan: exact plans carry integral literals
         self.scalar = (_encode_exact if cfg.accuracy == "exact"
                        else encode_scalar)
-
-    def begin_epilogue(self) -> None:
-        self._sink = self.epilogue
 
     def reg(self, r: Region) -> int:
         desc = r.descriptor()
@@ -482,7 +407,7 @@ class _Recorder:
 
     def _madd(self, x, y, out, alpha=1.0, *, ctx=None):
         self._charge_add("madd", out)
-        self._sink.append(
+        self.ops.append(
             (OP_MADD, self.reg(x), self.reg(y), self.reg(out),
              self.scalar(alpha))
         )
@@ -490,7 +415,7 @@ class _Recorder:
 
     def _msub(self, x, y, out, alpha=1.0, *, ctx=None):
         self._charge_add("msub", out)
-        self._sink.append(
+        self.ops.append(
             (OP_MSUB, self.reg(x), self.reg(y), self.reg(out),
              self.scalar(alpha))
         )
@@ -498,12 +423,12 @@ class _Recorder:
 
     def _accum(self, x, out, *, ctx=None):
         self._charge_add("accum", out)
-        self._sink.append((OP_ACCUM, self.reg(x), self.reg(out)))
+        self.ops.append((OP_ACCUM, self.reg(x), self.reg(out)))
         return out
 
     def _axpby(self, alpha, x, beta, y, *, ctx=None):
         self._charge_add("axpby", y)
-        self._sink.append(
+        self.ops.append(
             (OP_AXPBY, self.scalar(alpha), self.reg(x),
              self.scalar(beta), self.reg(y))
         )
@@ -516,7 +441,7 @@ class _Recorder:
         self.counts[action] += 1
         if depth > self.counts["max_depth"]:
             self.counts["max_depth"] = depth
-        self._sink.append(
+        self.ops.append(
             (OP_EVENT, RecursionEvent(action, m, k, n, depth, scheme))
         )
 
@@ -531,7 +456,7 @@ class _Recorder:
         key = (m, k, n)
         shapes = self.counts["base_shapes"]
         shapes[key] = shapes.get(key, 0) + 1
-        self._sink.append(
+        self.ops.append(
             (OP_GEMM, self.reg(a), self.reg(b), self.reg(c),
              self.scalar(alpha), self.scalar(beta))
         )
@@ -558,34 +483,24 @@ class _Recorder:
             self.kernel_calls["dgemv"] += mo
             self.mul_flops_total += mo * float(n) * k
             self.add_flops_total += mo * max(0.0, float(n) * k - n)
-        self._sink.append(
+        self.ops.append(
             (OP_FIXUP, self.reg(a), self.reg(b), self.reg(c),
              self.scalar(alpha), self.scalar(beta), self.cfg.peel,
              divisors)
         )
 
     # ------------------------------------------------------------------ #
-    def build(
-        self,
-        signature: Optional["PlanSignature"],
-        m: int,
-        k: int,
-        n: int,
-        branches: Tuple[tuple, ...] = (),
-    ) -> ExecutionPlan:
-        charge = self.ws.peak + sum(
-            child.charge_bytes for *_ids, child in branches
-        )
+    def build(self, signature: "PlanSignature") -> ExecutionPlan:
         counts = dict(self.counts)
         counts["kernel_calls"] = Counter(self.kernel_calls)
         counts["mul_flops_total"] = self.mul_flops_total
         counts["add_flops_total"] = self.add_flops_total
         cfg = self.cfg
         return ExecutionPlan(
-            signature, m, k, n, self.dtype, cfg.nb, cfg.backend,
-            tuple(self.region_descs), tuple(self.ops), branches,
-            tuple(self.epilogue), self.ws.required, self.ws.peak,
-            charge, counts, cfg.accuracy,
+            signature, signature.m, signature.k, signature.n, self.dtype,
+            cfg.nb, cfg.backend,
+            tuple(self.region_descs), tuple(self.ops), self.ws.required,
+            self.ws.peak, counts, cfg.accuracy,
         )
 
 
@@ -598,121 +513,9 @@ def _roots(m: int, k: int, n: int, dtype: Any) -> tuple:
     )
 
 
-def _compile_serial(
-    m: int,
-    k: int,
-    n: int,
-    alpha: Any,
-    beta: Any,
-    cfg: GemmConfig,
-    scheme: str,
-    dtype: Any,
-    signature: Optional["PlanSignature"] = None,
-    depth: int = 0,
-) -> ExecutionPlan:
-    """Compile a serial subtree rooted at ``depth`` with node ``scheme``.
-
-    ``depth`` is 0 for whole serial plans; parallel plans compile their
-    below-the-region serial children at the subtree's true depth, so
-    depth-sensitive criteria see the same recursion as a serial call.
-    """
-    rec = _Recorder(cfg, dtype)
-    a, b, c = _roots(m, k, n, dtype)
-    _rec(a, b, c, alpha, beta, depth, scheme, rec)
-    plan = rec.build(signature, m, k, n)
-    if cfg.fusable:
-        plan.fused = fuse_plan(plan)
-        plan.nbytes += 96 * len(plan.fused.ops)
-    return plan
-
-
-# ---------------------------------------------------------------------- #
-def _compile_pnode(
-    m: int,
-    k: int,
-    n: int,
-    alpha: Any,
-    beta: Any,
-    level: int,
-    depth: int,
-    node: Any,
-    cfg: GemmConfig,
-    max_depth: int,
-    dtype: Any,
-    signature: Optional["PlanSignature"] = None,
-) -> ExecutionPlan:
-    """One parallel level: the scheme's R products from its U/V/W."""
-    rec = _Recorder(cfg, dtype)
-    a, b, c = _roots(m, k, n, dtype)
-    if node.peeled:
-        core_a, core_b, core_c = core_views(
-            a, b, c, cfg.peel, node.divisors
-        )
-    else:
-        core_a, core_b, core_c = a, b, c
-
-    sch = get_scheme(LEVEL_SCHEME[node.level])
-    branches: List[tuple] = []
-    with rec.ws.frame():
-        jobs = fan_out(sch, core_a, core_b, rec.ws, rec.dtype, rec.kernels)
-        for aa, bb, cc in jobs:
-            jm, jk = aa.shape
-            jn = bb.shape[1]
-            if level < max_depth:
-                child = _compile_parallel(
-                    jm, jk, jn, 1.0, 0.0, level + 1, depth + 1, cfg,
-                    node.child_scheme, max_depth, dtype,
-                )
-            else:
-                child = _compile_serial(
-                    jm, jk, jn, 1.0, 0.0, cfg, node.child_scheme, dtype,
-                    depth=depth + 1,
-                )
-            branches.append((rec.reg(aa), rec.reg(bb), rec.reg(cc), child))
-        rec.begin_epilogue()
-        combine(sch, jobs, core_c, alpha, beta, rec.kernels)
-        if node.peeled:
-            rec.fixup(a, b, c, alpha, beta, node.divisors)
-
-    return rec.build(signature, m, k, n, tuple(branches))
-
-
-def _compile_parallel(
-    m: int,
-    k: int,
-    n: int,
-    alpha: Any,
-    beta: Any,
-    level: int,
-    depth: int,
-    cfg: GemmConfig,
-    scheme: str,
-    max_depth: int,
-    dtype: Any,
-    signature: Optional["PlanSignature"] = None,
-) -> ExecutionPlan:
-    """The parallel walker's dispatch: a parallel level, or a serial
-    subtree where the traversal stops."""
-    if m and n and k and alpha != 0.0:
-        node = decide(m, k, n, depth, scheme, beta == 0.0, cfg.cutoff)
-        if not isinstance(node, Base):
-            return _compile_pnode(
-                m, k, n, alpha, beta, level, depth, node, cfg, max_depth,
-                dtype, signature,
-            )
-    return _compile_serial(
-        m, k, n, alpha, beta, cfg, scheme, dtype, signature, depth,
-    )
-
-
-# ---------------------------------------------------------------------- #
 def compile_plan(signature: "PlanSignature") -> ExecutionPlan:
-    """Compile one :class:`PlanSignature` into an :class:`ExecutionPlan`."""
-    if signature.kind not in ("serial", "parallel"):
-        raise ArgumentError(
-            "compile_plan", "kind",
-            f"must be 'serial' or 'parallel', got {signature.kind!r}",
-        )
+    """Compile one :class:`PlanSignature` into an :class:`ExecutionPlan`:
+    the serial subtree rooted at the signature's ``depth``."""
     cfg = signature.config()
     if cfg.dtype == "object":
         raise ArgumentError(
@@ -721,15 +524,14 @@ def compile_plan(signature: "PlanSignature") -> ExecutionPlan:
             "are typed views over a byte arena); use the recursive "
             "driver",
         )
-    alpha: Any = 0.0 if signature.alpha_zero else SymScalar("a")
-    beta: Any = 0.0 if signature.beta_zero else SymScalar("b")
-    if signature.kind == "serial":
-        return _compile_serial(
-            signature.m, signature.k, signature.n, alpha, beta,
-            cfg, cfg.scheme, signature.dtype, signature,
-        )
-    return _compile_parallel(
-        signature.m, signature.k, signature.n, alpha, beta, 1, 0,
-        cfg, cfg.scheme, signature.max_parallel_depth, signature.dtype,
-        signature,
-    )
+    m, k, n = signature.m, signature.k, signature.n
+    rec = _Recorder(cfg, signature.dtype)
+    a, b, c = _roots(m, k, n, signature.dtype)
+    _rec(a, b, c, 0.0 if signature.alpha_zero else SymScalar("a"),
+         0.0 if signature.beta_zero else SymScalar("b"), signature.depth,
+         cfg.scheme, rec)
+    plan = rec.build(signature)
+    if cfg.fusable:
+        plan.fused = fuse_plan(plan)
+        plan.nbytes += 96 * len(plan.fused.ops)
+    return plan

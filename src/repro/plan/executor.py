@@ -16,15 +16,15 @@ construction, and recursion bookkeeping.
 
 Plans run where something consumes them: the fused plan of a vendor
 call under fast accuracy whose root recurses (through
-:func:`repro.core.dgefmm.dgefmm` and the serving engine, from a plan
-cache), the parallel plans of :func:`repro.core.parallel.pdgefmm`
-(whose branch leaves are serial plans), and the explicit
-:func:`~repro.plan.compiler.compile_plan` / :func:`execute_plan` route.
-Every other serial call walks the recursion instead: at the default
-cutoff, interpreted replay of a serial plan measured no faster than the
-walk it mirrors.  A plan that carries a
-:class:`~repro.plan.fuse.FusedProgram` (a fusable config's serial
-plan: vendor leaves, fast accuracy) replays it through
+:func:`repro.core.dgefmm.dgefmm`, the products below a
+:func:`repro.core.parallel.pdgefmm` parallel level, and the serving
+engine, from a plan cache), :func:`repro.core.dgefmm.replay_serial`,
+and the explicit :func:`~repro.plan.compiler.compile_plan` /
+:func:`execute_plan` route.  Every other call walks the recursion
+instead: at the default cutoff, interpreted replay of a serial plan
+measured no faster than the walk it mirrors.  A plan that carries a
+:class:`~repro.plan.fuse.FusedProgram` (a fusable config's plan:
+vendor leaves, fast accuracy) replays it through
 :func:`~repro.plan.fuse.run_fused` — one inline loop, bit-identical to
 the vendor walk — instead of the op-by-op loop below.
 
@@ -35,16 +35,10 @@ views against the arena buffer — warm repeated calls perform **zero**
 new allocations and reuse the bound views via a per-buffer cache.
 Without a pool, a private aligned buffer per call keeps the path
 correct, just not amortized.
-
-Parallel plans are how :func:`repro.core.parallel.pdgefmm` runs: the
-``workers`` budget splits level-by-level (structure fixed by the plan,
-thread count by the budget), with private worker contexts merged in
-job order so instrumentation is thread-schedule-independent.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from typing import Any, List, Optional
 
 from repro.blas.addsub import NUMERIC_KERNELS, kernels_for
@@ -52,7 +46,6 @@ from repro.blas.dtypes import require_integral_scalar
 from repro.blas.level3 import dgemm
 from repro.blas.validate import copy_on_overlap
 from repro.context import ExecutionContext
-from repro.core.parallel import _split_budget
 from repro.core.peeling import apply_fixups, apply_fixups_head
 from repro.core.pool import WorkspacePool, _aligned_buffer
 from repro.errors import ArgumentError
@@ -167,76 +160,6 @@ def _run_ops(ops, v, st, ctx, nb, backend,
             ctx.record(op[1])
 
 
-def _exec(plan, va, vb, vc, st, ctx, pool, workers) -> None:
-    """Execute one plan node (serial body or parallel level)."""
-    # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
-    # dry runs skip numerics per kernel, and machine models charge
-    # modeled seconds per call — all three fall back to the interpreted
-    # stream, whose vendor leaves compute the fused replay's bits.
-    fused = plan.fused
-    if fused is not None and (
-        ctx.trace or ctx.dry or ctx.machine is not None
-    ):
-        fused = None
-    need = fused.arena_bytes if fused is not None else plan.arena_bytes
-
-    pooled = False
-    ws = None
-    if need or plan.branches:
-        if pool is not None:
-            ws = pool.checkout()
-            buf = ws.reserve(need)
-            pooled = True
-        else:
-            buf = _aligned_buffer(need)
-    else:
-        buf = None
-
-    try:
-        v = _resolve(plan, va, vb, vc, buf) if plan.regions else []
-        em = kernels_for(plan.accuracy)
-        if fused is not None:
-            run_fused(fused, v, st, ctx, buf)
-        else:
-            _run_ops(plan.ops if ctx.trace else plan.ops_quiet,
-                     v, st, ctx, plan.nb, plan.backend,
-                     em, plan.accuracy)
-
-        if plan.branches:
-            branches = plan.branches
-            threads, sub_budget = _split_budget(workers, len(branches))
-            worker_ctxs = [
-                ExecutionContext(ctx.machine, trace=ctx.trace)
-                for _ in branches
-            ]
-
-            def run(idx: int) -> None:
-                ai, bi, ci, child = branches[idx]
-                _exec(child, v[ai], v[bi], v[ci], st,
-                      worker_ctxs[idx], pool, sub_budget)
-
-            if threads == 1:
-                for i in range(len(branches)):
-                    run(i)
-            else:
-                with ThreadPoolExecutor(max_workers=threads) as tpool:
-                    list(tpool.map(run, range(len(branches))))
-            for wctx in worker_ctxs:
-                ctx.merge_child(wctx)
-
-            _run_ops(
-                plan.epilogue if ctx.trace else plan.epilogue_quiet,
-                v, st, ctx, plan.nb, plan.backend,
-                em, plan.accuracy,
-            )
-    except BaseException:
-        if pooled:
-            pool.release(ws)
-        raise
-    if pooled:
-        pool.checkin(ws)
-
-
 def execute_plan(
     plan,
     a: Any,
@@ -247,16 +170,13 @@ def execute_plan(
     *,
     ctx: ExecutionContext,
     pool: Optional[WorkspacePool] = None,
-    workers: int = 1,
 ) -> Any:
     """Replay ``plan`` against op-resolved operands; returns ``c``.
 
     ``a``/``b`` must already be transpose-resolved views of shape
     ``(m, k)`` / ``(k, n)`` matching the plan (the driver wrappers do
     this).  ``alpha``/``beta`` must belong to the zero/nonzero classes
-    the plan was compiled for.  ``workers`` is the parallel replay
-    budget (ignored by serial plans), split level-by-level as described
-    in :mod:`repro.core.parallel`.
+    the plan was compiled for.
 
     Like the drivers, the executor applies the copy-on-overlap fallback
     when ``c`` may share memory with ``a`` or ``b`` — replayed ops write
@@ -266,29 +186,56 @@ def execute_plan(
     """
     a, b = copy_on_overlap(c, a, b, ctx=ctx)
     sig = plan.signature
-    if sig is not None:
-        if tuple(a.shape) != (sig.m, sig.k) or b.shape[1] != sig.n:
-            raise ArgumentError(
-                "execute_plan", "a/b",
-                f"operands {tuple(a.shape)}x{b.shape[1]} do not match "
-                f"plan {(sig.m, sig.k, sig.n)}",
-            )
-        if tuple(c.shape) != (sig.m, sig.n):
-            raise ArgumentError(
-                "execute_plan", "c",
-                f"output {tuple(c.shape)} does not match plan "
-                f"{(sig.m, sig.n)}",
-            )
-        if sig.alpha_zero != (alpha == 0.0) or sig.beta_zero != (beta == 0.0):
-            raise ArgumentError(
-                "execute_plan", "alpha/beta",
-                "scalar zero-class differs from the plan signature",
-            )
+    if tuple(a.shape) != (sig.m, sig.k) or b.shape[1] != sig.n:
+        raise ArgumentError(
+            "execute_plan", "a/b",
+            f"operands {tuple(a.shape)}x{b.shape[1]} do not match "
+            f"plan {(sig.m, sig.k, sig.n)}",
+        )
+    if tuple(c.shape) != (sig.m, sig.n):
+        raise ArgumentError(
+            "execute_plan", "c",
+            f"output {tuple(c.shape)} does not match plan {(sig.m, sig.n)}",
+        )
+    if sig.alpha_zero != (alpha == 0.0) or sig.beta_zero != (beta == 0.0):
+        raise ArgumentError(
+            "execute_plan", "alpha/beta",
+            "scalar zero-class differs from the plan signature",
+        )
     if plan.accuracy == "exact":
         # integral scalars, as the drivers' prologue coerces them
         alpha = require_integral_scalar("execute_plan", "alpha", alpha)
         beta = require_integral_scalar("execute_plan", "beta", beta)
     st = (alpha, -alpha, beta, -beta)
-    _exec(plan, a, b, c, st, ctx, pool, workers)
-    ctx.stats_max("workspace_peak_bytes", plan.charge_bytes)
+
+    # Fused replay needs per-op hooks absent: tracing replays EVENT ops,
+    # dry runs skip numerics per kernel, and machine models charge
+    # modeled seconds per call — all three fall back to the interpreted
+    # stream, whose vendor leaves compute the fused replay's bits.
+    fused = plan.fused
+    if fused is not None and (
+        ctx.trace or ctx.dry or ctx.machine is not None
+    ):
+        fused = None
+    need = fused.arena_bytes if fused is not None else plan.arena_bytes
+    ws = pool.checkout() if need and pool is not None else None
+    try:
+        if ws is not None:
+            buf = ws.reserve(need)
+        else:
+            buf = _aligned_buffer(need) if need else None
+        v =_resolve(plan, a, b, c, buf) if plan.regions else []
+        if fused is not None:
+            run_fused(fused, v, st, ctx, buf)
+        else:
+            _run_ops(plan.ops if ctx.trace else plan.ops_quiet,
+                     v, st, ctx, plan.nb, plan.backend,
+                     kernels_for(plan.accuracy), plan.accuracy)
+    except BaseException:
+        if ws is not None:
+            pool.release(ws)
+        raise
+    if ws is not None:
+        pool.checkin(ws)
+    ctx.stats_max("workspace_peak_bytes", plan.peak_bytes)
     return c

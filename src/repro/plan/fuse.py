@@ -3,7 +3,7 @@
 The interpreted executor (:mod:`repro.plan.executor`) pays Python
 dispatch per typed op — one function call, operand validation, and a
 context charge for every madd/msub/accum/axpby and every leaf
-``dgemm``.  :func:`fuse_plan` compiles a branch-free
+``dgemm``.  :func:`fuse_plan` compiles an
 :class:`~repro.plan.compiler.ExecutionPlan` into a :class:`FusedProgram`:
 the plan's quiet op stream (``ops_quiet``) in order, with every
 ``OP_GEMM`` replaced in place by one ``OP_DIRECT`` on the same operands
@@ -28,8 +28,8 @@ interpreted replay's per-op charges exactly.
 
 Numerics: fused replay is **bit-identical** to the vendor kernel's
 walk — ``dgefmm(..., backend="vendor")`` at the same cutoff — so it is
-that backend's engine, not a knob: the compiler fuses every serial plan
-of a vendor config under fast accuracy
+that backend's engine, not a knob: the compiler fuses every plan of a
+vendor config under fast accuracy
 (:attr:`~repro.core.config.GemmConfig.fusable`), and ``dgefmm`` replays
 the fused plan from its plan cache when the call's root recurses and
 walks otherwise.  Substrate plans never fuse (its tiled ``einsum``
@@ -74,7 +74,7 @@ _EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
 
 
 class FusedProgram:
-    """A compiled fused replay program for one branch-free plan.
+    """A compiled fused replay program for one plan.
 
     ``ops`` is the plan's quiet op stream with every ``OP_GEMM``
     replaced by an ``OP_DIRECT``; ``charges`` holds the program's
@@ -109,9 +109,7 @@ class FusedProgram:
 
 
 def fuse_plan(plan) -> FusedProgram:
-    """Compile a branch-free :class:`ExecutionPlan` into a fused program."""
-    if plan.branches:
-        raise ValueError("fuse_plan: parallel plans fuse per branch")
+    """Compile an :class:`ExecutionPlan` into a fused program."""
     regions = plan.regions
     ops: List[tuple] = []
     totals: dict = {}        # kernel -> [calls, muls, adds]

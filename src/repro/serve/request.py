@@ -185,7 +185,7 @@ class GemmRequest:
         )
         self.call = call
         self.out = out
-        self.signature = None if call is None else call.signature("serial")
+        self.signature = None if call is None else call.signature()
         self.deadline = deadline
         self.future = GemmFuture()
         self.seq = -1            # assigned at admission

@@ -30,7 +30,7 @@ CUT = SimpleCutoff(4)
 
 
 def _paths(a, b, c, alpha=1.0, beta=0.0, **kw):
-    """Run serial / planned / parallel / planned-parallel on private
+    """Run serial / planned / parallel / one-thread parallel on private
     copies of the operands; returns ``{name: result}``.  ``plan`` is
     interpreted replay of the serial plan (``dgefmm`` walks substrate
     calls even when given a cache)."""
@@ -49,9 +49,8 @@ def _paths(a, b, c, alpha=1.0, beta=0.0, **kw):
     if not kw:  # pdgefmm pins scheme/peel
         run("parallel", lambda aa, bb, cc: pdgefmm(
             aa, bb, cc, alpha, beta, cutoff=CUT, workers=3))
-        run("parallel-plan", lambda aa, bb, cc: pdgefmm(
-            aa, bb, cc, alpha, beta, cutoff=CUT, workers=3,
-            plan_cache=cache))
+        run("parallel-serial", lambda aa, bb, cc: pdgefmm(
+            aa, bb, cc, alpha, beta, cutoff=CUT, workers=1))
     return out
 
 
@@ -61,7 +60,8 @@ def _assert_all(results, expect, atol=1e-9):
         np.testing.assert_allclose(got, expect, atol=atol, err_msg=name)
     assert np.array_equal(results["serial"], results["plan"])
     if "parallel" in results:
-        assert np.array_equal(results["parallel"], results["parallel-plan"])
+        assert np.array_equal(results["parallel"],
+                              results["parallel-serial"])
 
 
 class TestZeroDims:
@@ -224,11 +224,10 @@ class TestStridesAndOrder:
             expect, atol=1e-9 * 16,
         )
         res = {}
-        for name, kw in (("parallel", {}), ("parallel-plan",
-                                            {"plan_cache": PlanCache()})):
+        for name, workers in (("parallel", 3), ("parallel-serial", 1)):
             cc = c.copy(order="K")
             pdgefmm(a, b, cc, 2.0, -1.0, True, True, cutoff=CUT,
-                    workers=3, **kw)
+                    workers=workers)
             res[name] = cc
             np.testing.assert_allclose(cc, expect, atol=1e-9 * 16)
-        assert np.array_equal(res["parallel"], res["parallel-plan"])
+        assert np.array_equal(res["parallel"], res["parallel-serial"])

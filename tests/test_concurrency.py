@@ -194,7 +194,7 @@ class TestPlanCacheConcurrency:
         for i in range(count):
             m = 16 + 3 * i
             sigs.append(signature_for(
-                "serial", m, m + 1, m + 2, False, False, False, True,
+                m, m + 1, m + 2, False, False, False, True,
                 "float64", GemmConfig(cutoff=crit, nb=64),
             ))
         return sigs

@@ -252,7 +252,8 @@ class TestPlannedDifferential:
     def test_planned_negative_stride_transposed(self, rng, layout_a,
                                                 layout_b, layout_c):
         """Transposed + negative-stride/mixed-order operands replay
-        bit-identically through serial plans and parallel plans."""
+        bit-identically through serial plans, and pdgefmm's result does
+        not depend on its thread budget."""
         m, k, n = 27, 21, 33
         a = _materialize(rng, k, m, layout_a)          # A^T storage
         b = _materialize(rng, n, k, layout_b)          # B^T storage
@@ -268,9 +269,8 @@ class TestPlannedDifferential:
                 plan_cache=cache)),
             ("parallel", lambda cc: pdgefmm(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT, workers=3)),
-            ("parallel-plan", lambda cc: pdgefmm(
-                a, b, cc, 1.5, 0.5, True, True, cutoff=CUT, workers=3,
-                plan_cache=cache)),
+            ("parallel-serial", lambda cc: pdgefmm(
+                a, b, cc, 1.5, 0.5, True, True, cutoff=CUT, workers=1)),
         ):
             cc = c.copy(order="K")
             fn(cc)
@@ -279,7 +279,7 @@ class TestPlannedDifferential:
             np.testing.assert_allclose(cc, expect, atol=1e-10 * scale,
                                        err_msg=name)
         assert np.array_equal(outs["serial"], outs["plan"])
-        assert np.array_equal(outs["parallel"], outs["parallel-plan"])
+        assert np.array_equal(outs["parallel"], outs["parallel-serial"])
 
     def test_zgefmm_planned_matches_numpy(self, rng):
         m, k, n = 45, 37, 51

@@ -8,9 +8,9 @@ root recurses.  The contract under test, in decreasing strictness:
 1. **Vendor identity** — fused replay is bit-identical to the vendor
    walk: ``dgefmm(..., backend="vendor", plan_cache=)`` equals
    ``dgefmm(..., backend="vendor")`` with no cache, ``pdgefmm(...,
-   backend="vendor")``'s fused branches equal their interpreted
-   fallback, a traced call (the interpreted fallback) equals the
-   untraced one, and the ``fuse=True`` alias is ``backend="vendor"``.
+   backend="vendor", plan_cache=)``'s fused products equal their
+   walk, a traced call (the interpreted fallback) equals the untraced
+   one, and the ``fuse=True`` alias is ``backend="vendor"``.
 2. **Charge parity** — kernel calls and mul/add flop tallies charged by
    a fused replay equal the interpreted replay's exactly (aggregate
    charging of identical per-op tallies).
@@ -38,7 +38,6 @@ from repro.plan import (
     PlanSignature,
     compile_plan,
     execute_plan,
-    fuse_plan,
 )
 from repro.plan.compiler import signature_for
 from repro.plan.fuse import OP_DIRECT
@@ -59,7 +58,7 @@ def _sig(m, k, n, beta=0.0, backend="vendor", scheme="auto", cutoff=CUT,
          dtype="float64", accuracy="fast"):
     cfg = GemmConfig(scheme=scheme, cutoff=cutoff, backend=backend,
                      accuracy=accuracy)
-    return signature_for("serial", m, k, n, False, False,
+    return signature_for(m, k, n, False, False,
                          False, beta == 0.0, dtype, cfg)
 
 
@@ -131,22 +130,16 @@ class TestFusionPass:
         assert fused.nbytes > unfused.nbytes
 
     def test_parallel_plan_children_fused(self):
-        cfg = GemmConfig(cutoff=CUT, backend="vendor")
-        sig = signature_for("parallel", 32, 32, 32, False, False,
-                            False, True, "float64", cfg,
-                            max_parallel_depth=1)
-        plan = compile_plan(sig)
-        assert plan.branches
-        assert all(child.fused is not None
-                   for *_ids, child in plan.branches)
-
-    def test_fuse_rejects_parallel_plan(self):
-        cfg = GemmConfig(cutoff=CUT)
-        sig = signature_for("parallel", 32, 32, 32, False, False,
-                            False, True, "float64", cfg,
-                            max_parallel_depth=1)
-        with pytest.raises(ValueError):
-            fuse_plan(compile_plan(sig))
+        """Every plan a vendor pdgefmm caches is a product's fused plan,
+        keyed by the product's depth."""
+        rng = np.random.default_rng(21)
+        a, b, c = _mats(rng, 32, 32, 32)
+        cache = PlanCache()
+        pdgefmm(a, b, c, cutoff=CUT, backend="vendor", workers=2,
+                plan_cache=cache)
+        assert len(cache) == 1
+        assert all(plan.fused is not None and sig.depth == 1
+                   for sig, plan in cache._plans.items())
 
     def test_fuse_knob_is_validated(self):
         """``fuse`` is no knob: the engine follows from the config, so
@@ -256,8 +249,8 @@ class TestVendorIdentity:
     @pytest.mark.parametrize("depth", [1, 2])
     @pytest.mark.parametrize("beta", [0.0, 0.5])
     def test_pdgefmm_fused_equals_vendor(self, workers, depth, beta):
-        """pdgefmm's fused branches equal their interpreted vendor
-        fallback, which a tracing context selects."""
+        """pdgefmm's fused products equal their vendor walk, which a
+        tracing context without a cache runs."""
         rng = np.random.default_rng(22)
         for dtype in ("float64", "complex64"):
             a, b, c = _mats(rng, 45, 38, 52, dtype)
@@ -376,7 +369,7 @@ class TestFusedDriverPath:
         for backend, accuracy in (("substrate", "fast"), ("vendor", "fast"),
                                   ("vendor", "compensated")):
             plan = cache.get_or_compile(signature_for(
-                "serial", 16, 16, 16, False, False, False, True,
+                16, 16, 16, False, False, False, True,
                 "float64", GemmConfig(cutoff=CUT, backend=backend,
                                       accuracy=accuracy),
             ))
@@ -428,7 +421,7 @@ class TestFusedService:
             # a base-case root walks too
             assert svc.plan_cache.stats()["plans"] == 0
             svc.submit(a, b).result(30.0)
-            sig = signature_for("serial", 16, 16, 16, False, False, False,
+            sig = signature_for(16, 16, 16, False, False, False,
                                 True, "float64",
                                 GemmConfig(cutoff=CUT, backend="vendor"))
             assert svc.plan_cache.stats()["plans"] == 1

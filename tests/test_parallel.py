@@ -1,5 +1,7 @@
 """Task-parallel DGEFMM (pdgefmm): correctness, structure, exactness."""
 
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,7 @@ from repro.core.schemes import SCHEME_NAMES
 from repro.core.workspace import Workspace
 from repro.errors import ArgumentError, DimensionError
 from repro.phantom import Phantom
+from repro.plan import PlanCache
 
 CUT = SimpleCutoff(8)
 
@@ -253,9 +256,10 @@ class TestSchemeParity:
     @pytest.mark.parametrize("case", ["top-base", "object"])
     def test_non_parallel_calls_take_dgefmm_path(self, rng, monkeypatch,
                                                  case):
-        """pdgefmm compiles no parallel plan on exactly two routes: a
-        top-level base case and an object-dtype problem both run
-        dgefmm's walk, bit-identically."""
+        """A top-level base case is pdgefmm's one fallback: it runs
+        dgefmm's walk, bit-identically, with dgefmm's tallies.  An
+        object-dtype problem parallelises like int64: exact, with the
+        parallel level's tallies.  Neither compiles a plan."""
         import repro.plan.compiler as compiler
 
         def refuse(sig):
@@ -273,9 +277,18 @@ class TestSchemeParity:
                 rng.integers(-9, 10, x.shape).astype(object))
                 for x in (a, b, c_s))
         c_p = c_s.copy(order="F")
-        dgefmm(a, b, c_s, alpha, beta, **knobs)
-        pdgefmm(a, b, c_p, alpha, beta, workers=7, **knobs)
+        ctx_s, ctx_p = ExecutionContext(), ExecutionContext()
+        dgefmm(a, b, c_s, alpha, beta, ctx=ctx_s, **knobs)
+        pdgefmm(a, b, c_p, alpha, beta, workers=7, ctx=ctx_p, **knobs)
         assert np.array_equal(c_s, c_p)
+        if case == "top-base":
+            assert ctx_p.kernel_calls == ctx_s.kernel_calls
+            return
+        ctx_i = ExecutionContext()
+        ints = (np.asfortranarray(x.astype(np.int64)) for x in (a, b, c_p))
+        pdgefmm(*ints, alpha, beta, workers=7, ctx=ctx_i, **knobs)
+        assert ctx_p.kernel_calls == ctx_i.kernel_calls
+        assert ctx_p.kernel_calls != ctx_s.kernel_calls
 
     @pytest.mark.parametrize("peel", ["tail", "head"])
     @pytest.mark.parametrize("m,k,n", [(36, 36, 36), (37, 35, 33),
@@ -432,3 +445,80 @@ class TestInstrumentationExactness:
                 ctx=ctx7, workers=14, max_parallel_depth=2)
         assert ctx1.elapsed > 0
         assert ctx7.elapsed == pytest.approx(ctx1.elapsed, rel=1e-12)
+
+
+class TestLiveLevel:
+    """Parallel levels run live: traced like the walk, compiling
+    nothing, and caching only their products' fused plans."""
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_trace_events_match_dgefmm(self, rng, depth):
+        """Every parallel-level node records its peel and recurse events
+        at its true depth, as dgefmm's walk does."""
+        m = 67
+        a = np.asfortranarray(rng.standard_normal((m, m)))
+        b = np.asfortranarray(rng.standard_normal((m, m)))
+        crit = SimpleCutoff(16)
+        events = []
+        for drive, kw in ((dgefmm, {}),
+                          (pdgefmm, dict(workers=2,
+                                         max_parallel_depth=depth))):
+            ctx = ExecutionContext(trace=True)
+            drive(a, b, np.zeros((m, m), order="F"), cutoff=crit, ctx=ctx,
+                  **kw)
+            events.append(Counter((e.action, e.m, e.k, e.n, e.depth)
+                                  for e in ctx.events))
+        assert events[0] == events[1]
+        assert events[1][("recurse", 66, 66, 66, 0)] == 1
+
+    @pytest.mark.parametrize("workers,depth", [(1, 1), (2, 1), (7, 2),
+                                               (14, 2)])
+    def test_substrate_compiles_nothing(self, rng, monkeypatch, workers,
+                                        depth):
+        import repro.plan.cache as cache_mod
+        import repro.plan.compiler as compiler
+
+        def refuse(sig):
+            raise AssertionError(f"pdgefmm compiled {sig}")
+
+        monkeypatch.setattr(compiler, "compile_plan", refuse)
+        monkeypatch.setattr(cache_mod, "compile_plan", refuse)
+        m, k, n = 45, 37, 53
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = np.asfortranarray(rng.standard_normal((k, n)))
+        c0 = np.asfortranarray(rng.standard_normal((m, n)))
+        expect = 0.5 * (a @ b) + 1.5 * c0
+        for pool in (None, WorkspacePool()):
+            for cache in (None, PlanCache()):
+                c = c0.copy(order="F")
+                pdgefmm(a, b, c, 0.5, 1.5, cutoff=CUT, workers=workers,
+                        max_parallel_depth=depth, pool=pool,
+                        plan_cache=cache)
+                np.testing.assert_allclose(c, expect, atol=1e-9)
+                assert cache is None or len(cache) == 0
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_vendor_products_replay_depth_keyed_plans(self, rng, depth):
+        """Under DepthCutoff(3), a vendor call with a cache equals the
+        uncached call bit for bit; its cached plans are its products'
+        fused plans at their depth, and a second call only hits."""
+        m, k, n = 67, 59, 71
+        a = np.asfortranarray(rng.standard_normal((m, k)))
+        b = np.asfortranarray(rng.standard_normal((k, n)))
+        c0 = np.asfortranarray(rng.standard_normal((m, n)))
+        knobs = dict(cutoff=DepthCutoff(3), workers=2,
+                     max_parallel_depth=depth, backend="vendor")
+        cache = PlanCache()
+        cached = c0.copy(order="F")
+        pdgefmm(a, b, cached, 1.5, 0.5, plan_cache=cache, **knobs)
+        plain = c0.copy(order="F")
+        pdgefmm(a, b, plain, 1.5, 0.5, **knobs)
+        assert np.array_equal(cached, plain)
+        assert len(cache) > 0
+        assert all(sig.depth == depth and plan.fused is not None
+                   for sig, plan in cache._plans.items())
+        misses, hits = cache.misses, cache.hits
+        again = c0.copy(order="F")
+        pdgefmm(a, b, again, 1.5, 0.5, plan_cache=cache, **knobs)
+        assert np.array_equal(again, cached)
+        assert cache.misses == misses and cache.hits > hits

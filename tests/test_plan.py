@@ -47,12 +47,12 @@ CUT = SimpleCutoff(8)
 
 
 def _sig(m, k, n, beta=0.0, scheme="auto", peel="tail", cutoff=CUT,
-         dtype="float64", kind="serial", depth=0, accuracy="fast"):
+         dtype="float64", accuracy="fast"):
     cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=cutoff,
                      nb=DEFAULT_TILE, backend="substrate",
                      dtype=dtype, accuracy=accuracy)
-    return signature_for(kind, m, k, n, False, False, False, beta == 0.0,
-                         dtype, cfg, max_parallel_depth=depth)
+    return signature_for(m, k, n, False, False, False, beta == 0.0,
+                         dtype, cfg)
 
 
 class TestExactnessCrossCheck:
@@ -133,7 +133,7 @@ class TestExactnessCrossCheck:
     def test_alpha_zero_class(self, rng):
         """alpha == 0 compiles to the degenerate C <- beta*C plan."""
         m, k, n = 24, 24, 24
-        sig = signature_for("serial", m, k, n, False, False, True, False,
+        sig = signature_for(m, k, n, False, False, True, False,
                             "float64", GemmConfig(cutoff=CUT))
         plan = compile_plan(sig)
         assert plan.counts["base"] == 0
@@ -148,10 +148,14 @@ class TestExactnessCrossCheck:
 
 
 class TestParallelPlans:
+    """``pdgefmm`` compiles no plan of its own: its parallel levels run
+    live, and only a recursing vendor product under fast accuracy
+    replays a plan, its fused one from the cache."""
+
     @pytest.mark.parametrize("workers,depth", [(1, 1), (7, 1), (14, 2)])
     def test_parallel_plan_matches_pdgefmm(self, rng, workers, depth):
-        """Uncached pdgefmm is one compile plus one replay: it equals a
-        sequential replay of the explicitly compiled parallel plan."""
+        """A call whose products replay cached fused plans equals the
+        same call walking every product: bits, tallies and charge."""
         m = k = n = 96
         crit = SimpleCutoff(16)
         a = np.asfortranarray(rng.standard_normal((m, k)))
@@ -159,26 +163,43 @@ class TestParallelPlans:
         c1 = np.asfortranarray(rng.standard_normal((m, n)))
         c2 = c1.copy(order="F")
         ctx1, ctx2 = ExecutionContext(), ExecutionContext()
-        pdgefmm(a, b, c1, 1.25, 0.5, cutoff=crit, workers=workers,
-                max_parallel_depth=depth, ctx=ctx1)
-        plan = compile_plan(_sig(m, k, n, 0.5, cutoff=crit,
-                                 kind="parallel", depth=depth))
-        execute_plan(plan, a, b, c2, 1.25, 0.5, ctx=ctx2, workers=1)
+        cache = PlanCache()
+        knobs = dict(cutoff=crit, workers=workers, max_parallel_depth=depth,
+                     backend="vendor")
+        pdgefmm(a, b, c1, 1.25, 0.5, ctx=ctx1, plan_cache=cache, **knobs)
+        pdgefmm(a, b, c2, 1.25, 0.5, ctx=ctx2, **knobs)
         assert np.array_equal(c1, c2)
         assert ctx1.kernel_calls == ctx2.kernel_calls
-        assert ctx1.stats["workspace_peak_bytes"] == plan.charge_bytes
+        assert (ctx1.mul_flops, ctx1.add_flops) == (ctx2.mul_flops,
+                                                    ctx2.add_flops)
+        assert (ctx1.stats["workspace_peak_bytes"]
+                == ctx2.stats["workspace_peak_bytes"])
+        # one fused plan per product shape, keyed by the product's depth
+        assert {sig.depth for sig in cache._plans} == {depth}
+        assert ctx1.stats["plan_cache"]["misses"] == len(cache)
 
-    def test_parallel_plan_structure(self):
-        plan = compile_plan(_sig(128, 128, 128, cutoff=SimpleCutoff(32),
-                                 kind="parallel", depth=1))
-        assert len(plan.branches) == 7
-        for _ai, _bi, _ci, child in plan.branches:
-            assert not child.branches  # depth 1: children are serial
-        # pool charge covers the parent's stage arena plus all children
-        assert plan.charge_bytes > plan.peak_bytes
-        assert plan.charge_bytes == plan.peak_bytes + sum(
-            child.charge_bytes for _a, _b, _c, child in plan.branches
-        )
+    def test_parallel_plan_structure(self, rng):
+        """The charge is the deterministic bound: the level's own S, T
+        and P blocks plus every product's walk peak."""
+        from repro.core.schemes import LEVEL_SCHEME, get_scheme
+        from repro.core.uvw import _is_block, nonzero_rows
+
+        m, h, crit = 128, 64, SimpleCutoff(32)
+        a = np.asfortranarray(rng.standard_normal((m, m)))
+        b = np.asfortranarray(rng.standard_normal((m, m)))
+        ctx = ExecutionContext()
+        pdgefmm(a, b, np.zeros((m, m), order="F"), cutoff=crit, workers=7,
+                ctx=ctx)
+        product = ExecutionContext()
+        dgefmm(a[:h, :h], b[:h, :h], np.zeros((h, h), order="F"),
+               cutoff=crit, ctx=product)
+        sch = get_scheme(LEVEL_SCHEME["s1b0"])
+        blocks = sch.r + sum(not _is_block(row) for row in
+                             nonzero_rows(sch.u) + nonzero_rows(sch.v))
+        own = blocks * h * h * a.itemsize
+        assert product.stats["workspace_peak_bytes"] > 0
+        assert ctx.stats["workspace_peak_bytes"] == (
+            own + sch.r * product.stats["workspace_peak_bytes"])
 
 
 class TestPooledReplay:
@@ -548,9 +569,9 @@ class TestSignatureCompleteness:
     knob at a time on a square problem — where a transpose flips nothing
     about operand shapes — and require every mutation to MISS.  A hit
     here would mean replaying a plan compiled for different semantics.
-    The driver is ``pdgefmm``, which caches a plan for every config:
-    ``dgefmm`` caches only the fused plans of recursing vendor calls
-    under fast accuracy.
+    The driver is ``replay_serial``, which replays a cached plan for
+    every config: ``dgefmm`` and ``pdgefmm`` cache only the fused plans
+    of recursing vendor calls under fast accuracy.
     """
 
     DIM = 12
@@ -564,7 +585,7 @@ class TestSignatureCompleteness:
         b = np.asfortranarray(x.T.copy().astype(d))
         c = np.asfortranarray(x.copy().astype(d))
         kw.setdefault("cutoff", SimpleCutoff(4))
-        pdgefmm(a, b, c, 1.0, beta, workers=1, plan_cache=cache, **kw)
+        replay_serial(a, b, c, 1.0, beta, plan_cache=cache, **kw)
 
     def test_each_knob_mutation_misses(self, rng):
         cache = PlanCache()
@@ -591,19 +612,24 @@ class TestSignatureCompleteness:
         assert cache.hits == 1 and cache.misses == len(variants) + 1
 
     def test_parallel_depth_in_key(self, rng):
+        """A product's plan is keyed by its root depth: the 12^3
+        products of one parallel level and the 6^3 products of two
+        never share an entry."""
         cache = PlanCache()
         a = np.asfortranarray(rng.standard_normal((24, 24)))
         b = np.asfortranarray(rng.standard_normal((24, 24)))
+        knobs = dict(cutoff=SimpleCutoff(4), backend="vendor",
+                     plan_cache=cache)
         for depth in (1, 2):
             c = np.zeros((24, 24), order="F")
-            pdgefmm(a, b, c, cutoff=SimpleCutoff(4), workers=2,
-                    max_parallel_depth=depth, plan_cache=cache)
-        assert cache.misses == 2 and cache.hits == 0
+            pdgefmm(a, b, c, workers=2, max_parallel_depth=depth, **knobs)
+        assert cache.misses == 2 and cache.hits == 6 + 48
+        assert sorted((sig.m, sig.depth) for sig in cache._plans) == [
+            (6, 2), (12, 1)]
         # workers is deliberately NOT in the key: budget-only replay
         c = np.zeros((24, 24), order="F")
-        pdgefmm(a, b, c, cutoff=SimpleCutoff(4), workers=5,
-                max_parallel_depth=2, plan_cache=cache)
-        assert cache.hits == 1 and cache.misses == 2
+        pdgefmm(a, b, c, workers=5, max_parallel_depth=2, **knobs)
+        assert cache.hits == 6 + 48 + 49 and cache.misses == 2
 
 
 class TestWarmFrontDoors:
@@ -708,41 +734,41 @@ class TestWarmFrontDoors:
 #: shard on a two-shard ring): a changed key moves a signature's shard
 ROUTING_KEYS = [
     (dict(m=7, k=96, n=26, transa=False, transb=False, beta=0.0,
-          dtype="float64"), 0,
-     "PlanSignature(kind='serial', m=7, k=96, n=26, transa=False, "
-     "transb=False, alpha_zero=False, beta_zero=True, scheme='auto', "
-     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', "
-     "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
+          dtype="float64"), 1,
+     "PlanSignature(m=7, k=96, n=26, transa=False, transb=False, "
+     "alpha_zero=False, beta_zero=True, scheme='auto', peel='tail', "
+     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
+     "nb=160, backend='substrate', dtype='float64', accuracy='fast', "
+     "depth=0)"),
     (dict(m=31, k=7, n=20, transa=True, transb=True, beta=0.5,
           dtype="float64"), 0,
-     "PlanSignature(kind='serial', m=31, k=7, n=20, transa=True, "
-     "transb=True, alpha_zero=False, beta_zero=False, scheme='auto', "
-     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', "
-     "dtype='float64', accuracy='fast', max_parallel_depth=0)"),
+     "PlanSignature(m=31, k=7, n=20, transa=True, transb=True, "
+     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
+     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
+     "nb=160, backend='substrate', dtype='float64', accuracy='fast', "
+     "depth=0)"),
     (dict(m=34, k=48, n=10, transa=False, transb=False, beta=0.5,
-          dtype="float32"), 1,
-     "PlanSignature(kind='serial', m=34, k=48, n=10, transa=False, "
-     "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
-     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', "
-     "dtype='float32', accuracy='fast', max_parallel_depth=0)"),
+          dtype="float32"), 0,
+     "PlanSignature(m=34, k=48, n=10, transa=False, transb=False, "
+     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
+     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
+     "nb=160, backend='substrate', dtype='float32', accuracy='fast', "
+     "depth=0)"),
     (dict(m=49, k=15, n=59, transa=True, transb=False, beta=0.5,
-          dtype="complex128"), 0,
-     "PlanSignature(kind='serial', m=49, k=15, n=59, transa=True, "
-     "transb=False, alpha_zero=False, beta_zero=False, scheme='auto', "
-     "peel='tail', cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, "
-     "tau_n=96), nb=160, backend='substrate', "
-     "dtype='complex128', accuracy='fast', max_parallel_depth=0)"),
+          dtype="complex128"), 1,
+     "PlanSignature(m=49, k=15, n=59, transa=True, transb=False, "
+     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
+     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
+     "nb=160, backend='substrate', dtype='complex128', "
+     "accuracy='fast', depth=0)"),
     (dict(m=12, k=30, n=7, transa=False, transb=True, beta=0.5,
           dtype="float32", scheme="strassen2", peel="head", tau=8,
           accuracy="compensated"), None,
-     "PlanSignature(kind='serial', m=12, k=30, n=7, transa=False, "
-     "transb=True, alpha_zero=False, beta_zero=False, "
-     "scheme='strassen2', peel='head', cutoff=SimpleCutoff(tau=8), "
-     "nb=160, backend='substrate', dtype='float32', "
-     "accuracy='compensated', max_parallel_depth=0)"),
+     "PlanSignature(m=12, k=30, n=7, transa=False, transb=True, "
+     "alpha_zero=False, beta_zero=False, scheme='strassen2', "
+     "peel='head', cutoff=SimpleCutoff(tau=8), nb=160, "
+     "backend='substrate', dtype='float32', accuracy='compensated', "
+     "depth=0)"),
 ]
 
 

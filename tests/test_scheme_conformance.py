@@ -14,8 +14,9 @@ subject to all of these checks with zero new test code:
    beta classes);
 3. a depth-``d`` recursion issues exactly ``R^d`` base kernels — in the
    closed-form profile, in a live instrumented run, in the compiled
-   plan's event trace, and in a parallel-plan ``pdgefmm`` run at any
-   worker budget, all agreeing with each other;
+   plan's event trace, and in a ``pdgefmm`` run at any worker budget,
+   all agreeing with each other, with the parallel level's U/V/W
+   additions on top of its products' walk;
 4. the op-count model (:func:`repro.core.opcount.scheme_ops`) equals
    the compiled plan's multiply+add tallies and the live context's
    charged flops *exactly* on divisor-exact dimensions;
@@ -45,14 +46,15 @@ from repro.core.recursion import recursion_profile
 from repro.core.schemes import (
     LEVEL_DIVISORS,
     LEVEL_PROFILE,
+    LEVEL_SCHEME,
     LEVELS,
     REGISTRY,
     SCHEME_DISPATCH,
     SCHEME_NAMES,
     get_scheme,
 )
+from repro.core.uvw import _is_block, nonzero_rows
 from repro.core.workspace import Workspace
-import repro.plan.compiler as compiler
 from repro.plan import PlanCache, compile_plan
 from repro.plan.compiler import signature_for
 
@@ -89,7 +91,7 @@ def _rect_exact(scheme: str, depth: int):
 def _plan_sig(m, k, n, beta_zero, scheme, cutoff):
     cfg = GemmConfig(scheme=scheme, cutoff=cutoff)
     return signature_for(
-        "serial", m, k, n, False, False, False, beta_zero, "float64", cfg
+        m, k, n, False, False, False, beta_zero, "float64", cfg
     )
 
 
@@ -169,7 +171,7 @@ def test_numeric_matches_numpy(scheme, m, k, n, alpha, beta, tau, seed):
 
 @pytest.mark.parametrize("scheme", SCHEME_NAMES)
 @pytest.mark.parametrize("depth", [1, 2])
-def test_base_kernel_count_is_r_to_the_d(scheme, depth, monkeypatch):
+def test_base_kernel_count_is_r_to_the_d(scheme, depth):
     dm, dk, dn = _divisors_of(scheme)
     lvl_b0, _ = _levels_of(scheme)
     r = LEVELS[lvl_b0]
@@ -186,29 +188,35 @@ def test_base_kernel_count_is_r_to_the_d(scheme, depth, monkeypatch):
     dgefmm(a, b, c, 1.0, 0.0, cutoff=crit, scheme=scheme, ctx=ctx)
     assert ctx.kernel_calls["dgemm"] == r**depth
 
-    plan = compile_plan(_plan_sig(m, k, n, True, scheme, crit))
-    tc = plan.total_counts()
+    tc = compile_plan(_plan_sig(m, k, n, True, scheme, crit)).counts
     assert tc["base"] == r**depth
     assert tc["kernel_calls"]["dgemm"] == r**depth
     assert tc["mul_flops"] == prof["mul_flops"]
 
-    # pdgefmm replays a parallel plan for every scheme; the worker
+    # pdgefmm runs one live parallel level for every scheme: its
+    # fan-out and combine issue one AXPBY per nonzero of U/V (blocks
+    # taken as-is excepted) and of W, on top of its R products, which
+    # walk the child scheme's recursion one level down; the worker
     # budget never changes what runs
-    kinds = []
-
-    def spy(sig):
-        kinds.append(sig.kind)
-        return compile_plan(sig)
-
-    monkeypatch.setattr(compiler, "compile_plan", spy)
+    sch = get_scheme(LEVEL_SCHEME[lvl_b0])
+    level_axpbys = sum(
+        len(row) for row in nonzero_rows(sch.u) + nonzero_rows(sch.v)
+        if not _is_block(row)
+    ) + sum(len(row) for row in nonzero_rows(sch.w))
+    product = ExecutionContext()
+    dgefmm(a[:m // dm, :k // dk], b[:k // dk, :n // dn],
+           np.zeros((m // dm, n // dn), order="F"),
+           cutoff=DepthCutoff(depth - 1),
+           scheme=SCHEME_DISPATCH[scheme][0][1], ctx=product)
     counters = set()
     for workers in (1, 7):
         ctx = ExecutionContext()
         pdgefmm(a, b, c0.copy(order="F"), 1.0, 0.0, cutoff=crit,
                 scheme=scheme, ctx=ctx, workers=workers)
         assert ctx.kernel_calls["dgemm"] == r**depth
+        assert ctx.kernel_calls["axpby"] == (
+            level_axpbys + r * product.kernel_calls["axpby"])
         counters.add(tuple(sorted(ctx.kernel_calls.items())))
-    assert kinds == ["parallel", "parallel"]
     assert len(counters) == 1
 
 
@@ -230,7 +238,7 @@ def test_scheme_ops_equals_plan_and_live_flops(scheme, beta_zero):
 
             tc = compile_plan(
                 _plan_sig(m, k, n, beta_zero, scheme, crit)
-            ).total_counts()
+            ).counts
             assert model == tc["mul_flops_total"] + tc["add_flops_total"], (
                 scheme, m, k, n, repr(crit),
             )

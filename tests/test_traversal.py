@@ -209,7 +209,7 @@ def test_decision_trace_equivalence(m, k, n, ci, si, peel, beta):
            ctx=ctx)
     live = _event_tuples(ctx.events)
 
-    sig = signature_for("serial", m, k, n, False, False, False,
+    sig = signature_for(m, k, n, False, False, False,
                         beta == 0.0, "float64", cfg)
     plan = compile_plan(sig)
     compiled = _event_tuples(

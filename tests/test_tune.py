@@ -156,10 +156,10 @@ def test_profile_knob_space_config_signature_and_roundtrip(knobs, version):
     # the signature is derived structurally from the config: two
     # profiles differing in any knob can never share a plan-cache slot
     sig = signature_for(
-        "gemm", 64, 64, 64, False, False, False, True, "float64", cfg
+        64, 64, 64, False, False, False, True, "float64", cfg
     )
     default_sig = signature_for(
-        "gemm", 64, 64, 64, False, False, False, True, "float64",
+        64, 64, 64, False, False, False, True, "float64",
         GemmConfig(),
     )
     assert (sig == default_sig) == (cfg == GemmConfig())
@@ -177,10 +177,10 @@ def test_distinct_knobs_yield_distinct_signatures(a, b):
     ca = TunedProfile(key="k", **a).to_config()
     cb = TunedProfile(key="k", **b).to_config()
     sa = signature_for(
-        "gemm", 96, 96, 96, False, False, False, True, "float64", ca
+        96, 96, 96, False, False, False, True, "float64", ca
     )
     sb = signature_for(
-        "gemm", 96, 96, 96, False, False, False, True, "float64", cb
+        96, 96, 96, False, False, False, True, "float64", cb
     )
     assert (sa == sb) == (ca == cb)
 
