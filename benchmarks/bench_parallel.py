@@ -143,11 +143,13 @@ def test_pooled_throughput(benchmark):
 
 
 def test_parallel_refactor_guard(benchmark):
-    """Warm cached ``pdgefmm`` vs the uncached one-shot call.
+    """Warm cached ``pdgefmm`` vs the uncached one-shot call, both over
+    the vendor leaf.
 
-    Parallel levels run live and a substrate product walks, so a plan
-    cache holds nothing for this call; the guard asserts that a warm
-    call given one is no slower than the one-shot call.
+    Parallel levels run live either way.  With the cache, each product
+    below them (96^3, which recurses under tau = 24) replays its cached
+    fused plan; without it, the product walks.  The guard asserts that
+    the replaying call is no slower than the walking one.
     """
     m = 192
     crit = SimpleCutoff(24)
@@ -160,18 +162,20 @@ def test_parallel_refactor_guard(benchmark):
     cache = PlanCache()
 
     def replay():
-        pdgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache)
+        pdgefmm(a, b, c, cutoff=crit, pool=pool, plan_cache=cache,
+                backend="vendor")
 
     def one_shot():
-        pdgefmm(a, b, c, cutoff=crit, pool=pool)
+        pdgefmm(a, b, c, cutoff=crit, pool=pool, backend="vendor")
 
-    replay()  # warm the arenas
+    replay()  # warm the arenas and compile the products' fused plans
     t_replay = _best(replay, 5)
     t_one_shot = benchmark.pedantic(lambda: _best(one_shot, 5),
                                     rounds=1, iterations=1)
 
     emit(
-        "Parallel traversal-refactor guard, m=192, tau=24, depth 1",
+        "Parallel traversal-refactor guard, vendor leaf, m=192, tau=24, "
+        "depth 1",
         f"warm cached call {t_replay * 1e3:.2f} ms/call, uncached "
         f"one-shot {t_one_shot * 1e3:.2f} ms/call",
     )

@@ -86,7 +86,7 @@ def test_plan_overhead(benchmark):
     # kernel-sequence floor: same ops, operands pre-resolved
     buf = _aligned_buffer(plan.arena_bytes)
     c_floor = np.zeros((m, n), order="F")
-    views = _resolve(plan, a, b, c_floor, buf)
+    views = _resolve(plan, a, b, c_floor, buf, False)
     st = (alpha, -alpha, beta, -beta)
     ctx = ExecutionContext()
 

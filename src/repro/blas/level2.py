@@ -63,7 +63,7 @@ def dgemv(
     if rows == 0:
         return y
     if beta == 0.0:
-        y[...] = 0.0
+        y[...] = 0
     elif beta != 1.0:
         y *= beta
     if cols == 0 or alpha == 0.0:

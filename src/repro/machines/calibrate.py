@@ -14,6 +14,10 @@ Section 4.2): seven half-size DGEMMs plus the STRASSEN1 beta = 0
 schedule's 18 block additions (4 A-shaped, 4 B-shaped, 10 C-shaped).
 Tests verify that dry-running the *actual* DGEFMM recursion against the
 fitted models reproduces the paper's crossovers.
+
+``scipy.optimize`` is imported inside the two solvers (``_crossover``,
+``fit_overheads``), so only a run that solves for crossover parameters
+loads scipy; importing this module does not.
 """
 
 from __future__ import annotations
@@ -22,7 +26,6 @@ from dataclasses import fields, replace
 from typing import Any, Dict, Tuple
 
 import numpy as np
-from scipy.optimize import brentq, fsolve
 
 from repro.errors import ArgumentError
 from repro.machines.model import MachineModel
@@ -95,6 +98,7 @@ def _crossover(mach: MachineModel, dims) -> float:
     ``dims(x)`` maps the search variable to (m, k, n).  Returns the x
     where the two strategies tie; above it, recursion wins.
     """
+    from scipy.optimize import brentq
 
     def f(x: float) -> float:
         m, k, n = dims(x)
@@ -147,6 +151,7 @@ def fit_overheads(
     unknowns, solved with a damped Newton (scipy fsolve).  Raises if the
     solver fails to reproduce the targets to 0.5 units.
     """
+    from scipy.optimize import fsolve
 
     targets = np.array([tau, tau_m, tau_k, tau_n], dtype=float)
 

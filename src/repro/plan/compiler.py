@@ -250,9 +250,9 @@ class ExecutionPlan:
         #: otherwise
         self.fused = None
         self.nbytes = 256 + 64 * len(regions) + 96 * len(ops)
-        #: per-arena-buffer cache of bound temporary views (warm calls
-        #: skip re-carving the arena); keyed by the buffer's id with the
-        #: buffer itself stored so entries can never alias a new buffer
+        #: per-pooled-arena-buffer cache of bound temporary views (warm
+        #: calls skip re-carving the arena; see
+        #: repro.plan.executor._views_for)
         self._temp_cache: dict = {}
 
     # ------------------------------------------------------------------ #

@@ -89,23 +89,33 @@ def _bind_temps(plan, buf) -> dict:
     return views
 
 
-def _resolve(plan, va, vb, vc, buf) -> List[Any]:
-    """Per-call region table: root windows sliced fresh, temps cached.
+def _views_for(cache: dict, buf, pooled: bool, bind) -> Any:
+    """The views ``bind()`` carves out of ``buf``, cached in ``cache``
+    when ``buf`` is a pooled arena's: only such a buffer comes back on
+    a later call.
 
-    The temp-view cache is keyed by the arena buffer's id; the buffer is
-    stored alongside, so an entry both stays valid (views pin the buffer
-    alive, making id reuse impossible while the entry exists) and is
-    verified by identity before use (a regrown arena gets fresh views).
+    An entry is keyed by the buffer's id with the buffer stored
+    alongside, so it both stays valid (its views pin the buffer alive,
+    making id reuse impossible while the entry exists) and is verified
+    by identity before use (a regrown arena gets fresh views).  Any
+    other buffer is fresh per call: its views are bound for this call
+    alone, since cached ones would pin the dead buffer.
     """
-    cache = plan._temp_cache
-    key = id(buf)
-    entry = cache.get(key)
+    if not pooled:
+        return bind()
+    entry = cache.get(id(buf))
     if entry is None or entry[0] is not buf:
         if len(cache) >= 64:
             cache.clear()
-        entry = (buf, _bind_temps(plan, buf))
-        cache[key] = entry
-    temps = entry[1]
+        entry = cache[id(buf)] = (buf, bind())
+    return entry[1]
+
+
+def _resolve(plan, va, vb, vc, buf, pooled) -> List[Any]:
+    """Per-call region table: root windows sliced fresh, temps bound
+    through :func:`_views_for`."""
+    temps = _views_for(plan._temp_cache, buf, pooled,
+                       lambda: _bind_temps(plan, buf))
     roots = (va, vb, vc)
     views: List[Any] = []
     for idx, desc in enumerate(plan.regions):
@@ -224,9 +234,11 @@ def execute_plan(
             buf = ws.reserve(need)
         else:
             buf = _aligned_buffer(need) if need else None
-        v =_resolve(plan, a, b, c, buf) if plan.regions else []
+        pooled = ws is not None
+        v = _resolve(plan, a, b, c, buf, pooled) if plan.regions else []
         if fused is not None:
-            run_fused(fused, v, st, ctx, buf)
+            run_fused(fused, v, st, ctx, buf,
+                      _views_for(fused._bind_cache, buf, pooled, dict))
         else:
             _run_ops(plan.ops if ctx.trace else plan.ops_quiet,
                      v, st, ctx, plan.nb, plan.backend,

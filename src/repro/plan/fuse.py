@@ -96,9 +96,8 @@ class FusedProgram:
         self.arena_bytes = int(arena_bytes)
         self.direct_off = int(direct_off)
         self.n_direct = sum(1 for op in ops if op[0] == OP_DIRECT)
-        #: per-arena-buffer cache of Fortran-ordered scratch views, keyed
-        #: by the buffer's id with the buffer stored for identity checks
-        #: (same discipline as ExecutionPlan._temp_cache)
+        #: per-pooled-arena-buffer cache of Fortran-ordered scratch views
+        #: (see repro.plan.executor._views_for)
         self._bind_cache: dict = {}
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
@@ -147,23 +146,17 @@ def fuse_plan(plan) -> FusedProgram:
 
 
 def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
-              buf) -> None:
+              buf, scratch: dict) -> None:
     """Replay a fused program over the resolved region table ``v``.
 
     ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
     -beta)``; ``buf`` the arena buffer, sized to ``fp.arena_bytes`` so
     the direct products' scratch exists past the plan's temporaries.
+    ``scratch`` holds the scratch views of ``buf`` by product shape;
+    the executor keeps it across calls only for a pooled arena.
     Only called for plain numeric contexts (no trace/dry/machine).
     """
     dtype = fp.dtype
-    cache = fp._bind_cache
-    entry = cache.get(id(buf))
-    if entry is None or entry[0] is not buf:
-        if len(cache) >= 64:
-            cache.clear()
-        entry = (buf, {})
-        cache[id(buf)] = entry
-    scratch = entry[1]
 
     for op in fp.ops:
         code = op[0]

@@ -26,32 +26,39 @@ compute stack (blas/core/plan) never imports tune — enforced by
 ``tests/test_layering.py``.
 """
 
-from repro.tune.apply import hot_swap_check
-from repro.tune.feed import observations, select_targets
-from repro.tune.measure import make_operands, measure_crossover, time_config
-from repro.tune.profile import (
-    TunedProfile,
-    class_key,
-    cutoff_from_json,
-    cutoff_to_json,
-)
-from repro.tune.search import default_grid, successive_halving, tune_class
-from repro.tune.store import ProfileStore, host_fingerprint
+import importlib
 
-__all__ = [
-    "TunedProfile",
-    "class_key",
-    "cutoff_to_json",
-    "cutoff_from_json",
-    "ProfileStore",
-    "host_fingerprint",
-    "make_operands",
-    "time_config",
-    "measure_crossover",
-    "default_grid",
-    "successive_halving",
-    "tune_class",
-    "observations",
-    "select_targets",
-    "hot_swap_check",
-]
+#: each re-exported name -> the submodule that defines it.  Resolved on
+#: first access (PEP 562), so ``from repro.tune.store import
+#: ProfileStore`` -- all a serving process needs -- loads only
+#: ``profile`` and ``store``, not the tuner and its model ladder.
+_EXPORTS = {
+    "hot_swap_check": "apply",
+    "observations": "feed",
+    "select_targets": "feed",
+    "make_operands": "measure",
+    "measure_crossover": "measure",
+    "time_config": "measure",
+    "TunedProfile": "profile",
+    "class_key": "profile",
+    "cutoff_from_json": "profile",
+    "cutoff_to_json": "profile",
+    "default_grid": "search",
+    "successive_halving": "search",
+    "tune_class": "search",
+    "ProfileStore": "store",
+    "host_fingerprint": "store",
+}
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
+
+__all__ = list(_EXPORTS)

@@ -32,6 +32,7 @@ from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
 from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
+from repro.core.pool import WorkspacePool
 from repro.core.schemes import SCHEME_NAMES
 from repro.plan import (
     PlanCache,
@@ -386,6 +387,45 @@ class TestFusedDriverPath:
                 plan_cache=PlanCache(), backend="vendor", workers=3)
         scale = max(1.0, float(np.max(np.abs(expect))))
         assert np.max(np.abs(got - expect)) <= 1e-9 * scale
+
+
+# ---------------------------------------------------------------------- #
+class TestArenaViewCaches:
+    """A plan caches arena views only for pooled buffers, which come
+    back call after call; an unpooled replay reserves a fresh buffer
+    each call, and a view cached for it would keep it alive."""
+
+    CUT64 = SimpleCutoff(64)
+
+    def _replays(self, n_calls, **kw):
+        rng = np.random.default_rng(12)
+        a, b, c = _mats(rng, 256, 256, 256)
+        cache = PlanCache()
+        for _ in range(n_calls):
+            dgefmm(a, b, c, cutoff=self.CUT64, backend="vendor",
+                   plan_cache=cache, **kw)
+        plan = cache.peek(_sig(256, 256, 256, cutoff=self.CUT64))
+        assert plan is not None and plan.fused is not None
+        return plan
+
+    def test_unpooled_replays_pin_no_buffer(self):
+        plan = self._replays(63)
+        assert plan._temp_cache == {}
+        assert plan.fused._bind_cache == {}
+
+    def test_warm_pooled_replay_binds_views_once(self, monkeypatch):
+        from repro.plan import executor
+
+        binds = []
+        bind_temps = executor._bind_temps
+        monkeypatch.setattr(executor, "_bind_temps",
+                            lambda *args: binds.append(1) or
+                            bind_temps(*args))
+        plan = self._replays(4, pool=WorkspacePool())
+        assert len(binds) == 1
+        ((buf, _temps),) = plan._temp_cache.values()
+        ((fused_buf, _scratch),) = plan.fused._bind_cache.values()
+        assert fused_buf is buf
 
 
 # ---------------------------------------------------------------------- #

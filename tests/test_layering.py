@@ -22,6 +22,14 @@ touch socket/asyncio machinery — a kernel library that opens sockets
 at import time is a supply-chain bug, so the lint bans the network
 modules below the api layer.
 
+The serving tier is **scipy-free**: a process that imports
+``repro.api`` and its worker loads no scipy, tuner or cost-model
+ladder.  scipy serves only the offline calibration solvers, and every
+api process (front end, each worker, each respawn) would otherwise pay
+for it at start-up.  That is a property of the loaded module set, not
+of module-level import statements, so it is checked in a fresh
+interpreter.
+
 Function-level (lazy) imports are allowed — the drivers in
 ``repro.core`` resolve a plan cache lazily when the caller passes one —
 so the walk inspects *module-level* import statements only: top-level
@@ -30,6 +38,10 @@ so the walk inspects *module-level* import statements only: top-level
 """
 
 import ast
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -58,6 +70,12 @@ NETWORK_MODULES = ("socket", "asyncio", "ssl", "http", "urllib",
 #: layers that must stay network-free (everything below repro.api)
 NETWORK_FREE_LAYERS = ("repro.blas", "repro.core", "repro.plan",
                        "repro.serve", "repro.fuzz", "repro.tune")
+
+
+#: modules only offline calibration and tuning runs need
+OFFLINE_ONLY = ("repro.tune.apply", "repro.tune.feed", "repro.tune.measure",
+                "repro.tune.search", "repro.machines.calibrate",
+                "repro.models")
 
 
 def _module_name(path: Path) -> str:
@@ -159,6 +177,28 @@ def test_tune_may_import_serving_stack():
         deep.update(_module_level_imports(tree))
     assert any(m.startswith("repro.serve") for m in deep)
     assert any(m.startswith("repro.core") for m in deep)
+
+
+def test_serving_tier_imports_no_scipy():
+    probe = (
+        "import json, sys\n"
+        "import repro.api, repro.api.worker\n"
+        "loaded = sorted(sys.modules)\n"
+        "from repro.tune import tune_class, ProfileStore\n"
+        "assert callable(tune_class) and callable(ProfileStore)\n"
+        "print(json.dumps(loaded))\n"
+    )
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC.parent), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", probe], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    loaded = json.loads(proc.stdout.splitlines()[-1])
+    assert [m for m in loaded if m.startswith("scipy")] == []
+    offline = [m for m in loaded
+               if any(m == o or m.startswith(o + ".") for o in OFFLINE_ONLY)]
+    assert offline == [], f"the serving tier loads offline modules: {offline}"
 
 
 def test_every_layer_directory_exists():

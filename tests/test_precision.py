@@ -43,10 +43,11 @@ from repro.blas.dtypes import (
 from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import NeverRecurse, SimpleCutoff
-from repro.core.dgefmm import dgefmm
+from repro.core.dgefmm import dgefmm, replay_serial
 from repro.core.parallel import pdgefmm
 from repro.core.stability import measure_error, normwise_bound
 from repro.errors import ArgumentError
+from repro.plan import PlanCache
 
 CUT = SimpleCutoff(8)
 
@@ -225,6 +226,32 @@ class TestExactDiscipline:
         ref = np.asarray(a) @ np.asarray(b) * Fraction(2)
         assert (c == ref).all()
         assert all(isinstance(v, Fraction) for v in c.flat)
+
+    @pytest.mark.parametrize("peel", ["tail", "head"])
+    def test_object_peeling_fixups_exact_past_2_53(self, peel):
+        """Every odd level of a 9x9 problem peels, and each DGEMV fix-up
+        zeroes its strip of C under beta = 0: with Python ints in
+        [2^61, 2^62) a float zero there would round the strip."""
+        rng = np.random.default_rng(11)
+        a, b = (rng.integers(2**61, 2**62, (9, 9)).astype(object)
+                for _ in range(2))
+        want = a.dot(b)
+        runs = {
+            "dgefmm": lambda c: dgefmm(a, b, c, cutoff=SimpleCutoff(2),
+                                       peel=peel),
+            "pdgefmm": lambda c: pdgefmm(a, b, c, workers=2,
+                                         cutoff=SimpleCutoff(2), peel=peel),
+        }
+        for name, run in runs.items():
+            c = np.zeros((9, 9), dtype=object)
+            run(c)
+            assert not any(isinstance(v, float) for v in c.flat), name
+            assert (c == want).all(), name
+        # serial replay refuses object operands: plans are typed views
+        with pytest.raises(ArgumentError, match="object-dtype"):
+            replay_serial(a, b, np.zeros((9, 9), dtype=object),
+                          plan_cache=PlanCache(), cutoff=SimpleCutoff(2),
+                          peel=peel)
 
     def test_exact_rejects_fractional_scalars(self, rng):
         a, b, c = _operands(rng, "int64", 8, 8, 8)
