@@ -199,7 +199,7 @@ def _plan_signature(args):
     k = args.k if args.k is not None else args.order
     n = args.n if args.n is not None else args.order
     cfg = GemmConfig(scheme=args.scheme, peel=args.peel,
-                     cutoff=SimpleCutoff(args.cutoff))
+                     cutoff=SimpleCutoff(args.cutoff), backend="vendor")
     return signature_for(
         m, k, n, False, False, False, args.beta == 0.0, args.dtype, cfg,
     )
@@ -266,16 +266,19 @@ def _plan_cache_stats(args) -> int:
 
 
 def _plan_selftest(json_out: bool = False) -> int:
-    """Compile + execute + cache-stats on a small grid (CI quick lane)."""
+    """Vendor walk vs cached fused replay on a small grid (CI quick
+    lane): bits, kernel tallies, flops, peak and the plan's profile."""
     import numpy as np
 
     from repro.context import ExecutionContext
+    from repro.core.config import GemmConfig
     from repro.core.cutoff import SimpleCutoff
-    from repro.core.dgefmm import dgefmm, replay_serial
+    from repro.core.dgefmm import dgefmm
     from repro.core.recursion import recursion_profile
-    from repro.plan import PlanCache
+    from repro.plan import PlanCache, signature_for
 
     crit = SimpleCutoff(8)
+    cfg = GemmConfig(cutoff=crit, backend="vendor")
     cache = PlanCache()
     rng = np.random.default_rng(0)
     cases = [(16, 16, 16), (17, 13, 19), (24, 10, 31), (29, 29, 29)]
@@ -286,15 +289,24 @@ def _plan_selftest(json_out: bool = False) -> int:
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
         c0 = np.asfortranarray(rng.standard_normal((mm, nn)))
         for alpha, beta in ((1.0, 0.0), (1.5, 0.5)):
-            c_rec, c_pln = c0.copy(order="F"), c0.copy(order="F")
-            ctx_r, ctx_p = ExecutionContext(), ExecutionContext()
-            dgefmm(a, b, c_rec, alpha, beta, cutoff=crit, ctx=ctx_r)
-            plan = replay_serial(a, b, c_pln, alpha, beta, cutoff=crit,
-                                 ctx=ctx_p, plan_cache=cache)
+            c_walk, c_pln = c0.copy(order="F"), c0.copy(order="F")
+            ctx_w, ctx_p = ExecutionContext(), ExecutionContext()
+            dgefmm(a, b, c_walk, alpha, beta, cutoff=crit, ctx=ctx_w,
+                   backend="vendor")
+            dgefmm(a, b, c_pln, alpha, beta, cutoff=crit, ctx=ctx_p,
+                   backend="vendor", plan_cache=cache)
+            plan = cache.peek(signature_for(
+                mm, kk, nn, False, False, False, beta == 0.0, "float64",
+                cfg))
             prof = recursion_profile(mm, kk, nn, crit)
-            bit = bool(np.array_equal(c_rec, c_pln))
-            kc = ctx_r.kernel_calls == ctx_p.kernel_calls
-            pr = all(
+            bit = bool(np.array_equal(c_walk, c_pln))
+            kc = (ctx_w.kernel_calls == ctx_p.kernel_calls
+                  and (ctx_w.mul_flops, ctx_w.add_flops)
+                  == (ctx_p.mul_flops, ctx_p.add_flops)
+                  and ctx_w.stats["workspace_peak_bytes"]
+                  == ctx_p.stats["workspace_peak_bytes"])
+            # every grid root recurses, so the cached call compiled it
+            pr = plan is not None and all(
                 plan.counts[key] == prof[key]
                 for key in ("recurse", "base", "peel", "max_depth",
                             "mul_flops", "base_shapes")
@@ -313,8 +325,8 @@ def _plan_selftest(json_out: bool = False) -> int:
     for mm, kk, nn in cases:
         a = np.asfortranarray(rng.standard_normal((mm, kk)))
         b = np.asfortranarray(rng.standard_normal((kk, nn)))
-        replay_serial(a, b, np.zeros((mm, nn), order="F"), cutoff=crit,
-                      plan_cache=cache)
+        dgefmm(a, b, np.zeros((mm, nn), order="F"), cutoff=crit,
+               backend="vendor", plan_cache=cache)
     after = cache.stats()
     warm = (after["misses"] == before["misses"]
             and after["hits"] == before["hits"] + len(cases))

@@ -23,6 +23,8 @@ nothing below ``api`` may import it or touch the network
 (``tests/test_layering.py`` enforces both directions).
 """
 
+import importlib
+
 from repro.api.client import GemmClient, WireFuture, http_gemm, http_get
 from repro.api.protocol import (
     HTTP_STATUS,
@@ -36,7 +38,22 @@ from repro.api.ratelimit import ClientLimits, TokenBucket
 from repro.api.router import HashRing, Router, ShardGate, routing_signature
 from repro.api.server import ApiServer, ApiServerThread
 from repro.api.shm import ShmArena, ShmLease
-from repro.api.wirefuzz import run_wire_fuzz
+
+#: names re-exported from the wire fuzz, resolved on first access
+#: (PEP 562): a serving process never runs it, nor the fuzz oracle it
+#: checks against
+_EXPORTS = {"run_wire_fuzz": "wirefuzz"}
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "ApiServer",

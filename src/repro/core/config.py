@@ -93,9 +93,9 @@ class GemmConfig:
         Tile edge for the base-case standard-algorithm kernel.
     ``backend``
         Base-case kernel backend (:data:`repro.blas.level3.BACKENDS`).
-        Under ``"vendor"`` with fast accuracy (:attr:`fusable`) serial
-        plans also carry a fused program (:mod:`repro.plan.fuse`),
-        which computes the vendor walk's bits.
+        Only ``"vendor"`` with fast accuracy (:attr:`fusable`) compiles
+        plans: fused programs (:mod:`repro.plan.fuse`) that compute the
+        vendor walk's bits.
     ``dtype``
         Canonical operand dtype (:data:`repro.blas.dtypes.DTYPES`).
         Drives kernel selection, workspace/arena element sizes and the
@@ -122,9 +122,11 @@ class GemmConfig:
 
     @property
     def fusable(self) -> bool:
-        """True when serial plans of this config carry a fused program:
-        ``np.matmul`` leaves (the vendor backend) under fast accuracy,
-        the one arithmetic :func:`~repro.plan.fuse.run_fused` replays."""
+        """True when this config compiles plans: ``np.matmul`` leaves
+        (the vendor backend) under fast accuracy, the one arithmetic
+        :func:`~repro.plan.fuse.run_fused` replays.  Every other config
+        walks, and :func:`~repro.plan.compiler.compile_plan` refuses
+        it."""
         return self.backend == "vendor" and self.accuracy == "fast"
 
     def __post_init__(self) -> None:

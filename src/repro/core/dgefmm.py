@@ -194,7 +194,8 @@ def dgefmm(
         ``ctx.stats["plan_cache"]``.  Every other call walks the
         recursion and never touches the cache: a base-case root, the
         substrate backend, a non-fast accuracy, an explicit
-        ``workspace``, dry mode and object dtype.
+        ``workspace``, object dtype, and a context that dry-runs,
+        traces or holds a machine model.
     fuse:
         Alias for ``backend="vendor"``, kept for callers that still
         spell it.
@@ -370,9 +371,12 @@ def _serial(
 
     A base-case root walks with no pool checkout.  A recursing root
     replays its fused plan from ``plan_cache`` when the config is
-    fusable (vendor leaves, fast accuracy) and the call has no explicit
-    ``workspace`` and runs typed; every other call walks, in a pooled
-    arena when ``pool`` is given and the call runs typed."""
+    fusable (vendor leaves, fast accuracy), the call has no explicit
+    ``workspace`` and runs typed, and the context neither traces nor
+    holds a machine model (they record each node's events and charge
+    each kernel call's modelled time, which only the walk does); every
+    other call walks, in a pooled arena when ``pool`` is given and the
+    call runs typed."""
     if root is None:
         root = call.root()
     # pooled arenas and plan temporaries carve typed views out of a byte
@@ -380,8 +384,15 @@ def _serial(
     # arrays (and pointless in dry mode, where temporaries cost nothing)
     if (workspace is None and not isinstance(root, Base) and not ctx.dry
             and call.cfg.dtype != "object"):
-        if plan_cache is not None and call.cfg.fusable:
-            _replay(call, c, ctx, pool, plan_cache)
+        if (plan_cache is not None and call.cfg.fusable and not ctx.trace
+                and ctx.machine is None):
+            # lazy import: repro.plan compiles through this module's walker
+            from repro.plan.executor import execute_plan
+
+            execute_plan(plan_cache.get_or_compile(call.signature()),
+                         call.a, call.b, c, call.alpha, call.beta, ctx=ctx,
+                         pool=pool)
+            ctx.stats_set("plan_cache", plan_cache.stats())
             return c
         if pool is not None:
             with pool.arena() as ws:
@@ -389,50 +400,6 @@ def _serial(
     if workspace is None:
         workspace = Workspace(dry=ctx.dry)
     return _walk(call, c, ctx, workspace, root)
-
-
-def _replay(
-    call: _Call,
-    c: Any,
-    ctx: ExecutionContext,
-    pool: Optional["WorkspacePool"],
-    plan_cache: "PlanCache",
-) -> Any:
-    """Replay the call's plan from ``plan_cache`` into ``c`` and return
-    the plan; the cache's counters land in ``ctx.stats["plan_cache"]``."""
-    # lazy import: repro.plan compiles through this module's walker
-    from repro.plan.executor import execute_plan
-
-    plan = plan_cache.get_or_compile(call.signature())
-    execute_plan(plan, call.a, call.b, c, call.alpha, call.beta, ctx=ctx,
-                 pool=pool)
-    ctx.stats_set("plan_cache", plan_cache.stats())
-    return plan
-
-
-def replay_serial(
-    a: Any, b: Any, c: Any, alpha: Any = 1.0, beta: Any = 0.0,
-    transa: bool = False, transb: bool = False, *,
-    plan_cache: "PlanCache", cutoff: Optional[CutoffCriterion] = None,
-    scheme: str = "auto", peel: str = "tail",
-    ctx: Optional[ExecutionContext] = None,
-    pool: Optional["WorkspacePool"] = None, nb: int = DEFAULT_TILE,
-    backend: str = "substrate", accuracy: Optional[str] = None,
-) -> Any:
-    """:func:`dgefmm` as replay of its serial plan, taken from
-    ``plan_cache`` whatever the root: interpreted op by op, or the
-    plan's fused program when the config is fusable.  The one route
-    for checks and benches that hold serial replay against the walk.
-    Updates C in place and returns the plan, or ``None`` when the
-    prologue answered a degenerate call."""
-    ctx = ensure_context(ctx)
-    call = _prologue(
-        "replay_serial", a, b, c, alpha, beta, transa, transb, ctx,
-        cutoff, scheme, peel, nb, backend, accuracy,
-    )
-    if call is None:
-        return None
-    return _replay(call, c, ctx, pool, plan_cache)
 
 
 def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace,

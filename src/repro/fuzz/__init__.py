@@ -1,9 +1,10 @@
 """Differential fuzzing: the standing DGEMM-conformance harness.
 
 Four execution paths now produce every DGEFMM result — the recursive
-driver, the multi-level parallel driver, compiled serial-plan replay,
-and the serving engine — and all four must agree with the reference
-GEMM *and* (where the schedule is shared) with each other bit-for-bit.
+driver's walk, fused replay of a cached vendor plan, the multi-level
+parallel driver, and the serving engine — and all four must agree with
+the reference GEMM *and* (where the arithmetic is shared) with each
+other bit-for-bit.
 This package draws randomized cases over the full knob space (shapes
 including degenerate zero/one dims, strides and memory orders including
 negative-stride views, dtypes, alpha/beta classes, transposes, schemes,

@@ -1,21 +1,17 @@
 """The differential oracle: one case, every execution path, cross-checked.
 
-For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs nine
+For a :class:`~repro.fuzz.cases.FuzzCase` the oracle runs seven
 result-producing paths:
 
 - ``serial``   — the recursive driver (:func:`repro.core.dgefmm.dgefmm`);
-- ``plan``     — the same call as interpreted replay of its serial
-  plan through a :class:`~repro.plan.cache.PlanCache`
-  (:func:`repro.core.dgefmm.replay_serial`: ``dgefmm`` walks every
-  substrate call);
-- ``vendor`` and ``vendor-plan`` — the walk and the plan replay again
-  with ``backend="vendor"``: every leaf is numpy's BLAS ``np.matmul``,
-  which writes C directly when it can, so the leaf meets the case's
-  aliasing, NaN-poisoned C and strided layouts.  A fast case's vendor
-  plan replays its fused program (:mod:`repro.plan.fuse`);
+- ``vendor`` — the walk again with ``backend="vendor"``: every leaf is
+  numpy's BLAS ``np.matmul``, which writes C directly when it can, so
+  the leaf meets the case's aliasing, NaN-poisoned C and strided
+  layouts;
 - ``fused-replay`` — ``dgefmm(backend="vendor")`` through the plan
   cache, the engine choice a vendor caller gets: a fast case whose
-  root recurses replays its cached fused plan, every other case walks;
+  root recurses replays its cached fused plan (:mod:`repro.plan.fuse`),
+  every other case walks;
 - ``parallel`` — :func:`repro.core.parallel.pdgefmm` under the case's
   worker budget, parallel depth, and the full scheme/peel knob set,
   with no cache: live parallel levels that fan out the scheme's R
@@ -25,7 +21,7 @@ result-producing paths:
   every product run in turn on the calling thread;
 - ``parallel-fused`` — ``pdgefmm(backend="vendor")`` through the plan
   cache, whose recursing products below the parallel levels replay
-  fused programs in fast cases;
+  fused plans in fast cases;
 - ``served`` — the case submitted to a
   :class:`~repro.serve.service.GemmService` with the case's knobs:
   admission through the drivers' prologue, then ``dgefmm``'s walk into
@@ -38,18 +34,14 @@ the caller's C.
 
 Checks, in decreasing strictness:
 
-1. ``serial`` vs ``plan`` and ``vendor`` vs ``vendor-plan`` must be
-   **bit-identical** (a plan replays the same kernels on the same views
-   in the same order as the walk — any drift is a bug, not roundoff),
-   and so must ``parallel`` vs ``parallel-serial`` (the thread schedule
-   never reorders the arithmetic);
-   ``vendor`` vs ``fused-replay`` must be bit-identical too — fused
-   replay runs the vendor kernel's arithmetic at every leaf and the
-   interpreted stream's everywhere else; ``served`` vs ``serial`` must
-   be bit-identical unless C
-   aliases an input (the service then reads the aliased view where
-   ``dgefmm`` reads its contiguous copy-on-overlap copy, which may
-   round differently);
+1. three pairs must be **bit-identical**: ``vendor`` vs
+   ``fused-replay`` (fused replay runs the vendor kernel's arithmetic at
+   every leaf and the walk's block kernels everywhere else — any drift
+   is a bug, not roundoff), ``parallel`` vs ``parallel-serial`` (the
+   thread schedule never reorders the arithmetic), and ``serial`` vs
+   ``served`` unless C aliases an input (the service then reads the
+   aliased view where ``dgefmm`` reads its contiguous copy-on-overlap
+   copy, which may round differently);
 2. every path must match the numpy reference
    ``alpha*op(A)@op(B) + beta*C`` — computed in float64/complex128 with
    the BLAS overwrite semantics (``beta == 0`` never reads C) — within a
@@ -68,7 +60,7 @@ from typing import Any, Dict, List, Optional
 import numpy as np
 
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial
+from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.fuzz.cases import FuzzCase, materialize
 from repro.serve.service import GemmService
@@ -126,15 +118,11 @@ def reference_result(case: FuzzCase, a, b, c0) -> np.ndarray:
     return expect
 
 
-#: serial paths: (how, backend) — ``"walk"`` is ``dgefmm`` with no
-#: cache, ``"cached"`` is ``dgefmm`` through the plan cache and
-#: ``"replay"`` replays the serial plan (``replay_serial``)
+#: serial paths: (backend, through the plan cache)
 _SERIAL_PATHS = {
-    "serial": ("walk", "substrate"),
-    "plan": ("replay", "substrate"),
-    "vendor": ("walk", "vendor"),
-    "vendor-plan": ("replay", "vendor"),
-    "fused-replay": ("cached", "vendor"),
+    "serial": ("substrate", False),
+    "vendor": ("vendor", False),
+    "fused-replay": ("vendor", True),
 }
 
 
@@ -151,16 +139,11 @@ def _run_path(case: FuzzCase, path: str, plan_cache, pool, service):
             accuracy=case.accuracy,
         )
     if path in _SERIAL_PATHS:
-        how, backend = _SERIAL_PATHS[path]
-        knobs = dict(cutoff=crit, scheme=case.scheme, peel=case.peel,
-                     backend=backend, accuracy=case.accuracy)
-        if how == "replay":
-            replay_serial(a, b, c, alpha, beta, case.transa, case.transb,
-                          plan_cache=plan_cache, **knobs)
-        else:
-            dgefmm(a, b, c, alpha, beta, case.transa, case.transb,
-                   plan_cache=plan_cache if how == "cached" else None,
-                   **knobs)
+        backend, cached = _SERIAL_PATHS[path]
+        dgefmm(a, b, c, alpha, beta, case.transa, case.transb,
+               cutoff=crit, scheme=case.scheme, peel=case.peel,
+               backend=backend, accuracy=case.accuracy,
+               plan_cache=plan_cache if cached else None)
     else:
         fused = path == "parallel-fused"
         pdgefmm(
@@ -206,8 +189,8 @@ def run_case(
     expect = reference_result(case, a, b, c0)
     atol = tolerance_for(case, expect)
 
-    paths = ["serial", "plan", "vendor", "vendor-plan", "fused-replay",
-             "parallel", "parallel-serial", "parallel-fused", "served"]
+    paths = ["serial", "vendor", "fused-replay", "parallel",
+             "parallel-serial", "parallel-fused", "served"]
 
     failures: List[Dict[str, Any]] = []
     results: Dict[str, np.ndarray] = {}
@@ -242,8 +225,7 @@ def run_case(
                           + ("" if finite else " (non-finite entries)"),
             })
 
-    pairs = [("serial", "plan"), ("vendor", "vendor-plan"),
-             ("parallel", "parallel-serial"), ("vendor", "fused-replay")]
+    pairs = [("vendor", "fused-replay"), ("parallel", "parallel-serial")]
     if case.alias == "none":
         pairs.append(("serial", "served"))
     for lhs, rhs in pairs:

@@ -6,9 +6,8 @@ recursion — is paid once per distinct :class:`~repro.plan.compiler.
 PlanSignature` and amortized to a dictionary lookup thereafter.  The
 drivers cache the fused plans they replay — those of a vendor call
 under fast accuracy whose root recurses, and of every such product
-below a ``pdgefmm`` parallel level, keyed by its depth — and
-:func:`~repro.core.dgefmm.replay_serial` any plan; every other call
-walks.  The cache is bounded two ways, by plan count and by estimated
+below a ``pdgefmm`` parallel level, keyed by its depth; every other
+call walks.  The cache is bounded two ways, by plan count and by estimated
 plan bytes, evicting least-recently-used entries; hit/miss/eviction
 counters are surfaced through ``ExecutionContext.stats["plan_cache"]``
 by the drivers so experiments can report cache behaviour alongside op

@@ -29,8 +29,13 @@ zero duplicated schedule code:
 Scalars are compiled per *class*: the signature records whether alpha
 and beta are zero; nonzero scalars flow through compilation as
 :class:`~repro.plan.ops.SymScalar` placeholders resolved per call, so
-one plan serves every nonzero value bit-identically.  Exact-accuracy
-plans store their literals as ``np.int64`` (:func:`_encode_exact`).
+one plan serves every nonzero value bit-identically.
+
+Only fusable signatures compile (vendor leaves under fast accuracy,
+:attr:`~repro.core.config.GemmConfig.fusable`): a plan is the fused
+program (:func:`~repro.plan.fuse.fuse_plan`) of the vendor walk, which
+the drivers replay when such a call's root recurses.  Every other
+config walks, and :func:`compile_plan` refuses it.
 
 A plan is one serial subtree rooted at the signature's ``depth``: 0 for
 a driver's call, the true depth for a product below a
@@ -197,69 +202,56 @@ def signature_for(
 
 
 class ExecutionPlan:
-    """An immutable, flat, replayable DGEFMM program.
+    """An immutable, flat, replayable DGEFMM program: the fused vendor
+    program of one fusable signature.
 
-    ``ops`` is the op stream over the interned region table
-    ``regions``; ``ops_quiet`` is the same program with trace-replay
-    EVENT ops stripped, chosen when the executing context is not
-    tracing.
+    ``stream`` is the op stream the compiler recorded over the interned
+    region table ``regions``, trace events included: what ``plan
+    explain`` lists.  ``ops`` is the program
+    :func:`~repro.plan.fuse.run_fused` replays, the stream without its
+    events, charged once per replay with the summed ``charges``
+    (:func:`~repro.plan.fuse.fuse_plan`).  ``arena_bytes`` covers the
+    temporaries, at the byte offsets their regions carry, plus the base
+    products' scratch at ``direct_off``.
     """
 
     __slots__ = (
-        "signature", "m", "k", "n", "dtype", "nb", "backend", "accuracy",
-        "regions", "ops", "ops_quiet", "arena_bytes", "peak_bytes",
-        "counts", "nbytes", "fused", "_temp_cache",
+        "signature", "dtype", "regions", "stream", "ops", "charges",
+        "direct_off", "arena_bytes", "peak_bytes", "counts", "nbytes",
+        "_views",
     )
 
     def __init__(
         self,
         signature: "PlanSignature",
-        m: int,
-        k: int,
-        n: int,
         dtype: Any,
-        nb: int,
-        backend: str,
         regions: Tuple[tuple, ...],
-        ops: Tuple[tuple, ...],
-        arena_bytes: int,
+        stream: Tuple[tuple, ...],
+        temp_bytes: int,
         peak_bytes: int,
         counts: dict,
-        accuracy: str = "fast",
     ) -> None:
         self.signature = signature
-        self.m, self.k, self.n = m, k, n
         self.dtype = np.dtype(dtype)
-        self.nb = nb
-        self.backend = backend
-        #: accuracy mode baked in from the signature's config: the
-        #: executor replays the op stream through the matching kernel
-        #: table, so plan replay stays bit-identical to the recursive
-        #: driver at every accuracy
-        self.accuracy = accuracy
         self.regions = regions
-        self.ops = ops
-        self.ops_quiet = tuple(op for op in ops if op[0] != OP_EVENT)
-        self.arena_bytes = int(arena_bytes)
+        self.stream = stream
+        self.ops, self.charges, self.direct_off, self.arena_bytes = (
+            fuse_plan(stream, regions, self.dtype, temp_bytes)
+        )
         self.peak_bytes = int(peak_bytes)
         self.counts = counts
-        #: optional :class:`~repro.plan.fuse.FusedProgram` attached by
-        #: the compiler to a serial plan whose config is fusable (vendor
-        #: leaves, fast accuracy); the executor replays it for plain
-        #: numeric contexts and falls back to the interpreted op stream
-        #: otherwise
-        self.fused = None
-        self.nbytes = 256 + 64 * len(regions) + 96 * len(ops)
-        #: per-pooled-arena-buffer cache of bound temporary views (warm
+        self.nbytes = 256 + 64 * len(regions) + 96 * (len(stream)
+                                                      + len(self.ops))
+        #: per-pooled-arena-buffer ``(buf, temps, scratch)`` views (warm
         #: calls skip re-carving the arena; see
-        #: repro.plan.executor._views_for)
-        self._temp_cache: dict = {}
+        #: repro.plan.executor._views)
+        self._views: dict = {}
 
     # ------------------------------------------------------------------ #
     @property
     def n_ops(self) -> int:
         """Executable ops (events excluded)."""
-        return len(self.ops_quiet)
+        return len(self.ops)
 
     def describe(self, max_ops: Optional[int] = None) -> List[str]:
         """Human-readable op listing for ``python -m repro plan explain``."""
@@ -269,7 +261,7 @@ class ExecutionPlan:
             root = ("A", "B", "C", f"T@{off}")[kind]
             return f"{root}[{r0}:{r0 + rows},{c0}:{c0 + cols}]"
 
-        lines = [_op_repr(op, reg) for op in self.ops]
+        lines = [_op_repr(op, reg) for op in self.stream]
         if max_ops is not None and len(lines) > max_ops:
             lines = lines[:max_ops] + [
                 f"... ({len(lines) - max_ops} more ops)"
@@ -277,8 +269,9 @@ class ExecutionPlan:
         return lines
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
+        sig = self.signature
         return (
-            f"ExecutionPlan({self.m}x{self.k}x{self.n}, "
+            f"ExecutionPlan({sig.m}x{sig.k}x{sig.n}, "
             f"{self.n_ops} ops, arena={self.arena_bytes}B)"
         )
 
@@ -353,12 +346,6 @@ class _RecordingWorkspace:
         return Region(ROOT_TEMP, start, m, n, 0, 0, m, n, dt)
 
 
-def _encode_exact(s: Any) -> Any:
-    """Exact plans' scalar encoder: literals become ``np.int64`` —
-    integral, and never the ``int`` class replay reads as a code."""
-    return s.code if isinstance(s, SymScalar) else np.int64(s)
-
-
 class _Recorder:
     """The plan-recording binding of :func:`repro.core.dgefmm._rec`.
 
@@ -387,9 +374,6 @@ class _Recorder:
         self.kernels = BlockKernels(
             self._madd, self._msub, self._accum, self._axpby
         )
-        # chosen once per plan: exact plans carry integral literals
-        self.scalar = (_encode_exact if cfg.accuracy == "exact"
-                       else encode_scalar)
 
     def reg(self, r: Region) -> int:
         desc = r.descriptor()
@@ -409,7 +393,7 @@ class _Recorder:
         self._charge_add("madd", out)
         self.ops.append(
             (OP_MADD, self.reg(x), self.reg(y), self.reg(out),
-             self.scalar(alpha))
+             encode_scalar(alpha))
         )
         return out
 
@@ -417,7 +401,7 @@ class _Recorder:
         self._charge_add("msub", out)
         self.ops.append(
             (OP_MSUB, self.reg(x), self.reg(y), self.reg(out),
-             self.scalar(alpha))
+             encode_scalar(alpha))
         )
         return out
 
@@ -429,8 +413,8 @@ class _Recorder:
     def _axpby(self, alpha, x, beta, y, *, ctx=None):
         self._charge_add("axpby", y)
         self.ops.append(
-            (OP_AXPBY, self.scalar(alpha), self.reg(x),
-             self.scalar(beta), self.reg(y))
+            (OP_AXPBY, encode_scalar(alpha), self.reg(x),
+             encode_scalar(beta), self.reg(y))
         )
         return y
 
@@ -458,7 +442,7 @@ class _Recorder:
         shapes[key] = shapes.get(key, 0) + 1
         self.ops.append(
             (OP_GEMM, self.reg(a), self.reg(b), self.reg(c),
-             self.scalar(alpha), self.scalar(beta))
+             encode_scalar(alpha), encode_scalar(beta))
         )
 
     def fixup(self, a: Region, b: Region, c: Region, alpha, beta,
@@ -485,7 +469,7 @@ class _Recorder:
             self.add_flops_total += mo * max(0.0, float(n) * k - n)
         self.ops.append(
             (OP_FIXUP, self.reg(a), self.reg(b), self.reg(c),
-             self.scalar(alpha), self.scalar(beta), self.cfg.peel,
+             encode_scalar(alpha), encode_scalar(beta), self.cfg.peel,
              divisors)
         )
 
@@ -495,12 +479,9 @@ class _Recorder:
         counts["kernel_calls"] = Counter(self.kernel_calls)
         counts["mul_flops_total"] = self.mul_flops_total
         counts["add_flops_total"] = self.add_flops_total
-        cfg = self.cfg
         return ExecutionPlan(
-            signature, signature.m, signature.k, signature.n, self.dtype,
-            cfg.nb, cfg.backend,
-            tuple(self.region_descs), tuple(self.ops), self.ws.required,
-            self.ws.peak, counts, cfg.accuracy,
+            signature, self.dtype, tuple(self.region_descs),
+            tuple(self.ops), self.ws.required, self.ws.peak, counts,
         )
 
 
@@ -514,15 +495,17 @@ def _roots(m: int, k: int, n: int, dtype: Any) -> tuple:
 
 
 def compile_plan(signature: "PlanSignature") -> ExecutionPlan:
-    """Compile one :class:`PlanSignature` into an :class:`ExecutionPlan`:
-    the serial subtree rooted at the signature's ``depth``."""
+    """Compile one fusable :class:`PlanSignature` into an
+    :class:`ExecutionPlan`: the serial subtree rooted at the signature's
+    ``depth``.  Any other signature raises :class:`ArgumentError`."""
     cfg = signature.config()
-    if cfg.dtype == "object":
+    if not cfg.fusable:
         raise ArgumentError(
-            "compile_plan", "dtype",
-            "object-dtype problems cannot be planned (plan temporaries "
-            "are typed views over a byte arena); use the recursive "
-            "driver",
+            "compile_plan", "signature",
+            "only fusable configs compile (backend='vendor', accuracy="
+            f"'fast'), got backend={cfg.backend!r}, accuracy="
+            f"{cfg.accuracy!r}, dtype={cfg.dtype!r}; the drivers walk "
+            "every other config",
         )
     m, k, n = signature.m, signature.k, signature.n
     rec = _Recorder(cfg, signature.dtype)
@@ -530,8 +513,4 @@ def compile_plan(signature: "PlanSignature") -> ExecutionPlan:
     _rec(a, b, c, 0.0 if signature.alpha_zero else SymScalar("a"),
          0.0 if signature.beta_zero else SymScalar("b"), signature.depth,
          cfg.scheme, rec)
-    plan = rec.build(signature)
-    if cfg.fusable:
-        plan.fused = fuse_plan(plan)
-        plan.nbytes += 96 * len(plan.fused.ops)
-    return plan
+    return rec.build(signature)

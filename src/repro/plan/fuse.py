@@ -1,48 +1,37 @@
-"""Plan fusion: replay a serial plan without per-op dispatch.
+"""Plan fusion: the program a compiled plan replays.
 
-The interpreted executor (:mod:`repro.plan.executor`) pays Python
-dispatch per typed op — one function call, operand validation, and a
-context charge for every madd/msub/accum/axpby and every leaf
-``dgemm``.  :func:`fuse_plan` compiles an
-:class:`~repro.plan.compiler.ExecutionPlan` into a :class:`FusedProgram`:
-the plan's quiet op stream (``ops_quiet``) in order, with every
-``OP_GEMM`` replaced in place by one ``OP_DIRECT`` on the same operands
-and scalars, and the whole program's kernel tallies summed once.
-:func:`run_fused` replays it as one inline loop:
+The compiler records the vendor walk of one signature as a stream of
+typed ops (:mod:`repro.plan.ops`).  :func:`fuse_plan` turns that stream
+into the plan's executable program: the same ops in the same order,
+trace events dropped, with the whole program's kernel tallies summed
+once.  :func:`run_fused` replays it as one inline loop:
 
 - elementwise ops run the numeric block kernels' numpy calls
   (:data:`repro.blas.addsub.NUMERIC_KERNELS`) in the same order, with
   no per-op call, validation or charge;
-- ``OP_DIRECT`` runs the arithmetic of
+- ``OP_GEMM`` runs the arithmetic of
   ``repro.blas.level3.dgemm(backend="vendor")``: one ``np.matmul``
   straight into the output when alpha = 1, beta = 0 and the product
   dtype is the output's, and otherwise one ``np.matmul`` into a
   Fortran-ordered scratch block past the plan's temporaries, with
   alpha and beta applied from there in ``dgemm``'s order;
-- ``OP_FIXUP`` runs the peeling fix-up executors, as interpreted replay
-  does.
+- ``OP_FIXUP`` runs the peeling fix-up executors, as the walk does.
 
 The context is charged once per replay with the summed tallies; every
 tally is an integer-valued float below 2**53, so the sums equal the
-interpreted replay's per-op charges exactly.
+vendor walk's per-op charges exactly.
 
 Numerics: fused replay is **bit-identical** to the vendor kernel's
 walk — ``dgefmm(..., backend="vendor")`` at the same cutoff — so it is
-that backend's engine, not a knob: the compiler fuses every plan of a
-vendor config under fast accuracy
-(:attr:`~repro.core.config.GemmConfig.fusable`), and ``dgefmm`` replays
-the fused plan from its plan cache when the call's root recurses and
-walks otherwise.  Substrate plans never fuse (its tiled ``einsum``
-accumulates in another order), and ``backend`` keys
-:class:`~repro.plan.compiler.PlanSignature`, so the two never collide
-in one cache.  A leaf whose output overlaps one of its inputs needs no
-analysis: numpy buffers an ``out`` that overlaps an input, exactly as
-for the vendor ``dgemm``.
+that backend's engine, not a knob: only configs with vendor leaves
+under fast accuracy (:attr:`~repro.core.config.GemmConfig.fusable`)
+compile, and ``dgefmm`` replays the plan from its plan cache when the
+call's root recurses and walks otherwise.  A leaf whose output
+overlaps one of its inputs needs no analysis: numpy buffers an ``out``
+that overlaps an input, exactly as for the vendor ``dgemm``.
 
-The fused program runs only for plain numeric replay — no tracing, no
-dry run, no attached machine model (those need per-op hooks).  The
-executor falls back to the plan's interpreted stream otherwise, whose
-vendor leaves compute the same bits.
+Replay runs only for plain numeric contexts: one that traces,
+dry-runs or holds a machine model needs the per-op hooks of the walk.
 """
 
 from __future__ import annotations
@@ -57,75 +46,47 @@ from repro.core.pool import _align_up
 from repro.plan.ops import (
     OP_ACCUM,
     OP_AXPBY,
+    OP_EVENT,
     OP_FIXUP,
     OP_GEMM,
     OP_MADD,
     OP_MSUB,
 )
 
-__all__ = ["FusedProgram", "fuse_plan", "run_fused", "OP_DIRECT"]
-
-#: a base-case product in a fused program — (OP_DIRECT, a, b, c, alpha,
-#: beta), the operands and scalars of the ``OP_GEMM`` it replaces
-OP_DIRECT = 8
+__all__ = ["fuse_plan", "run_fused"]
 
 _EW_NAMES = {OP_MADD: "madd", OP_MSUB: "msub",
              OP_ACCUM: "accum", OP_AXPBY: "axpby"}
 
 
-class FusedProgram:
-    """A compiled fused replay program for one plan.
+def fuse_plan(stream, regions, dtype, temp_bytes: int) -> tuple:
+    """The executable program of a recorded op ``stream``:
+    ``(ops, charges, direct_off, arena_bytes)``.
 
-    ``ops`` is the plan's quiet op stream with every ``OP_GEMM``
-    replaced by an ``OP_DIRECT``; ``charges`` holds the program's
-    ``(kernel, calls, muls, adds)`` totals, fix-ups excluded (they
-    charge themselves).  ``arena_bytes`` covers the plan's temporaries
-    plus the direct products' scratch at ``direct_off``, sized for the
-    largest product; the executor sizes the arena from it when
-    replaying fused.
+    ``ops`` is the stream without its trace events; ``charges`` holds
+    the program's ``(kernel, calls, muls, adds)`` totals, fix-ups
+    excluded (they charge themselves).  The base products' scratch
+    starts at ``direct_off``, the first aligned byte past the
+    ``temp_bytes`` of temporaries, and holds the largest product, so
+    ``arena_bytes`` is the arena a replay reserves.
     """
-
-    __slots__ = ("ops", "charges", "dtype", "arena_bytes", "direct_off",
-                 "n_direct", "_bind_cache")
-
-    def __init__(self, ops, charges, dtype, arena_bytes,
-                 direct_off) -> None:
-        self.ops = ops
-        self.charges = charges
-        self.dtype = np.dtype(dtype)
-        self.arena_bytes = int(arena_bytes)
-        self.direct_off = int(direct_off)
-        self.n_direct = sum(1 for op in ops if op[0] == OP_DIRECT)
-        #: per-pooled-arena-buffer cache of Fortran-ordered scratch views
-        #: (see repro.plan.executor._views_for)
-        self._bind_cache: dict = {}
-
-    def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return (
-            f"FusedProgram({len(self.ops)} ops, {self.n_direct} direct "
-            f"products, scratch {self.arena_bytes - self.direct_off}B)"
-        )
-
-
-def fuse_plan(plan) -> FusedProgram:
-    """Compile an :class:`ExecutionPlan` into a fused program."""
-    regions = plan.regions
     ops: List[tuple] = []
     totals: dict = {}        # kernel -> [calls, muls, adds]
     direct_max = 0
-    for op in plan.ops_quiet:
+    for op in stream:
         code = op[0]
+        if code == OP_EVENT:
+            continue
+        ops.append(op)
         if code == OP_FIXUP:
-            ops.append(op)
             continue
         if code == OP_GEMM:
-            _, ai, bi, ci, al, be = op
+            _, ai, bi, ci, _al, _be = op
             m, k = regions[ai][6], regions[ai][7]
             n = regions[bi][7]
             name = "dgemm"
             muls, adds = gemm_flops(m, k, n)
             direct_max = max(direct_max, m * n)
-            op = (OP_DIRECT, ai, bi, ci, al, be)
         else:
             out = op[4] if code == OP_AXPBY else (
                 op[2] if code == OP_ACCUM else op[3]
@@ -136,29 +97,25 @@ def fuse_plan(plan) -> FusedProgram:
         entry[0] += 1
         entry[1] += muls
         entry[2] += adds
-        ops.append(op)
-    direct_off = _align_up(plan.arena_bytes)
-    return FusedProgram(
-        tuple(ops), tuple((name, *t) for name, t in totals.items()),
-        plan.dtype, direct_off + direct_max * plan.dtype.itemsize,
-        direct_off,
-    )
+    direct_off = _align_up(temp_bytes)
+    return (tuple(ops), tuple((name, *t) for name, t in totals.items()),
+            direct_off, direct_off + direct_max * dtype.itemsize)
 
 
-def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
-              buf, scratch: dict) -> None:
-    """Replay a fused program over the resolved region table ``v``.
+def run_fused(plan, v: List[Any], st: tuple, ctx, buf,
+              scratch: dict) -> None:
+    """Replay ``plan``'s program over the resolved region table ``v``.
 
     ``st`` is the executor's scalar table ``(alpha, -alpha, beta,
-    -beta)``; ``buf`` the arena buffer, sized to ``fp.arena_bytes`` so
-    the direct products' scratch exists past the plan's temporaries.
+    -beta)``; ``buf`` the arena buffer, sized to ``plan.arena_bytes``
+    so the base products' scratch exists past the plan's temporaries.
     ``scratch`` holds the scratch views of ``buf`` by product shape;
     the executor keeps it across calls only for a pooled arena.
     Only called for plain numeric contexts (no trace/dry/machine).
     """
-    dtype = fp.dtype
+    dtype = plan.dtype
 
-    for op in fp.ops:
+    for op in plan.ops:
         code = op[0]
         if code == OP_MADD:
             _, xi, yi, oi, al = op
@@ -195,7 +152,7 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                     y += v[xi]
                 elif al != 0.0:
                     y += al * v[xi]
-        elif code == OP_DIRECT:
+        elif code == OP_GEMM:
             # repro.blas.level3.dgemm(backend="vendor"), step for step
             _, ai, bi, ci, al, be = op
             al = st[al] if al.__class__ is int else al
@@ -211,7 +168,7 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
             if pdt == dtype:
                 prod = scratch.get(shape)
                 if prod is None:
-                    off = fp.direct_off
+                    off = plan.direct_off
                     prod = scratch[shape] = (
                         buf[off:off + shape[0] * shape[1] * dtype.itemsize]
                         .view(dtype).reshape(shape, order="F")
@@ -234,5 +191,5 @@ def run_fused(fp: FusedProgram, v: List[Any], st: tuple, ctx,
                 st[al] if al.__class__ is int else al,
                 st[be] if be.__class__ is int else be,
                 ctx=ctx, divisors=divisors)
-    for name, calls, muls, adds in fp.charges:
+    for name, calls, muls, adds in plan.charges:
         ctx.charge_many(name, calls, muls=muls, adds=adds)

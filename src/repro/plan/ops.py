@@ -9,8 +9,7 @@ the plan's workspace arena (the bump-allocator layout the pooled
 workspace would produce — see :class:`~repro.core.pool.PooledWorkspace`).
 
 Scalars inside ops are either literals (the 1.0 / -1.0 / 0.0
-coefficients the schedules hard-code: Python floats, or ``np.int64`` in
-exact-accuracy plans so integer buffers are never scaled by a float) or
+coefficients the schedules hard-code, as Python floats) or
 one of four small ``int`` codes standing for the call's
 ``alpha``/``beta``: the schedules only ever propagate ``±alpha`` and
 ``±beta``, so four codes cover every symbolic scalar a plan can
@@ -56,7 +55,7 @@ OP_ACCUM = 2   # (OP_ACCUM, x, out)                 out <- out + x
 OP_AXPBY = 3   # (OP_AXPBY, alpha, x, beta, y)      y <- alpha*x + beta*y
 OP_GEMM = 4    # (OP_GEMM, a, b, c, alpha, beta)    base-case standard GEMM
 OP_FIXUP = 5   # (OP_FIXUP, a, b, c, alpha, beta, side, divisors)  peel fixup
-OP_EVENT = 6   # (OP_EVENT, RecursionEvent)         trace replay (trace only)
+OP_EVENT = 6   # (OP_EVENT, RecursionEvent)         recorded walk event
 
 OP_NAMES = ("madd", "msub", "accum", "axpby", "gemm", "fixup", "event")
 

@@ -17,11 +17,28 @@ Entry points:
   verification against direct ``dgefmm`` (``python -m repro serve``).
 """
 
-from repro.serve.loadgen import build_mix, run_load
+import importlib
+
 from repro.serve.metrics import Counter, Histogram, MetricsRegistry
 from repro.serve.queue import POLICIES, AdmissionQueue
 from repro.serve.request import GemmFuture, GemmRequest
 from repro.serve.service import GemmService
+
+#: names re-exported from the load generator, resolved on first access
+#: (PEP 562): a serving process never runs it, nor the fuzz case space
+#: it draws from
+_EXPORTS = {"build_mix": "loadgen", "run_load": "loadgen"}
+
+
+def __getattr__(name):
+    try:
+        module = _EXPORTS[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}"
+        ) from None
+    return getattr(importlib.import_module(f"{__name__}.{module}"), name)
+
 
 __all__ = [
     "AdmissionQueue",

@@ -12,9 +12,10 @@ conformance"):
 - arbitrary strides: Fortran/C order, non-contiguous, and negative-
   stride views all accepted on every operand.
 
-Every regression here runs all three execution paths — recursive serial,
-multi-level parallel, and compiled-plan replay — and asserts serial and
-planned results are *bit-identical*, not merely close.
+Every regression here runs every execution path — the substrate walk,
+the vendor walk and fused replay of its cached plan, and the
+multi-level parallel driver — and asserts the vendor walk and fused
+replay are *bit-identical*, not merely close.
 """
 
 import numpy as np
@@ -22,7 +23,7 @@ import pytest
 
 from repro.blas.validate import copy_on_overlap, overlaps
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial
+from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.plan import PlanCache
 
@@ -30,10 +31,10 @@ CUT = SimpleCutoff(4)
 
 
 def _paths(a, b, c, alpha=1.0, beta=0.0, **kw):
-    """Run serial / planned / parallel / one-thread parallel on private
-    copies of the operands; returns ``{name: result}``.  ``plan`` is
-    interpreted replay of the serial plan (``dgefmm`` walks substrate
-    calls even when given a cache)."""
+    """Run serial / vendor / fused / parallel / one-thread parallel on
+    private copies of the operands; returns ``{name: result}``.
+    ``fused`` is ``vendor`` through a plan cache: fused replay wherever
+    the root recurses."""
     cache = PlanCache()
     out = {}
 
@@ -44,8 +45,11 @@ def _paths(a, b, c, alpha=1.0, beta=0.0, **kw):
 
     run("serial", lambda aa, bb, cc: dgefmm(
         aa, bb, cc, alpha, beta, cutoff=CUT, **kw))
-    run("plan", lambda aa, bb, cc: replay_serial(
-        aa, bb, cc, alpha, beta, cutoff=CUT, plan_cache=cache, **kw))
+    run("vendor", lambda aa, bb, cc: dgefmm(
+        aa, bb, cc, alpha, beta, cutoff=CUT, backend="vendor", **kw))
+    run("fused", lambda aa, bb, cc: dgefmm(
+        aa, bb, cc, alpha, beta, cutoff=CUT, backend="vendor",
+        plan_cache=cache, **kw))
     if not kw:  # pdgefmm pins scheme/peel
         run("parallel", lambda aa, bb, cc: pdgefmm(
             aa, bb, cc, alpha, beta, cutoff=CUT, workers=3))
@@ -58,7 +62,7 @@ def _assert_all(results, expect, atol=1e-9):
     for name, got in results.items():
         assert got.shape == expect.shape, name
         np.testing.assert_allclose(got, expect, atol=atol, err_msg=name)
-    assert np.array_equal(results["serial"], results["plan"])
+    assert np.array_equal(results["vendor"], results["fused"])
     if "parallel" in results:
         assert np.array_equal(results["parallel"],
                               results["parallel-serial"])
@@ -141,10 +145,11 @@ class TestAliasing:
         b = np.asfortranarray(rng.standard_normal((12, 12)))
         expect = a @ b
         cache = PlanCache()
-        for kw in ({}, {"plan_cache": cache}):
+        for kw in ({}, {"backend": "vendor", "plan_cache": cache}):
             aa = a.copy(order="F")
-            (replay_serial if kw else dgefmm)(aa, b, aa, cutoff=CUT, **kw)
+            dgefmm(aa, b, aa, cutoff=CUT, **kw)
             np.testing.assert_allclose(aa, expect, atol=1e-10 * 12)
+        assert cache.misses == 1
         aa = a.copy(order="F")
         pdgefmm(aa, b, aa, cutoff=CUT, workers=3)
         np.testing.assert_allclose(aa, expect, atol=1e-10 * 12)
@@ -171,8 +176,9 @@ class TestAliasing:
         a = np.asfortranarray(rng.standard_normal((14, 14)))
         b = np.asfortranarray(rng.standard_normal((14, 14)))
         a1, a2 = a.copy(order="F"), a.copy(order="F")
-        dgefmm(a1, b, a1, cutoff=CUT)
-        replay_serial(a2, b, a2, cutoff=CUT, plan_cache=PlanCache())
+        dgefmm(a1, b, a1, cutoff=CUT, backend="vendor")
+        dgefmm(a2, b, a2, cutoff=CUT, backend="vendor",
+               plan_cache=PlanCache())
         assert np.array_equal(a1, a2)
 
     def test_overlaps_predicate(self, rng):

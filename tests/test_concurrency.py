@@ -24,7 +24,7 @@ from repro.context import ExecutionContext
 from repro.core import config
 from repro.core.config import GemmConfig
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial
+from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.plan import compiler
 from repro.plan.cache import PlanCache
@@ -95,23 +95,23 @@ class TestSharedContextExactness:
             == ref.stats["workspace_peak_bytes"]
 
     def test_dgefmm_hammer_exact_counts(self):
-        """Same exactness through serial-plan replay from one shared
-        cache, bit-identical to the serial driver's walk."""
+        """Same exactness through fused replay from one shared cache,
+        bit-identical to the vendor walk."""
         a, b = self._operands(1)
         crit = SimpleCutoff(8)
         cache = PlanCache()
 
         ref = ExecutionContext()
         c_ref = np.zeros((33, 31), order="F")
-        dgefmm(a, b, c_ref, cutoff=crit, ctx=ref)
+        dgefmm(a, b, c_ref, cutoff=crit, ctx=ref, backend="vendor")
 
         shared = ExecutionContext(threadsafe=True)
 
         def worker(i):
             for _ in range(self.CALLS_PER_THREAD):
                 c = np.zeros((33, 31), order="F")
-                replay_serial(a, b, c, cutoff=crit, ctx=shared,
-                              plan_cache=cache)
+                dgefmm(a, b, c, cutoff=crit, ctx=shared, backend="vendor",
+                       plan_cache=cache)
                 assert np.array_equal(c, c_ref)
 
         _run_threads(self.N_THREADS, worker)
@@ -195,7 +195,8 @@ class TestPlanCacheConcurrency:
             m = 16 + 3 * i
             sigs.append(signature_for(
                 m, m + 1, m + 2, False, False, False, True,
-                "float64", GemmConfig(cutoff=crit, nb=64),
+                "float64", GemmConfig(cutoff=crit, nb=64,
+                                      backend="vendor"),
             ))
         return sigs
 

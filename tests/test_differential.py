@@ -17,7 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.core.cutoff import SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial, zgefmm
+from repro.core.dgefmm import dgefmm, zgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.pool import WorkspacePool
 from repro.plan import PlanCache
@@ -167,11 +167,12 @@ class TestParallelDifferential:
 
 
 class TestPlannedDifferential:
-    """The plan-executor path replays the recursion bit-for-bit.
+    """Fused replay of a cached plan reproduces the vendor walk
+    bit-for-bit.
 
     Unlike the numpy comparisons above (allclose within a scaled
-    tolerance), planned-vs-recursive is asserted with ``array_equal``:
-    a compiled plan performs the *same* kernel calls on the *same*
+    tolerance), fused-vs-walk is asserted with ``array_equal``: a
+    compiled plan performs the vendor walk's arithmetic on the *same*
     operand views in the *same* order, so every result bit must match.
     """
 
@@ -192,9 +193,10 @@ class TestPlannedDifferential:
         )
         c_plan = np.asfortranarray(c.copy())
         c_rec = np.asfortranarray(c)
-        dgefmm(a, b, c_rec, alpha, beta, transa, transb, cutoff=CUT)
-        replay_serial(a, b, c_plan, alpha, beta, transa, transb,
-                      cutoff=CUT, plan_cache=PlanCache())
+        dgefmm(a, b, c_rec, alpha, beta, transa, transb, cutoff=CUT,
+               backend="vendor")
+        dgefmm(a, b, c_plan, alpha, beta, transa, transb, cutoff=CUT,
+               backend="vendor", plan_cache=PlanCache())
         assert np.array_equal(c_rec, c_plan)
 
     @given(
@@ -239,9 +241,9 @@ class TestPlannedDifferential:
         a, b, c1 = zrand(m, k), zrand(k, n), zrand(m, n)
         c2 = c1.copy(order="F")
         alpha, beta = 1.5 - 0.5j, 0.25j
-        zgefmm(a, b, c1, alpha, beta, cutoff=CUT)
-        replay_serial(a, b, c2, alpha, beta, cutoff=CUT,
-                      plan_cache=PlanCache())
+        zgefmm(a, b, c1, alpha, beta, cutoff=CUT, backend="vendor")
+        zgefmm(a, b, c2, alpha, beta, cutoff=CUT, backend="vendor",
+               plan_cache=PlanCache())
         assert np.array_equal(c1, c2)
 
     @pytest.mark.parametrize("layout_a,layout_b,layout_c", [
@@ -252,8 +254,8 @@ class TestPlannedDifferential:
     def test_planned_negative_stride_transposed(self, rng, layout_a,
                                                 layout_b, layout_c):
         """Transposed + negative-stride/mixed-order operands replay
-        bit-identically through serial plans, and pdgefmm's result does
-        not depend on its thread budget."""
+        fused plans bit-identically to the vendor walk, and pdgefmm's
+        result does not depend on its thread budget."""
         m, k, n = 27, 21, 33
         a = _materialize(rng, k, m, layout_a)          # A^T storage
         b = _materialize(rng, n, k, layout_b)          # B^T storage
@@ -264,9 +266,12 @@ class TestPlannedDifferential:
         for name, fn in (
             ("serial", lambda cc: dgefmm(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT)),
-            ("plan", lambda cc: replay_serial(
+            ("vendor", lambda cc: dgefmm(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT,
-                plan_cache=cache)),
+                backend="vendor")),
+            ("fused", lambda cc: dgefmm(
+                a, b, cc, 1.5, 0.5, True, True, cutoff=CUT,
+                backend="vendor", plan_cache=cache)),
             ("parallel", lambda cc: pdgefmm(
                 a, b, cc, 1.5, 0.5, True, True, cutoff=CUT, workers=3)),
             ("parallel-serial", lambda cc: pdgefmm(
@@ -278,7 +283,8 @@ class TestPlannedDifferential:
             scale = max(1.0, float(np.max(np.abs(expect))))
             np.testing.assert_allclose(cc, expect, atol=1e-10 * scale,
                                        err_msg=name)
-        assert np.array_equal(outs["serial"], outs["plan"])
+        assert np.array_equal(outs["vendor"], outs["fused"])
+        assert cache.misses == 1
         assert np.array_equal(outs["parallel"], outs["parallel-serial"])
 
     def test_zgefmm_planned_matches_numpy(self, rng):
@@ -291,9 +297,11 @@ class TestPlannedDifferential:
                               + 1j * rng.standard_normal((m, n)))
         alpha, beta = 1.5 - 0.5j, 0.25j
         expect = alpha * (a @ b) + beta * c
-        replay_serial(a, b, c, alpha, beta, cutoff=CUT,
-                      plan_cache=PlanCache())
+        cache = PlanCache()
+        zgefmm(a, b, c, alpha, beta, cutoff=CUT, backend="vendor",
+               plan_cache=cache)
         np.testing.assert_allclose(c, expect, atol=1e-10)
+        assert cache.misses == 1
 
 
 @pytest.fixture(scope="module")

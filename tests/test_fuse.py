@@ -1,7 +1,7 @@
 """The fusion pass (:mod:`repro.plan.fuse`) and fused replay.
 
-Fused replay is the vendor backend's engine, not a knob: a serial plan
-of a vendor config under fast accuracy carries a fused program, and
+Fused replay is the vendor backend's engine, not a knob: a plan is the
+fused program of a vendor signature under fast accuracy, and
 ``dgefmm(backend="vendor", plan_cache=)`` replays it when the call's
 root recurses.  The contract under test, in decreasing strictness:
 
@@ -9,17 +9,18 @@ root recurses.  The contract under test, in decreasing strictness:
    walk: ``dgefmm(..., backend="vendor", plan_cache=)`` equals
    ``dgefmm(..., backend="vendor")`` with no cache, ``pdgefmm(...,
    backend="vendor", plan_cache=)``'s fused products equal their
-   walk, a traced call (the interpreted fallback) equals the untraced
-   one, and the ``fuse=True`` alias is ``backend="vendor"``.
+   walk, a traced or modelled call (which walks) equals the plain one,
+   and the ``fuse=True`` alias is ``backend="vendor"``.
 2. **Charge parity** — kernel calls and mul/add flop tallies charged by
-   a fused replay equal the interpreted replay's exactly (aggregate
-   charging of identical per-op tallies).
+   a fused replay equal the vendor walk's per-op charges exactly
+   (aggregate charging of identical per-op tallies), and so does the
+   workspace peak.
 3. **Reference tolerance** — fused results match the numpy reference
    within the oracle's dtype tolerance.
 4. **Edge semantics** — ``beta == 0`` NaN-overwrite, ``alpha == 0``
    skip, zero-dim early-outs, and operand aliasing hold through the
    fused driver path exactly as ``tests/test_blas_conformance.py`` pins
-   them for the interpreted path.
+   them for the walk.
 """
 
 import dataclasses
@@ -40,9 +41,10 @@ from repro.plan import (
     compile_plan,
     execute_plan,
 )
+from repro.errors import ArgumentError
+from repro.machines import RS6000
 from repro.plan.compiler import signature_for
-from repro.plan.fuse import OP_DIRECT
-from repro.plan.ops import OP_GEMM
+from repro.plan.ops import OP_EVENT, OP_GEMM, ROOT_TEMP
 
 CUT = SimpleCutoff(8)
 
@@ -83,52 +85,55 @@ def _mats(rng, m, k, n, dtype="float64", transa=False, transb=False):
 # ---------------------------------------------------------------------- #
 class TestFusionPass:
     def test_fused_attached_only_when_requested(self):
-        """Every fast vendor serial plan carries a fused program; a
-        substrate or compensated one does not."""
-        assert compile_plan(_sig(16, 16, 16, backend="substrate")).fused \
-            is None
-        assert compile_plan(_sig(16, 16, 16, dtype="float32",
-                                 accuracy="compensated")).fused is None
-        plan = compile_plan(_sig(16, 16, 16))
-        assert plan.fused is not None
-        assert plan.fused.n_direct == sum(
-            1 for op in plan.ops_quiet if op[0] == OP_GEMM
-        )
+        """Every fast vendor signature, of each inexact dtype, compiles
+        to a fused program whose summed charges hold every op but the
+        fix-ups (``tests/test_plan.py::TestFusableOnly`` pins the
+        signatures that do not compile)."""
+        for dtype in ("float64", "float32", "complex128", "complex64"):
+            plan = compile_plan(_sig(17, 13, 19, dtype=dtype))
+            assert plan.dtype == np.dtype(dtype)
+            assert all(op[0] != OP_EVENT for op in plan.ops)
+            calls = dict(plan.counts["kernel_calls"])
+            for fixup in ("dger", "dgemv"):
+                calls.pop(fixup, None)
+            assert {name: n for name, n, *_ in plan.charges} == calls
 
     def test_every_gemm_appears_exactly_once(self):
-        """Each OP_GEMM of the quiet stream becomes one OP_DIRECT on the
-        same operands and scalars, in stream order."""
+        """Each OP_GEMM of the recorded stream is one product of the
+        program, on the same operands and scalars, in stream order."""
         for m, k, n in SHAPES:
             plan = compile_plan(_sig(m, k, n))
-            gemms = [op[1:] for op in plan.ops_quiet if op[0] == OP_GEMM]
-            directs = [op[1:] for op in plan.fused.ops
-                       if op[0] == OP_DIRECT]
-            assert directs == gemms
-            assert plan.fused.n_direct == len(gemms)
+            gemms = [op[1:] for op in plan.stream if op[0] == OP_GEMM]
+            products = [op[1:] for op in plan.ops if op[0] == OP_GEMM]
+            assert products == gemms
+            assert plan.counts["kernel_calls"]["dgemm"] == len(gemms)
 
     def test_elementwise_order_preserved(self):
-        """Non-gemm ops keep their exact relative order."""
+        """The program is the recorded stream without its events: every
+        op keeps its exact relative order."""
         plan = compile_plan(_sig(32, 32, 32, beta=0.5))
-        interp = [op for op in plan.ops_quiet if op[0] != OP_GEMM]
-        fused = [op for op in plan.fused.ops if op[0] != OP_DIRECT]
-        assert fused == interp
+        assert list(plan.ops) == [op for op in plan.stream
+                                  if op[0] != OP_EVENT]
+        assert plan.n_ops == len(plan.ops) < len(plan.stream)
 
     def test_arena_extends_past_plan_bytes(self):
         """The direct products' scratch sits past the plan's temporaries
         and holds the largest product."""
         plan = compile_plan(_sig(32, 32, 32))
-        fused = plan.fused
-        assert fused.direct_off >= plan.arena_bytes
+        item = plan.dtype.itemsize
+        temps_end = max(off + fr * fc * item
+                        for kind, off, fr, fc, *_ in plan.regions
+                        if kind == ROOT_TEMP)
+        assert plan.direct_off >= temps_end
         largest = max(plan.regions[op[3]][6] * plan.regions[op[3]][7]
-                      for op in plan.ops_quiet if op[0] == OP_GEMM)
-        assert (fused.arena_bytes - fused.direct_off
-                >= largest * plan.dtype.itemsize)
+                      for op in plan.ops if op[0] == OP_GEMM)
+        assert plan.arena_bytes - plan.direct_off >= largest * item
 
     def test_fused_plan_bytes_count_the_fused_program(self):
-        """PlanCache byte accounting sees the fused program too."""
-        unfused = compile_plan(_sig(64, 64, 64, backend="substrate"))
-        fused = compile_plan(_sig(64, 64, 64))
-        assert fused.nbytes > unfused.nbytes
+        """PlanCache byte accounting sees the program as well as the
+        recorded stream."""
+        plan = compile_plan(_sig(64, 64, 64))
+        assert plan.nbytes > 96 * (len(plan.stream) + len(plan.ops))
 
     def test_parallel_plan_children_fused(self):
         """Every plan a vendor pdgefmm caches is a product's fused plan,
@@ -139,8 +144,8 @@ class TestFusionPass:
         pdgefmm(a, b, c, cutoff=CUT, backend="vendor", workers=2,
                 plan_cache=cache)
         assert len(cache) == 1
-        assert all(plan.fused is not None and sig.depth == 1
-                   for sig, plan in cache._plans.items())
+        assert all(sig.depth == 1 and sig.backend == "vendor"
+                   for sig in cache._plans)
 
     def test_fuse_knob_is_validated(self):
         """``fuse`` is no knob: the engine follows from the config, so
@@ -190,37 +195,43 @@ class TestFusedNumerics:
 
     @pytest.mark.parametrize("m,k,n", SHAPES)
     def test_charge_parity_with_interpreted(self, m, k, n):
-        """Aggregate fused charging equals per-op interpreted charging
-        exactly — calls, flops, and the mul/add split."""
+        """Aggregate fused charging equals the uncached vendor walk's
+        per-op charging exactly — calls, flops, the mul/add split, and
+        the workspace peak."""
         rng = np.random.default_rng(5)
         a, b, c = _mats(rng, m, k, n)
-        ctx_f, ctx_i = ExecutionContext(), ExecutionContext()
+        ctx_f, ctx_w = ExecutionContext(), ExecutionContext()
         _run(compile_plan(_sig(m, k, n, beta=0.5)), a, b,
              c.copy(order="F"), 1.5, 0.5, ctx=ctx_f)
-        _run(compile_plan(_sig(m, k, n, beta=0.5, backend="substrate")),
-             a, b, c.copy(order="F"), 1.5, 0.5, ctx=ctx_i)
-        assert ctx_f.kernel_calls == ctx_i.kernel_calls
-        assert ctx_f.flops == ctx_i.flops
-        assert ctx_f.mul_flops == ctx_i.mul_flops
-        assert ctx_f.add_flops == ctx_i.add_flops
+        dgefmm(a, b, c.copy(order="F"), 1.5, 0.5, cutoff=CUT,
+               backend="vendor", ctx=ctx_w)
+        assert ctx_f.kernel_calls == ctx_w.kernel_calls
+        assert ctx_f.flops == ctx_w.flops
+        assert ctx_f.mul_flops == ctx_w.mul_flops
+        assert ctx_f.add_flops == ctx_w.add_flops
+        assert (ctx_f.stats["workspace_peak_bytes"]
+                == ctx_w.stats["workspace_peak_bytes"])
 
-    def test_trace_and_dry_fall_back_to_interpreted(self):
+    def test_trace_dry_and_machine_contexts_refused(self):
+        """A replay charged once per call has no per-op hooks: the
+        executor refuses a tracing, dry or modelled context, which
+        ``dgefmm`` walks instead."""
         rng = np.random.default_rng(3)
         a, b, c = _mats(rng, 16, 16, 16)
         plan = compile_plan(_sig(16, 16, 16))
-        ctx_t = ExecutionContext(trace=True)
-        got = _run(plan, a, b, c.copy(order="F"), 1.0, 0.0, ctx=ctx_t)
-        assert ctx_t.events        # the interpreted stream ran
-        # the fallback runs vendor leaves: the untraced fused replay's bits
-        ref = _run(plan, a, b, c.copy(order="F"), 1.0, 0.0)
-        assert np.array_equal(got, ref)
+        for ctx in (ExecutionContext(trace=True),
+                    ExecutionContext(dry=True), ExecutionContext(RS6000)):
+            out = c.copy(order="F")
+            with pytest.raises(ArgumentError, match="walk"):
+                _run(plan, a, b, out, 1.0, 0.0, ctx=ctx)
+            assert np.array_equal(out, c) and not ctx.kernel_calls
 
 
 # ---------------------------------------------------------------------- #
 class TestVendorIdentity:
-    """Fused replay computes the vendor walk's bits: every OP_DIRECT
-    is ``dgemm(backend="vendor")``'s arithmetic and every other op the
-    interpreted stream's."""
+    """Fused replay computes the vendor walk's bits: every product is
+    ``dgemm(backend="vendor")``'s arithmetic and every other op the
+    walk's block kernel's."""
 
     @pytest.mark.parametrize("dtype", ["float64", "float32", "complex128",
                                        "complex64"])
@@ -268,9 +279,9 @@ class TestVendorIdentity:
     @pytest.mark.parametrize("cutoff,shape", [(None, (300, 200, 250)),
                                               (CUT, (37, 29, 41))])
     def test_traced_fused_call_keeps_its_bits(self, cutoff, shape):
-        """Tracing swaps fused replay for the interpreted stream; the
-        result must not move (the default cutoff's root is a base case,
-        which walks)."""
+        """A traced call walks where the plain one replays; the result
+        must not move (the default cutoff's root is a base case, which
+        walks either way)."""
         rng = np.random.default_rng(23)
         a, b, c = _mats(rng, *shape)
         cache = PlanCache()
@@ -289,6 +300,42 @@ class TestVendorIdentity:
             pdgefmm(a, b, traced, alpha, beta, workers=2,
                     ctx=ExecutionContext(trace=True), **knobs)
             assert np.array_equal(plain, traced)
+
+    @pytest.mark.parametrize("kind", ["traced", "modelled"])
+    def test_traced_and_modelled_calls_walk(self, kind):
+        """A traced or machine-model ``dgefmm`` with a recursing root,
+        and a ``pdgefmm`` whose products recurse, walk: each returns
+        the plain cached call's bits and the uncached walk's events
+        (traced) or modelled time (modelled), and leaves the cache's
+        hits and misses alone."""
+        def context():
+            if kind == "traced":
+                return ExecutionContext(trace=True)
+            return ExecutionContext(RS6000)
+
+        rng = np.random.default_rng(25)
+        a, b, c = _mats(rng, 37, 29, 41)
+        cache = PlanCache()
+        for driver, knobs in ((dgefmm, {}), (pdgefmm, {"workers": 2})):
+            knobs.update(cutoff=CUT, backend="vendor")
+            plain = c.copy(order="F")
+            driver(a, b, plain, 1.5, 0.5, plan_cache=cache, **knobs)
+            walk_ctx = context()
+            driver(a, b, c.copy(order="F"), 1.5, 0.5, ctx=walk_ctx,
+                   **knobs)
+            counts = (cache.hits, cache.misses)
+            got, run_ctx = c.copy(order="F"), context()
+            driver(a, b, got, 1.5, 0.5, plan_cache=cache, ctx=run_ctx,
+                   **knobs)
+            name = driver.__name__
+            assert np.array_equal(got, plain), name
+            assert run_ctx.kernel_calls == walk_ctx.kernel_calls, name
+            assert run_ctx.events == walk_ctx.events, name
+            assert run_ctx.elapsed == walk_ctx.elapsed, name
+            assert run_ctx.events or run_ctx.elapsed > 0, name
+            assert (cache.hits, cache.misses) == counts, name
+        # the plain calls' plans: dgefmm's root and pdgefmm's products
+        assert sorted(sig.depth for sig in cache._plans) == [0, 1]
 
     @pytest.mark.parametrize("accuracy", ["fast", "compensated"])
     def test_fuse_alias_is_the_vendor_backend(self, accuracy):
@@ -364,19 +411,23 @@ class TestFusedDriverPath:
         np.testing.assert_allclose(bb, expect, atol=1e-10 * 12)
 
     def test_fuse_mutation_misses_cache(self):
-        """Fused and unfused plans of one shape never share an entry:
-        the backend and the accuracy that decide fusion key the cache."""
+        """Fusable and unfusable signatures of one shape never share an
+        entry: the backend and the accuracy that decide fusion key the
+        cache, and only the fusable one compiles."""
         cache = PlanCache()
         for backend, accuracy in (("substrate", "fast"), ("vendor", "fast"),
                                   ("vendor", "compensated")):
-            plan = cache.get_or_compile(signature_for(
+            sig = signature_for(
                 16, 16, 16, False, False, False, True,
                 "float64", GemmConfig(cutoff=CUT, backend=backend,
                                       accuracy=accuracy),
-            ))
-            assert (plan.fused is not None) == (
-                backend == "vendor" and accuracy == "fast")
-        assert (cache.misses, cache.hits) == (3, 0)
+            )
+            if sig.config().fusable:
+                assert cache.get_or_compile(sig).signature == sig
+            else:
+                with pytest.raises(ArgumentError):
+                    cache.get_or_compile(sig)
+        assert (cache.misses, cache.hits, len(cache)) == (3, 0, 1)
 
     def test_parallel_driver_fused(self):
         rng = np.random.default_rng(9)
@@ -402,16 +453,16 @@ class TestArenaViewCaches:
         a, b, c = _mats(rng, 256, 256, 256)
         cache = PlanCache()
         for _ in range(n_calls):
-            dgefmm(a, b, c, cutoff=self.CUT64, backend="vendor",
+            # beta != 0: STRASSEN2's products accumulate through scratch
+            dgefmm(a, b, c, 1.0, 0.5, cutoff=self.CUT64, backend="vendor",
                    plan_cache=cache, **kw)
-        plan = cache.peek(_sig(256, 256, 256, cutoff=self.CUT64))
-        assert plan is not None and plan.fused is not None
+        plan = cache.peek(_sig(256, 256, 256, beta=0.5, cutoff=self.CUT64))
+        assert plan is not None
         return plan
 
     def test_unpooled_replays_pin_no_buffer(self):
         plan = self._replays(63)
-        assert plan._temp_cache == {}
-        assert plan.fused._bind_cache == {}
+        assert plan._views == {}
 
     def test_warm_pooled_replay_binds_views_once(self, monkeypatch):
         from repro.plan import executor
@@ -423,9 +474,10 @@ class TestArenaViewCaches:
                             bind_temps(*args))
         plan = self._replays(4, pool=WorkspacePool())
         assert len(binds) == 1
-        ((buf, _temps),) = plan._temp_cache.values()
-        ((fused_buf, _scratch),) = plan.fused._bind_cache.values()
-        assert fused_buf is buf
+        ((buf, temps, scratch),) = plan._views.values()
+        assert temps and scratch
+        for view in (*temps.values(), *scratch.values()):
+            assert np.shares_memory(view, buf)
 
 
 # ---------------------------------------------------------------------- #
@@ -446,7 +498,7 @@ class TestFusedService:
 
     def test_submit_fuse_override(self):
         """The engine follows each request's root: only a vendor request
-        whose root recurses leaves a plan, and that plan is fused."""
+        whose root recurses leaves a plan."""
         from repro.serve.service import GemmService
 
         rng = np.random.default_rng(12)
@@ -465,7 +517,7 @@ class TestFusedService:
                                 True, "float64",
                                 GemmConfig(cutoff=CUT, backend="vendor"))
             assert svc.plan_cache.stats()["plans"] == 1
-            assert svc.plan_cache.peek(sig).fused is not None
+            assert svc.plan_cache.peek(sig) is not None
 
 
 # ---------------------------------------------------------------------- #

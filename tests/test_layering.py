@@ -72,10 +72,12 @@ NETWORK_FREE_LAYERS = ("repro.blas", "repro.core", "repro.plan",
                        "repro.serve", "repro.fuzz", "repro.tune")
 
 
-#: modules only offline calibration and tuning runs need
+#: modules only offline runs need: calibration, tuning, load generation
+#: and fuzzing
 OFFLINE_ONLY = ("repro.tune.apply", "repro.tune.feed", "repro.tune.measure",
                 "repro.tune.search", "repro.machines.calibrate",
-                "repro.models")
+                "repro.models", "repro.serve.loadgen", "repro.fuzz",
+                "repro.api.wirefuzz")
 
 
 def _module_name(path: Path) -> str:

@@ -4,10 +4,12 @@ The load-bearing property is the three-way exactness cross-check: for a
 grid of signatures (even, odd, prime, and degenerate dimensions), the
 op/kernel tallies a compiled plan *predicts* must equal both what
 :func:`recursion_profile` predicts analytically and what a live
-instrumented recursive call actually *does* — and replaying the plan
-must reproduce the recursive result bit for bit with the same kernel
-counts.  Everything else (LRU behaviour, pooled replay, validation
-errors) is mechanism around that invariant.
+instrumented vendor walk actually *does* — and replaying the plan must
+reproduce the walk's result bit for bit with the same kernel counts.
+A plan is the fused program of a vendor signature under fast accuracy,
+so the walk it pairs with is ``dgefmm(backend="vendor")``.  Everything
+else (LRU behaviour, pooled replay, validation errors) is mechanism
+around that invariant.
 """
 
 import numpy as np
@@ -17,7 +19,7 @@ from repro.blas.level3 import DEFAULT_TILE
 from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import DepthCutoff, HybridCutoff, SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial, zgefmm
+from repro.core.dgefmm import dgefmm, zgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.pool import WorkspacePool, workspace_bound_bytes
 from repro.core.recursion import recursion_profile
@@ -29,6 +31,7 @@ from repro.plan import (
     execute_plan,
     signature_for,
 )
+from repro.plan.ops import OP_EVENT
 
 #: grid of op-shapes: powers of two, odd, prime, thin, and degenerate
 GRID = [
@@ -47,12 +50,16 @@ CUT = SimpleCutoff(8)
 
 
 def _sig(m, k, n, beta=0.0, scheme="auto", peel="tail", cutoff=CUT,
-         dtype="float64", accuracy="fast"):
+         dtype="float64", accuracy="fast", backend="vendor"):
     cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=cutoff,
-                     nb=DEFAULT_TILE, backend="substrate",
+                     nb=DEFAULT_TILE, backend=backend,
                      dtype=dtype, accuracy=accuracy)
     return signature_for(m, k, n, False, False, False, beta == 0.0,
                          dtype, cfg)
+
+
+def _events(events):
+    return [(e.action, e.m, e.k, e.n, e.depth, e.scheme) for e in events]
 
 
 class TestExactnessCrossCheck:
@@ -72,8 +79,9 @@ class TestExactnessCrossCheck:
         c_rec = np.asfortranarray(rng.standard_normal((m, n)))
         c_pln = c_rec.copy(order="F")
         ctx_r = ExecutionContext(trace=True)
-        ctx_p = ExecutionContext(trace=True)
-        dgefmm(a, b, c_rec, 1.0, beta, cutoff=CUT, ctx=ctx_r)
+        ctx_p = ExecutionContext()
+        dgefmm(a, b, c_rec, 1.0, beta, cutoff=CUT, ctx=ctx_r,
+               backend="vendor")
         execute_plan(plan, a, b, c_pln, 1.0, beta, ctx=ctx_p)
 
         assert np.array_equal(c_rec, c_pln)
@@ -83,13 +91,10 @@ class TestExactnessCrossCheck:
         assert ctx_p.kernel_calls == ctx_r.kernel_calls
         assert ctx_p.mul_flops == ctx_r.mul_flops
         assert ctx_p.add_flops == ctx_r.add_flops
-        # the event stream replays too (action, dims, depth, scheme)
-        assert (
-            [(e.action, e.m, e.k, e.n, e.depth, e.scheme)
-             for e in ctx_p.events]
-            == [(e.action, e.m, e.k, e.n, e.depth, e.scheme)
-                for e in ctx_r.events]
-        )
+        # the recorded stream holds the walk's events (action, dims,
+        # depth, scheme)
+        assert (_events(op[1] for op in plan.stream if op[0] == OP_EVENT)
+                == _events(ctx_r.events))
         assert (ctx_p.stats["workspace_peak_bytes"]
                 == ctx_r.stats["workspace_peak_bytes"])
 
@@ -105,7 +110,7 @@ class TestExactnessCrossCheck:
         c_pln = c_rec.copy(order="F")
         ctx_r, ctx_p = ExecutionContext(), ExecutionContext()
         dgefmm(a, b, c_rec, 1.5, 0.5, cutoff=CUT, scheme=scheme,
-               peel=peel, ctx=ctx_r)
+               peel=peel, ctx=ctx_r, backend="vendor")
         plan = compile_plan(_sig(m, k, n, 0.5, scheme, peel))
         execute_plan(plan, a, b, c_pln, 1.5, 0.5, ctx=ctx_p)
         assert np.array_equal(c_rec, c_pln)
@@ -125,7 +130,7 @@ class TestExactnessCrossCheck:
         b = np.asfortranarray(rng.standard_normal((k, n)))
         c_rec = np.zeros((m, n), order="F")
         c_pln = np.zeros((m, n), order="F")
-        dgefmm(a, b, c_rec, cutoff=cutoff)
+        dgefmm(a, b, c_rec, cutoff=cutoff, backend="vendor")
         execute_plan(plan, a, b, c_pln, 1.0, 0.0,
                      ctx=ExecutionContext())
         assert np.array_equal(c_rec, c_pln)
@@ -134,17 +139,36 @@ class TestExactnessCrossCheck:
         """alpha == 0 compiles to the degenerate C <- beta*C plan."""
         m, k, n = 24, 24, 24
         sig = signature_for(m, k, n, False, False, True, False,
-                            "float64", GemmConfig(cutoff=CUT))
+                            "float64", GemmConfig(cutoff=CUT,
+                                                  backend="vendor"))
         plan = compile_plan(sig)
         assert plan.counts["base"] == 0
         c_rec = np.asfortranarray(rng.standard_normal((m, n)))
         c_pln = c_rec.copy(order="F")
         a = np.asfortranarray(rng.standard_normal((m, k)))
         b = np.asfortranarray(rng.standard_normal((k, n)))
-        dgefmm(a, b, c_rec, 0.0, 0.75, cutoff=CUT)
+        dgefmm(a, b, c_rec, 0.0, 0.75, cutoff=CUT, backend="vendor")
         execute_plan(plan, a, b, c_pln, 0.0, 0.75,
                      ctx=ExecutionContext())
         assert np.array_equal(c_rec, c_pln)
+
+
+class TestFusableOnly:
+    """A plan is a fused vendor program: every other signature is
+    refused at compile time (``tests/test_fuse.py`` pins the contexts
+    replay refuses)."""
+
+    @pytest.mark.parametrize("knobs", [
+        dict(backend="substrate"),
+        dict(dtype="float32", accuracy="compensated"),
+        dict(dtype="int64", accuracy="exact"),
+        dict(dtype="object", accuracy="exact"),
+    ], ids=["substrate", "compensated", "int64", "object"])
+    def test_compile_refuses_unfusable_signatures(self, knobs):
+        sig = _sig(16, 16, 16, **knobs)
+        assert not sig.config().fusable
+        with pytest.raises(ArgumentError, match="fusable"):
+            compile_plan(sig)
 
 
 class TestParallelPlans:
@@ -455,7 +479,7 @@ class TestExecutorValidation:
         for alpha, beta in [(2.0, 1.0), (-0.5, 3.25), (1e-3, -1.0)]:
             c_rec = np.asfortranarray(rng.standard_normal((20, 20)))
             c_pln = c_rec.copy(order="F")
-            dgefmm(a, b, c_rec, alpha, beta, cutoff=CUT)
+            dgefmm(a, b, c_rec, alpha, beta, cutoff=CUT, backend="vendor")
             execute_plan(plan, a, b, c_pln, alpha, beta,
                          ctx=ExecutionContext())
             assert np.array_equal(c_rec, c_pln)
@@ -483,10 +507,12 @@ class TestPlanIntrospection:
         c1 = np.asfortranarray(rng.standard_normal((m, n))
                                + 1j * rng.standard_normal((m, n)))
         c2 = c1.copy(order="F")
-        zgefmm(a, b, c1, 1 - 1j, 0.5j, cutoff=CUT)
-        replay_serial(a, b, c2, 1 - 1j, 0.5j, cutoff=CUT,
-                      plan_cache=PlanCache())
+        zgefmm(a, b, c1, 1 - 1j, 0.5j, cutoff=CUT, backend="vendor")
+        cache = PlanCache()
+        zgefmm(a, b, c2, 1 - 1j, 0.5j, cutoff=CUT, backend="vendor",
+               plan_cache=cache)
         assert np.array_equal(c1, c2)
+        assert cache.misses == 1
 
 
 class TestPlanCLI:
@@ -564,17 +590,44 @@ class TestSignatureCompleteness:
     """Every behavior-affecting knob must be part of the cache key.
 
     This is the pin for the PlanSignature completeness audit (see the
-    dataclass docstring in repro/plan/compiler.py): drive the *driver*
-    (not the cache directly) through one shared PlanCache, mutating one
-    knob at a time on a square problem — where a transpose flips nothing
-    about operand shapes — and require every mutation to MISS.  A hit
-    here would mean replaying a plan compiled for different semantics.
-    The driver is ``replay_serial``, which replays a cached plan for
-    every config: ``dgefmm`` and ``pdgefmm`` cache only the fused plans
-    of recursing vendor calls under fast accuracy.
+    dataclass docstring in repro/plan/compiler.py): mutating one knob at
+    a time on a square problem — where a transpose flips nothing about
+    operand shapes — must give an unequal :func:`signature_for`.  The
+    mutations that stay fusable drive the *driver* (not the cache
+    directly) through one shared PlanCache, ``dgefmm(backend="vendor",
+    plan_cache=)`` at a recursing root, and each must MISS.  A hit here
+    would mean replaying a plan compiled for different semantics.  The
+    others (another backend or accuracy) walk and leave the cache alone.
     """
 
     DIM = 12
+
+    VARIANTS = [
+        ("transa", dict(transa=True)),
+        ("transb", dict(transb=True)),
+        ("scheme", dict(scheme="strassen2")),
+        ("peel", dict(peel="head")),
+        ("nb", dict(nb=DEFAULT_TILE // 2)),
+        ("dtype", dict(dtype="float32")),
+        ("dtype-complex", dict(dtype="complex128")),
+        ("cutoff", dict(cutoff=SimpleCutoff(6))),
+        ("beta-class", dict(beta=0.0)),
+        ("backend", dict(backend="substrate")),
+        ("accuracy", dict(accuracy="compensated")),
+    ]
+
+    @staticmethod
+    def _knobs(kw):
+        kw = dict(kw)
+        kw.setdefault("cutoff", SimpleCutoff(4))
+        kw.setdefault("backend", "vendor")
+        return kw
+
+    def _signature(self, *, dtype="float64", beta=0.5, transa=False,
+                   transb=False, **kw):
+        cfg = GemmConfig(dtype=dtype, **self._knobs(kw))
+        return signature_for(self.DIM, self.DIM, self.DIM, transa, transb,
+                             False, beta == 0.0, dtype, cfg)
 
     def _drive(self, cache, rng, *, dtype="float64", beta=0.5, **kw):
         d = np.dtype(dtype)
@@ -584,32 +637,30 @@ class TestSignatureCompleteness:
         a = np.asfortranarray(x.astype(d))
         b = np.asfortranarray(x.T.copy().astype(d))
         c = np.asfortranarray(x.copy().astype(d))
-        kw.setdefault("cutoff", SimpleCutoff(4))
-        replay_serial(a, b, c, 1.0, beta, plan_cache=cache, **kw)
+        dgefmm(a, b, c, 1.0, beta, plan_cache=cache, **self._knobs(kw))
 
     def test_each_knob_mutation_misses(self, rng):
         cache = PlanCache()
         self._drive(cache, rng)            # base signature
         assert (cache.misses, cache.hits) == (1, 0)
-        variants = [
-            ("transa", dict(transa=True)),
-            ("transb", dict(transb=True)),
-            ("scheme", dict(scheme="strassen2")),
-            ("peel", dict(peel="head")),
-            ("nb", dict(nb=DEFAULT_TILE // 2)),
-            ("dtype", dict(dtype="float32")),
-            ("dtype-complex", dict(dtype="complex128")),
-            ("accuracy", dict(accuracy="compensated")),
-            ("cutoff", dict(cutoff=SimpleCutoff(6))),
-            ("backend", dict(backend="vendor")),
-            ("beta-class", dict(beta=0.0)),
-        ]
-        for idx, (name, kw) in enumerate(variants, start=2):
+        seen = {self._signature()}
+        for name, kw in self.VARIANTS:
+            sig = self._signature(**kw)
+            assert sig not in seen, f"{name} mutation kept the signature"
+            seen.add(sig)
+            misses = cache.misses
             self._drive(cache, rng, **kw)
-            assert cache.misses == idx, f"{name} mutation hit the cache"
+            if sig.config().fusable:
+                assert cache.misses == misses + 1, (
+                    f"{name} mutation hit the cache")
+                assert cache.peek(sig) is not None, name
+            else:
+                assert cache.misses == misses, f"{name} touched the cache"
         assert cache.hits == 0
         self._drive(cache, rng)            # base again: must hit now
-        assert cache.hits == 1 and cache.misses == len(variants) + 1
+        fusable = sum(self._signature(**kw).config().fusable
+                      for _name, kw in self.VARIANTS)
+        assert cache.hits == 1 and cache.misses == 1 + fusable
 
     def test_parallel_depth_in_key(self, rng):
         """A product's plan is keyed by its root depth: the 12^3

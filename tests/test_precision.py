@@ -43,11 +43,11 @@ from repro.blas.dtypes import (
 from repro.context import ExecutionContext
 from repro.core.config import GemmConfig
 from repro.core.cutoff import NeverRecurse, SimpleCutoff
-from repro.core.dgefmm import dgefmm, replay_serial
+from repro.core.dgefmm import dgefmm
 from repro.core.parallel import pdgefmm
 from repro.core.stability import measure_error, normwise_bound
 from repro.errors import ArgumentError
-from repro.plan import PlanCache
+from repro.plan import compile_plan, signature_for
 
 CUT = SimpleCutoff(8)
 
@@ -247,11 +247,13 @@ class TestExactDiscipline:
             run(c)
             assert not any(isinstance(v, float) for v in c.flat), name
             assert (c == want).all(), name
-        # serial replay refuses object operands: plans are typed views
-        with pytest.raises(ArgumentError, match="object-dtype"):
-            replay_serial(a, b, np.zeros((9, 9), dtype=object),
-                          plan_cache=PlanCache(), cutoff=SimpleCutoff(2),
-                          peel=peel)
+        # no plan compiles for object operands: plans are fused vendor
+        # programs over typed views
+        cfg = GemmConfig(cutoff=SimpleCutoff(2), peel=peel,
+                         dtype="object", accuracy="exact")
+        with pytest.raises(ArgumentError, match="fusable"):
+            compile_plan(signature_for(9, 9, 9, False, False, False, True,
+                                       "object", cfg))
 
     def test_exact_rejects_fractional_scalars(self, rng):
         a, b, c = _operands(rng, "int64", 8, 8, 8)

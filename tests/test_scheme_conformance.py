@@ -89,7 +89,7 @@ def _rect_exact(scheme: str, depth: int):
 
 
 def _plan_sig(m, k, n, beta_zero, scheme, cutoff):
-    cfg = GemmConfig(scheme=scheme, cutoff=cutoff)
+    cfg = GemmConfig(scheme=scheme, cutoff=cutoff, backend="vendor")
     return signature_for(
         m, k, n, False, False, False, beta_zero, "float64", cfg
     )

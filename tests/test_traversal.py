@@ -198,7 +198,8 @@ def test_decision_trace_equivalence(m, k, n, ci, si, peel, beta):
     profile's node counts — for every shape/cutoff/scheme/peel/beta."""
     crit = _CUTOFFS[ci]
     scheme = _SCHEMES[si]
-    cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=crit)
+    cfg = GemmConfig(scheme=scheme, peel=peel, cutoff=crit,
+                     backend="vendor")
 
     rng = np.random.default_rng(m * 1663 + k * 97 + n)
     a = np.asfortranarray(rng.standard_normal((m, k)))
@@ -213,7 +214,7 @@ def test_decision_trace_equivalence(m, k, n, ci, si, peel, beta):
                         beta == 0.0, "float64", cfg)
     plan = compile_plan(sig)
     compiled = _event_tuples(
-        op[1] for op in plan.ops if op[0] == OP_EVENT
+        op[1] for op in plan.stream if op[0] == OP_EVENT
     )
     assert compiled == live
 
