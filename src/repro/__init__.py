@@ -15,7 +15,7 @@ The package provides:
 - :mod:`repro.machines` — calibrated RS/6000, C90, T3D cost models and
   the dry-run simulation machinery;
 - :mod:`repro.serve` — in-process batched GEMM serving (admission
-  control, signature-keyed micro-batching, live metrics);
+  control, FIFO micro-batching, live metrics);
 - :mod:`repro.eigensolver` — the ISDA application of Section 4.4;
 - :mod:`repro.harness` — one function per paper table/figure
   (``python -m repro.harness.report`` regenerates them all).

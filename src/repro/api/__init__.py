@@ -4,9 +4,8 @@ The layer above :mod:`repro.serve`: an asyncio HTTP + WebSocket server
 (:class:`~repro.api.server.ApiServer`, ``python -m repro api serve``)
 routes wire requests across a pool of worker *processes*, each hosting
 its own :class:`~repro.serve.service.GemmService` with a private plan
-cache and workspace pool.  Requests shard by plan signature over a
-consistent hash ring (:class:`~repro.api.router.Router`), so every
-signature keeps hitting the same warm worker; operands travel through
+cache and workspace pool.  Each request goes to the least-loaded live
+worker (:class:`~repro.api.router.Router`); operands travel through
 per-worker shared memory (:class:`~repro.api.shm.ShmArena`) rather
 than pickles; per-client token buckets
 (:class:`~repro.api.ratelimit.ClientLimits`) and per-shard admission
@@ -35,7 +34,7 @@ from repro.api.protocol import (
     validate_gemm,
 )
 from repro.api.ratelimit import ClientLimits, TokenBucket
-from repro.api.router import HashRing, Router, ShardGate, routing_signature
+from repro.api.router import Router, ShardGate
 from repro.api.server import ApiServer, ApiServerThread
 from repro.api.shm import ShmArena, ShmLease
 
@@ -60,7 +59,6 @@ __all__ = [
     "ApiServerThread",
     "ClientLimits",
     "GemmClient",
-    "HashRing",
     "HTTP_STATUS",
     "ProtocolError",
     "Router",
@@ -73,7 +71,6 @@ __all__ = [
     "http_gemm",
     "http_get",
     "pack_message",
-    "routing_signature",
     "run_wire_fuzz",
     "unpack_message",
     "validate_gemm",

@@ -1,24 +1,18 @@
-"""Signature-sharded router over a pool of worker processes.
+"""Least-loaded router over a pool of worker processes.
 
 The router owns the worker pool: it spawns each
 :func:`~repro.api.worker.worker_main` process (``spawn`` context — the
 front-end runs an event loop and threads, which ``fork`` would
 duplicate into the children), one pipe and one
 :class:`~repro.api.shm.ShmArena` per worker, and dispatches every
-request to the shard its **plan signature** consistently hashes to.
-Sharding by signature is the point of the whole design: a signature
-always lands on the same worker, so that worker's queue batches its
-requests together, its :class:`~repro.core.pool.WorkspacePool` keeps
-warm arenas sized for exactly the signatures it serves, and a vendor
-signature whose root recurses compiles its fused plan once in the
-worker's private :class:`~repro.plan.cache.PlanCache` — warm serving
-without any cross-process cache coherence.
-
-The hash ring is the classic consistent-hashing construction (64
-virtual nodes per shard, BLAKE2b points): adding or losing a worker
-remaps only the keys adjacent to its vnodes, and lookups walk the ring
-past dead shards so a crashed worker degrades capacity instead of
-availability.
+request to the live shard with the fewest requests in flight through
+its :class:`ShardGate`; ties go to the shard that has routed the fewest
+requests so far.  A request's result does not depend on the shard that
+computes it, so the router reads nothing of the request to choose:
+every shard serves every signature, and a vendor signature whose root
+recurses compiles its fused plan once in each shard's private plan
+cache — no cross-process cache coherence.  A dead shard is skipped, so
+a crashed worker degrades capacity instead of availability.
 
 Backpressure mirrors the in-process admission policies
 (:mod:`repro.serve.queue`) at the dispatch boundary: each shard has a
@@ -43,8 +37,6 @@ in-flight requests with :class:`~repro.errors.ServiceError`.
 from __future__ import annotations
 
 import asyncio
-import bisect
-import hashlib
 import itertools
 import multiprocessing as mp
 import pickle
@@ -57,9 +49,6 @@ from typing import Any, Deque, Dict, List, Optional, Sequence, Tuple
 
 from repro.api.shm import ShmArena, ShmLease
 from repro.api.worker import worker_main
-from repro.blas.level3 import DEFAULT_TILE
-from repro.core.config import resolve_config
-from repro.core.cutoff import SimpleCutoff
 from repro.errors import (
     ArgumentError,
     ServiceClosed,
@@ -68,88 +57,15 @@ from repro.errors import (
     ServiceTimeout,
     WorkspaceError,
 )
-from repro.plan.compiler import signature_for
 from repro.serve.queue import POLICIES
 
-__all__ = ["HashRing", "Router", "ShardGate", "routing_signature"]
+__all__ = ["Router", "ShardGate"]
 
 #: default shared-memory transport size per worker
 DEFAULT_ARENA_BYTES = 64 * 1024 * 1024
 
 #: control key of the drain reply, which carries no token (tokens are > 0)
 _DRAIN = -1
-
-
-# ---------------------------------------------------------------------- #
-# consistent hashing
-# ---------------------------------------------------------------------- #
-def _hash_point(key: str) -> int:
-    digest = hashlib.blake2b(key.encode("utf-8"), digest_size=8).digest()
-    return int.from_bytes(digest, "big")
-
-
-class HashRing:
-    """Consistent hash ring: ``vnodes`` points per shard, BLAKE2b keyed.
-
-    Deterministic across processes and runs (no PYTHONHASHSEED
-    dependence), so a given signature routes to the same shard on every
-    server start with the same worker count — warm-start friendly.
-    """
-
-    def __init__(self, n_shards: int, vnodes: int = 64) -> None:
-        if n_shards < 1:
-            raise ArgumentError(
-                "HashRing", "n_shards", f"must be >= 1, got {n_shards}"
-            )
-        self.n_shards = n_shards
-        self.vnodes = vnodes
-        points: List[Tuple[int, int]] = []
-        for idx in range(n_shards):
-            for v in range(vnodes):
-                points.append((_hash_point(f"shard-{idx}-vnode-{v}"), idx))
-        points.sort()
-        self._points = points
-        self._keys = [p[0] for p in points]
-
-    def lookup(self, key: str, alive=None) -> Optional[int]:
-        """Shard index for ``key``; walks past shards ``alive`` rejects.
-
-        Returns None when every shard is rejected (no live workers).
-        """
-        h = _hash_point(key)
-        start = bisect.bisect_left(self._keys, h) % len(self._points)
-        for step in range(len(self._points)):
-            idx = self._points[(start + step) % len(self._points)][1]
-            if alive is None or alive(idx):
-                return idx
-        return None
-
-
-def routing_signature(g: Dict[str, Any]) -> str:
-    """The ring key for one validated gemm request.
-
-    Batchable requests key on the **exact PlanSignature** their shard's
-    service will batch them by (resolved through the same
-    ``resolve_config`` and ``signature_for`` the in-process path uses,
-    wire defaults for ``nb``/``backend``), so shard-affinity and
-    batching can never drift apart, and a repeated request builds
-    neither a config nor a signature.  Degenerate problems (zero
-    dims, ``alpha == 0``) never reach the plan machinery; they key on
-    their coordinates just to spread across shards.
-    """
-    m, k, n = g["m"], g["k"], g["n"]
-    if m == 0 or n == 0 or k == 0 or g["alpha"] == 0:
-        return f"solo:{m}x{k}x{n}:{g['dtype']}"
-    cfg = resolve_config(
-        g["scheme"], g["peel"],
-        None if g["tau"] is None else SimpleCutoff(g["tau"]),
-        DEFAULT_TILE, "substrate", g["dtype"], g.get("accuracy"),
-    )
-    sig = signature_for(
-        m, k, n, g["transa"], g["transb"], False, g["beta"] == 0,
-        g["dtype"], cfg,
-    )
-    return repr(sig)
 
 
 # ---------------------------------------------------------------------- #
@@ -345,7 +261,6 @@ class Router:
         self.profile_dir = profile_dir
         self.policy = str(policy)
         self.arena_bytes = int(arena_bytes)
-        self.ring = HashRing(self.workers)
         self._shards: List[_Shard] = [_Shard(i) for i in range(self.workers)]
         self._ids = itertools.count(1)
         self._loop: Optional[asyncio.AbstractEventLoop] = None
@@ -399,10 +314,19 @@ class Router:
     # ------------------------------------------------------------------ #
     # dispatch
     # ------------------------------------------------------------------ #
+    def _pick(self) -> _Shard:
+        """The live shard with the fewest requests in flight, ties to
+        the one that has routed the fewest."""
+        live = [s for s in self._shards if s.alive]
+        if not live:
+            raise ServiceClosed("no live workers")
+        return min(live, key=lambda s: (s.gate.inflight, s.routed))
+
     async def dispatch(
         self, g: Dict[str, Any], payloads: Sequence[bytes]
     ) -> Tuple[Dict[str, Any], bytes]:
-        """Route one validated gemm request; returns (header, payload).
+        """Route one validated gemm request to the least-loaded live
+        shard; returns (header, payload).
 
         Worker-reported failures come back as ``status="error"``
         headers; router-side failures (overload, timeout, closed) raise
@@ -411,11 +335,8 @@ class Router:
         """
         if self._draining or not self._started:
             raise ServiceClosed("api server is draining")
-        idx = self.ring.lookup(routing_signature(g),
-                               alive=lambda i: self._shards[i].alive)
-        if idx is None:
-            raise ServiceClosed("no live workers")
-        shard = self._shards[idx]
+        shard = self._pick()
+        idx = shard.idx
         deadline = None
         if g["timeout_ms"] is not None:
             deadline = time.monotonic() + g["timeout_ms"] / 1e3

@@ -3,13 +3,13 @@
 Each worker is a separate OS process hosting its own
 :class:`~repro.serve.service.GemmService` with a **private**
 :class:`~repro.plan.cache.PlanCache` and
-:class:`~repro.core.pool.WorkspacePool`.  The router shards requests by
-plan signature, so every signature lands on the same worker run after
-run — its pooled arenas stay warm, and a request that a tuned profile
-gives the vendor backend compiles its fused plan once, when its root
-recurses, in this worker's cache (the amortization
-the in-process service already exploits, now multiplied across
-processes instead of fighting over one GIL).
+:class:`~repro.core.pool.WorkspacePool`.  The router sends each request
+to the least-loaded worker, so every worker serves every signature: a
+request that a tuned profile gives the vendor backend compiles its
+fused plan once per worker, when its root recurses, in this worker's
+cache, and the pool keeps arenas sized for the shapes this worker has
+served (the amortization the in-process service already exploits, now
+multiplied across processes instead of fighting over one GIL).
 
 Operands never travel through the pipe: the router leases regions of
 this worker's :class:`~repro.api.shm.ShmArena` and sends a descriptor

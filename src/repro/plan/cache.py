@@ -75,22 +75,11 @@ class PlanCache:
                 self.hits += 1
                 self._plans.move_to_end(signature)
                 return plan
+            plan = compile_plan(signature)   # a refused one counts nothing
             self.misses += 1
-            plan = compile_plan(signature)
             self._plans[signature] = plan
             self._bytes += plan.nbytes
             self._evict()
-            return plan
-
-    def get(self, signature: PlanSignature) -> Optional[ExecutionPlan]:
-        """Peek without compiling (still counts a hit/miss)."""
-        with self._lock:
-            plan = self._plans.get(signature)
-            if plan is None:
-                self.misses += 1
-                return None
-            self.hits += 1
-            self._plans.move_to_end(signature)
             return plan
 
     def peek(self, signature: PlanSignature) -> Optional[ExecutionPlan]:
@@ -106,9 +95,10 @@ class PlanCache:
         """``hits / (hits + misses)`` so far (0.0 before any lookup).
 
         Shares :meth:`_hit_rate_locked` with :meth:`stats`, so the two
-        can never disagree on the denominator: every lookup — hit or
-        miss, including lookups whose entries were later evicted or
-        dropped by :meth:`clear` — counts exactly once in both.
+        can never disagree on the denominator: every lookup that returns
+        a plan — hit or miss, including lookups whose entries were later
+        evicted or dropped by :meth:`clear` — counts exactly once in
+        both.
         """
         with self._lock:
             return self._hit_rate_locked()
@@ -146,7 +136,8 @@ class PlanCache:
         Taken under the cache lock, so the snapshot is *consistent*:
         ``misses - evictions - plans`` equals the number of entries
         dropped by :meth:`clear` (zero when clear was never called), no
-        matter how many threads are churning the cache concurrently.
+        matter how many threads are churning the cache concurrently: a
+        miss is counted only when its plan is inserted.
         """
         with self._lock:
             return {

@@ -3,9 +3,9 @@
 The subsystem turns the library's drivers into a long-lived service:
 :class:`~repro.serve.service.GemmService` accepts ``C <-
 alpha*op(A)*op(B) + beta*C`` requests into a bounded
-admission-controlled queue, groups them by plan signature into
-micro-batches, runs each request through ``dgefmm``'s serial path on a
-worker pool (the walk, in a pooled arena when the root recurses, or a
+admission-controlled queue, hands each worker the oldest queued
+requests as a micro-batch, runs each request through ``dgefmm``'s
+serial path on a worker pool (the walk, in a pooled arena when the root recurses, or a
 vendor request's cached fused plan), and
 reports live metrics (queue depth, batch sizes, wait/compute split,
 tail latency, cache hit rate).

@@ -1,4 +1,4 @@
-"""Bounded admission queue with signature-keyed micro-batch formation.
+"""Bounded FIFO admission queue with micro-batch formation.
 
 The queue is the service's pressure point: submissions race workers for
 a bounded buffer, and what happens at capacity is an explicit,
@@ -19,23 +19,19 @@ configurable *policy* rather than an accident of buffering:
     the queue holds the newest work, and the shed request's future
     fails immediately instead of waiting out a doomed deadline.
 
-Requests are bucketed by plan signature as they arrive, so batch
-formation is O(distinct signatures), not O(queue): a worker takes the
-bucket whose *head is globally oldest* (no signature can starve) and
-drains up to ``max_batch`` requests from it — one worker wakeup and
-queue handoff for the whole batch, whose requests then run back to
-back.  Unbatchable requests
-(degenerate problems, ``signature is None``) get a private bucket each
-and ride through as singleton batches.
+A worker takes the oldest queued requests, up to ``max_batch``, whatever
+their signatures — one worker wakeup and queue handoff for the whole
+batch, whose requests then run back to back.  Each request makes its
+own call into ``dgefmm``'s serial path, so nothing in a batch depends on
+its mates.
 """
 
 from __future__ import annotations
 
-import itertools
 import threading
 import time
-from collections import OrderedDict, deque
-from typing import Deque, Dict, Hashable, List, Optional
+from collections import deque
+from typing import Deque, List, Optional
 
 from repro.errors import ArgumentError, ServiceClosed, ServiceOverloaded
 from repro.serve.request import GemmRequest
@@ -47,13 +43,8 @@ POLICIES = ("reject", "block", "shed-oldest")
 
 
 class AdmissionQueue:
-    """Bounded, signature-bucketed FIFO with pluggable overflow policy.
-
-    FIFO is global across buckets in the sense that matters for
-    fairness: admission order assigns a monotone sequence number, batch
-    formation always serves the bucket holding the oldest outstanding
-    request, and ``shed-oldest`` evicts the globally oldest request.
-    """
+    """Bounded FIFO with pluggable overflow policy: batches come off the
+    head, and ``shed-oldest`` evicts the head."""
 
     def __init__(self, capacity: int = 256, policy: str = "reject") -> None:
         if capacity < 1:
@@ -71,45 +62,15 @@ class AdmissionQueue:
         self._lock = threading.Lock()
         self._not_empty = threading.Condition(self._lock)
         self._not_full = threading.Condition(self._lock)
-        self._buckets: "OrderedDict[Hashable, Deque[GemmRequest]]" = (
-            OrderedDict()
-        )
-        self._count = 0
+        self._queue: Deque[GemmRequest] = deque()
         self._closed = False
-        self._seq = itertools.count()
 
     # ------------------------------------------------------------------ #
     @property
     def depth(self) -> int:
         """Requests currently queued."""
         with self._lock:
-            return self._count
-
-    def _key(self, req: GemmRequest) -> Hashable:
-        # degenerate requests are unbatchable: a unique key each
-        if req.signature is None:
-            return ("solo", req.seq)
-        return req.signature
-
-    def _insert(self, req: GemmRequest) -> None:
-        # caller holds the lock; seq must already be assigned
-        bucket = self._buckets.get(self._key(req))
-        if bucket is None:
-            self._buckets[self._key(req)] = deque((req,))
-        else:
-            bucket.append(req)
-        self._count += 1
-        self._not_empty.notify()
-
-    def _pop_oldest(self) -> GemmRequest:
-        # caller holds the lock; queue must be non-empty
-        oldest_key = min(self._buckets, key=lambda k: self._buckets[k][0].seq)
-        bucket = self._buckets[oldest_key]
-        req = bucket.popleft()
-        if not bucket:
-            del self._buckets[oldest_key]
-        self._count -= 1
-        return req
+            return len(self._queue)
 
     # ------------------------------------------------------------------ #
     def put(
@@ -127,17 +88,17 @@ class AdmissionQueue:
             if self._closed:
                 raise ServiceClosed("queue is closed to submissions")
             shed: Optional[GemmRequest] = None
-            if self._count >= self.capacity:
+            if len(self._queue) >= self.capacity:
                 if self.policy == "reject":
                     raise ServiceOverloaded(
-                        f"queue full ({self._count}/{self.capacity})"
+                        f"queue full ({len(self._queue)}/{self.capacity})"
                     )
                 if self.policy == "block":
                     deadline = (
                         None if timeout is None
                         else time.monotonic() + timeout
                     )
-                    while self._count >= self.capacity:
+                    while len(self._queue) >= self.capacity:
                         if self._closed:
                             raise ServiceClosed(
                                 "queue closed while waiting for space"
@@ -151,18 +112,18 @@ class AdmissionQueue:
                             ):
                                 raise ServiceOverloaded(
                                     f"no queue space within {timeout} s "
-                                    f"({self._count}/{self.capacity})"
+                                    f"({len(self._queue)}/{self.capacity})"
                                 )
                 else:  # shed-oldest
-                    shed = self._pop_oldest()
-            req.seq = next(self._seq)
-            self._insert(req)
+                    shed = self._queue.popleft()
+            self._queue.append(req)
+            self._not_empty.notify()
             return shed
 
     def take_batch(
         self, max_batch: int, timeout: Optional[float] = None
     ) -> Optional[List[GemmRequest]]:
-        """Oldest-first batch of same-signature requests; None on close.
+        """The oldest queued requests, up to ``max_batch``; None on close.
 
         Blocks until work arrives (or ``timeout`` elapses — then an
         empty list is returned so pollers can heartbeat).  After
@@ -175,21 +136,13 @@ class AdmissionQueue:
                 f"must be >= 1, got {max_batch}",
             )
         with self._lock:
-            while self._count == 0:
+            while not self._queue:
                 if self._closed:
                     return None
                 if not self._not_empty.wait(timeout):
                     return []
-            first = self._pop_oldest()
-            batch = [first]
-            key = self._key(first)
-            bucket = self._buckets.get(key)
-            if bucket is not None and first.signature is not None:
-                while bucket and len(batch) < max_batch:
-                    batch.append(bucket.popleft())
-                    self._count -= 1
-                if not bucket:
-                    del self._buckets[key]
+            q = self._queue
+            batch = [q.popleft() for _ in range(min(max_batch, len(q)))]
             self._not_full.notify(len(batch))
             return batch
 
@@ -204,16 +157,14 @@ class AdmissionQueue:
     def drain(self) -> List[GemmRequest]:
         """Remove and return everything queued (for failing at shutdown)."""
         with self._lock:
-            out: List[GemmRequest] = []
-            while self._count:
-                out.append(self._pop_oldest())
+            out = list(self._queue)
+            self._queue.clear()
             self._not_full.notify_all()
             return out
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
         with self._lock:
             return (
-                f"AdmissionQueue(depth={self._count}/{self.capacity}, "
-                f"buckets={len(self._buckets)}, policy={self.policy!r}, "
-                f"closed={self._closed})"
+                f"AdmissionQueue(depth={len(self._queue)}/{self.capacity}, "
+                f"policy={self.policy!r}, closed={self._closed})"
             )

@@ -5,14 +5,10 @@ beta*C`` problem.  Admission runs the drivers' own front door
 (:func:`repro.core.dgefmm._prologue`) on the request's private output,
 so operand validation, dtype and accuracy resolution, exact-scalar
 coercion and the degenerate cases are exactly ``dgefmm``'s.  The
-request keeps the prologue's call, that output, and the call's serial
-:class:`~repro.plan.compiler.PlanSignature` — the key the micro-batcher
-groups by and, for a request that replays a fused plan, the plan
-cache's key.  A worker
-runs the call through ``dgefmm``'s own serial path.  Degenerate
-problems (empty output, ``k == 0``, ``alpha == 0``) are answered by the
-prologue at admission; they carry no call and no signature, so each
-queues alone.
+request keeps the prologue's call and that output; a worker runs the
+call through ``dgefmm``'s own serial path.  Degenerate problems (empty
+output, ``k == 0``, ``alpha == 0``) are answered by the prologue at
+admission and carry no call.
 
 A :class:`GemmFuture` is the caller's handle: ``result(timeout)`` blocks
 until the worker publishes the output array or the failure
@@ -146,8 +142,7 @@ class GemmRequest:
     ``dgefmm``'s.
     """
 
-    __slots__ = ("call", "out", "signature", "future", "deadline", "seq",
-                 "t_submit")
+    __slots__ = ("call", "out", "future", "deadline", "t_submit")
 
     def __init__(
         self,
@@ -178,17 +173,14 @@ class GemmRequest:
         else:
             require_matrix(where, "c", c)
             out = np.array(c, copy=True)
-        call = _prologue(
+        self.call = _prologue(
             where, a, b, out, alpha, beta, transa, transb,
             ensure_context(ctx), cutoff, scheme, peel, nb, backend,
             accuracy,
         )
-        self.call = call
         self.out = out
-        self.signature = None if call is None else call.signature()
         self.deadline = deadline
         self.future = GemmFuture()
-        self.seq = -1            # assigned at admission
         self.t_submit = time.monotonic()
 
     def expired(self, now: Optional[float] = None) -> bool:
@@ -198,4 +190,5 @@ class GemmRequest:
         return (time.monotonic() if now is None else now) > self.deadline
 
     def __repr__(self) -> str:  # pragma: no cover - debug aid
-        return f"GemmRequest({self.signature or 'degenerate'})"
+        kind = "degenerate" if self.call is None else self.call.cfg
+        return f"GemmRequest({self.out.shape}, {kind})"

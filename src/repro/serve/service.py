@@ -4,9 +4,8 @@ The service runs streams of requests through ``dgefmm``'s own serial
 path: a :class:`~repro.core.pool.WorkspacePool` amortizes workspace to
 zero fresh allocation, a :class:`~repro.plan.cache.PlanCache` compiles
 the fused plan of each vendor signature whose root recurses once, and
-the micro-batching scheduler
-amortizes the worker handoff — queue lock, worker wakeup — across
-batches of same-signature requests.
+the micro-batching scheduler amortizes the worker handoff — queue
+lock, worker wakeup — across batches of the oldest queued requests.
 
 Life of a request::
 
@@ -14,7 +13,7 @@ Life of a request::
              -> GemmRequest: private output + the drivers' prologue
                 (validation, dtype/accuracy, degenerate answers)
              -> AdmissionQueue (policy: reject/block/shed)
-             -> worker takes an oldest-first same-signature batch
+             -> worker takes the oldest queued requests as a batch
              -> one call into dgefmm's serial path per request: the
                 walk (in a pooled arena when the root recurses and the
                 dtype is typed), or, for a vendor request under fast
@@ -78,8 +77,8 @@ class GemmService:
         :mod:`repro.serve.queue`): ``"reject"``, ``"block"``, or
         ``"shed-oldest"``.
     max_batch:
-        Most same-signature requests a worker takes from the queue at
-        once and runs back to back.
+        Most requests a worker takes from the queue at once, oldest
+        first, and runs back to back.
     cutoff:
         Default cutoff criterion for submitted requests (must be a
         frozen, hashable criterion — it is part of the plan signature).
@@ -356,22 +355,19 @@ class GemmService:
         self, batch: List[GemmRequest], wctx: ExecutionContext
     ) -> None:
         t_start = time.monotonic()
-        live: List[GemmRequest] = []
+        self._m_batches.inc()
+        self._h_batch.observe(len(batch))
+
         for req in batch:
-            if req.expired(t_start):
+            t0 = time.monotonic()
+            # checked per request: a deadline can pass while the
+            # request's batch mates run
+            if req.expired(t0):
                 self._m_timeout.inc()
                 req.future._set_exception(ServiceTimeout(
                     "deadline expired before execution"
                 ))
-            else:
-                live.append(req)
-        if not live:
-            return
-        self._m_batches.inc()
-        self._h_batch.observe(len(live))
-
-        for req in live:
-            t0 = time.monotonic()
+                continue
             try:
                 # degenerate requests were answered at admission
                 if req.call is not None:
@@ -385,33 +381,37 @@ class GemmService:
             fut = req.future
             fut.wait_s = t_start - req.t_submit
             fut.compute_s = t1 - t0
-            fut.batch_size = len(live)
+            fut.batch_size = len(batch)
             self._h_wait.observe(fut.wait_s * 1e3)
             self._h_compute.observe(fut.compute_s * 1e3)
             latency_ms = (t1 - req.t_submit) * 1e3
             self._h_latency.observe(latency_ms)
-            self._record_signature(req.signature, latency_ms)
+            self._record_signature(req.call, latency_ms)
             self._m_completed.inc()
             fut._set_result(req.out)
 
     @staticmethod
-    def _sig_label(sig: Optional[Any]) -> str:
-        """Compact stable label for one plan signature's traffic."""
-        if sig is None:
+    def _sig_label(call: Optional[Any]) -> str:
+        """Compact stable label for one signature's traffic, read off
+        the request's validated call."""
+        if call is None:
             return "degenerate"
-        b = "b0" if sig.beta_zero else "bg"
+        m, k = call.a.shape
+        cfg = call.cfg
+        b = "b0" if call.beta == 0.0 else "bg"
         return (
-            f"{sig.m}x{sig.k}x{sig.n}:{sig.dtype}:{b}:{sig.scheme}"
-            f":{sig.backend}:{sig.accuracy}"
+            f"{m}x{k}x{call.b.shape[1]}:{cfg.dtype}:{b}:{cfg.scheme}"
+            f":{cfg.backend}:{cfg.accuracy}"
         )
 
-    def _record_signature(self, sig: Optional[Any], latency_ms: float) -> None:
+    def _record_signature(self, call: Optional[Any],
+                          latency_ms: float) -> None:
         """Charge one completion to its signature's traffic breakdown.
 
         The histogram family bounds label cardinality itself; the meta
         map mirrors that bound so both stay in step.
         """
-        label = self._sig_label(sig)
+        label = self._sig_label(call)
         with self._sig_lock:
             meta = self._sig_meta.get(label)
             if meta is None:
@@ -419,14 +419,15 @@ class GemmService:
                     label = "__overflow__"
                     meta = self._sig_meta.get(label)
                 if meta is None:
-                    # a degenerate request has no signature to describe
-                    meta = {} if sig is None else {
-                        "m": sig.m, "k": sig.k, "n": sig.n,
-                        "dtype": sig.dtype,
-                        "beta_zero": sig.beta_zero,
-                        "scheme": sig.scheme,
-                        "backend": sig.backend,
-                        "accuracy": sig.accuracy,
+                    # a degenerate request has no call to describe
+                    meta = {} if call is None else {
+                        "m": call.a.shape[0], "k": call.a.shape[1],
+                        "n": call.b.shape[1],
+                        "dtype": call.cfg.dtype,
+                        "beta_zero": bool(call.beta == 0.0),
+                        "scheme": call.cfg.scheme,
+                        "backend": call.cfg.backend,
+                        "accuracy": call.cfg.accuracy,
                     }
                     meta["count"] = 0
                     self._sig_meta[label] = meta

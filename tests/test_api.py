@@ -1,7 +1,7 @@
 """The network front-end (:mod:`repro.api`).
 
 Unit layers first — the shm transport allocator, token buckets, the
-consistent hash ring, the dispatch gate, the wire protocol — then the
+dispatch gate, the wire protocol — then the
 load-bearing end-to-end property at the bottom: a real server with two
 spawned worker processes answers **bit-identically** to an in-process
 ``dgefmm`` on the canonical (as-transmitted) operands, across every
@@ -34,7 +34,7 @@ from repro.api.protocol import (
     ws_encode_frame,
 )
 from repro.api.ratelimit import ClientLimits, TokenBucket
-from repro.api.router import HashRing, ShardGate, routing_signature
+from repro.api.router import Router, ShardGate
 from repro.api.server import ApiServerThread
 from repro.api.shm import ALIGN, ShmArena, ShmLease
 from repro.api.wirefuzz import run_wire_fuzz
@@ -253,46 +253,6 @@ class TestRateLimit:
         now[0] = 11.0
         limits.check("new")                    # first sight triggers sweep
         assert "old" not in limits._buckets
-
-
-# ---------------------------------------------------------------------- #
-class TestRouting:
-    def _g(self, **kw):
-        g = {"m": 64, "k": 32, "n": 48, "transa": False, "transb": False,
-             "alpha": 1.0, "beta": 0.0, "dtype": "float64", "tau": TAU,
-             "scheme": "strassen1", "peel": "tail"}
-        g.update(kw)
-        return g
-
-    def test_ring_deterministic_across_instances(self):
-        r1, r2 = HashRing(4), HashRing(4)
-        keys = [f"key-{i}" for i in range(200)]
-        assert [r1.lookup(k) for k in keys] == [r2.lookup(k) for k in keys]
-
-    def test_ring_spreads_load(self):
-        ring = HashRing(4)
-        hits = [0] * 4
-        for i in range(2000):
-            hits[ring.lookup(f"sig-{i}")] += 1
-        assert min(hits) > 0.5 * (2000 / 4)    # no starved shard
-
-    def test_ring_walks_past_dead_shards(self):
-        ring = HashRing(3)
-        key = "some-signature"
-        home = ring.lookup(key)
-        rerouted = ring.lookup(key, alive=lambda i: i != home)
-        assert rerouted is not None and rerouted != home
-        assert ring.lookup(key, alive=lambda i: False) is None
-
-    def test_signature_key_is_plan_signature(self):
-        key = routing_signature(self._g())
-        assert key.startswith("PlanSignature(")
-        assert routing_signature(self._g()) == key          # stable
-        assert routing_signature(self._g(scheme="bdpz")) != key
-
-    def test_degenerate_requests_key_on_coordinates(self):
-        assert routing_signature(self._g(m=0)).startswith("solo:")
-        assert routing_signature(self._g(alpha=0.0)).startswith("solo:")
 
 
 # ---------------------------------------------------------------------- #
@@ -598,18 +558,6 @@ class TestEndToEnd:
         got = client.call(a, b, c, 0.0, 3.0)
         assert np.array_equal(got, 3.0 * c)
 
-    def test_routing_is_deterministic_per_signature(self, client):
-        rng = np.random.default_rng(4)
-        a = np.asfortranarray(rng.standard_normal((32, 32)))
-        b = np.asfortranarray(rng.standard_normal((32, 32)))
-        futs = [client.submit(a, b, cutoff=CUT, scheme="strassen1")
-                for _ in range(6)]
-        shards = {f.result(timeout=60.0) is not None and f.shard
-                  for f in futs}
-        assert len(shards) == 1, (
-            f"one signature landed on several shards: {shards}"
-        )
-
     def test_deadline_expiry_propagates_over_the_wire(self, client):
         rng = np.random.default_rng(5)
         a = np.asfortranarray(rng.standard_normal((64, 64)))
@@ -705,6 +653,62 @@ class TestEndToEnd:
         )
         assert report.ok, report.failures
         assert report.cases == 20
+
+
+class TestRouting:
+    """The router sends each request to the live shard with the fewest
+    requests in flight, ties to the one that has routed the fewest; it
+    reads nothing of the request to choose."""
+
+    @pytest.fixture()
+    def pair(self):
+        srv = ApiServerThread(workers=2, threads=1).start()
+        cli = GemmClient("127.0.0.1", srv.port)
+        rng = np.random.default_rng(4)
+        a = np.asfortranarray(rng.standard_normal((32, 32)))
+        b = np.asfortranarray(rng.standard_normal((32, 32)))
+        want = _expected(a, b, None, 1.0, 0.0, False, False,
+                         scheme="strassen1")
+        try:
+            yield cli, a, b, want
+        finally:
+            cli.close()
+            final = srv.drain(timeout=30.0)
+        for shard in final["shards"]:
+            assert shard["arena"]["leases_outstanding"] == 0, shard
+
+    def test_idle_shards_take_turns(self, pair):
+        cli, a, b, want = pair
+        shards = []
+        for _ in range(4):         # both shards idle: the tie-break
+            fut = cli.submit(a, b, cutoff=CUT, scheme="strassen1")
+            assert np.array_equal(fut.result(timeout=60.0), want)
+            shards.append(fut.shard)
+        assert shards == [0, 1, 0, 1]
+
+    def test_concurrent_requests_of_one_signature_use_every_shard(
+            self, pair):
+        cli, a, b, want = pair
+        futs = [cli.submit(a, b, cutoff=CUT, scheme="strassen1")
+                for _ in range(8)]
+        for fut in futs:
+            assert np.array_equal(fut.result(timeout=60.0), want)
+        assert {fut.shard for fut in futs} == {0, 1}
+
+    def test_dispatch_skips_dead_shards(self):
+        router = Router(workers=3)
+        s0, s1, s2 = router._shards
+        for shard, routed in ((s0, 4), (s1, 5), (s2, 3)):
+            shard.gate = ShardGate(4, "reject")
+            shard.alive, shard.routed = True, routed
+        assert router._pick() is s2        # all idle: fewest routed
+        s2.alive = False
+        assert router._pick() is s0        # the dead shard is skipped
+        asyncio.run(s0.gate.acquire())
+        assert router._pick() is s1        # fewest in flight first
+        s0.alive = s1.alive = False
+        with pytest.raises(ServiceClosed):
+            router._pick()
 
 
 class TestRateLimitEndToEnd:
@@ -809,13 +813,6 @@ class TestServerGoneUnderLiveClient:
         ]
 
 
-def _ring_shard(m, k, n, workers=2):
-    """The shard a knobless float64 request of this shape hashes to."""
-    g = validate_gemm(gemm_request_header(1, m, k, n),
-                      [bytes(m * k * 8), bytes(k * n * 8)])
-    return HashRing(workers).lookup(routing_signature(g))
-
-
 class TestWorkerDeath:
     def test_sigkill_fails_in_flight_and_survivor_serves(self):
         srv = ApiServerThread(workers=2, threads=1, capacity=16).start()
@@ -824,14 +821,15 @@ class TestWorkerDeath:
             rng = np.random.default_rng(21)
             big = np.asfortranarray(rng.standard_normal((1200, 1200)))
             fut = cli.submit(big, big)
-            dead = _ring_shard(1200, 1200, 1200)
             deadline = time.monotonic() + 30.0
-            while True:                       # until the shard is busy
+            while True:                       # until a shard is busy
                 workers = cli.healthz()["workers"]
-                if workers[dead]["inflight"]:
+                busy = [w["shard"] for w in workers if w["inflight"]]
+                if busy:
                     break
                 assert time.monotonic() < deadline, workers
                 time.sleep(0.005)
+            (dead,) = busy
             os.kill(workers[dead]["pid"], signal.SIGKILL)
             t0 = time.monotonic()
             exc = fut.exception(timeout=5.0)
@@ -844,19 +842,17 @@ class TestWorkerDeath:
                 i != dead for i in range(2)
             ]
 
-            # signatures of the dead shard now run on the survivor
-            shapes = [(m, 24, 16) for m in range(8, 40)
-                      if _ring_shard(m, 24, 16) == dead][:3]
-            assert len(shapes) == 3
-            for m, k, n in shapes:
-                a = np.asfortranarray(rng.standard_normal((m, k)))
-                b = np.asfortranarray(rng.standard_normal((k, n)))
+            # every request now runs on the survivor: the router skips
+            # the dead shard, though it is idle and soon has routed less
+            for m in range(8, 12):
+                a = np.asfortranarray(rng.standard_normal((m, 24)))
+                b = np.asfortranarray(rng.standard_normal((24, 16)))
                 fut = cli.submit(a, b)
                 got = fut.result(timeout=60.0)
-                want = np.zeros((m, n), order="F")
+                want = np.zeros((m, 16), order="F")
                 dgefmm(a, b, want)
                 assert fut.shard == 1 - dead
-                assert np.array_equal(got, want), (m, k, n)
+                assert np.array_equal(got, want), m
         finally:
             cli.close()
         final = srv.drain(timeout=30.0)

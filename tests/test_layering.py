@@ -158,14 +158,14 @@ def test_compute_stack_is_network_free(layer):
 
 def test_api_may_import_serving_stack():
     """The positive direction: repro.api legitimately builds on the
-    serve/plan layers — a regression that inverts the check (or an
+    serve/core layers — a regression that inverts the check (or an
     over-broad FORBIDDEN entry) would make this fail."""
     deep = set()
     for path in sorted((SRC / "api").rglob("*.py")):
         tree = ast.parse(path.read_text(), filename=str(path))
         deep.update(_module_level_imports(tree))
     assert any(m.startswith("repro.serve") for m in deep)
-    assert any(m.startswith("repro.plan") for m in deep)
+    assert any(m.startswith("repro.core") for m in deep)
 
 
 def test_tune_may_import_serving_stack():

@@ -371,8 +371,8 @@ class TestPlanCache:
         cache.get_or_compile(s2)
         cache.get_or_compile(s1)       # s1 most recent
         cache.get_or_compile(s3)       # evicts s2
-        assert cache.get(s2) is None
-        assert cache.get(s1) is not None
+        assert cache.peek(s2) is None
+        assert cache.peek(s1) is not None
         assert cache.evictions == 1
         assert len(cache) == 2
 
@@ -382,7 +382,7 @@ class TestPlanCache:
         cache.get_or_compile(_sig(18, 18, 18))
         # over-bytes sheds history but never the entry just inserted
         assert len(cache) == 1
-        assert cache.get(_sig(18, 18, 18)) is not None
+        assert cache.peek(_sig(18, 18, 18)) is not None
 
     def test_clear_and_stats(self):
         cache = PlanCache()
@@ -419,10 +419,33 @@ class TestPlanCache:
         cache.get_or_compile(s1)                    # miss
         cache.get_or_compile(s1)                    # hit
         cache.get_or_compile(s2)                    # miss, evicts s1
-        cache.get(s1)                               # miss (evicted)
+        cache.get_or_compile(s1)                    # miss (evicted)
         cache.clear()
-        cache.get(s2)                               # miss (cleared)
+        cache.get_or_compile(s2)                    # miss (cleared)
         assert cache.hit_rate() == cache.stats()["hit_rate"] == 1 / 5
+
+    def test_balance_holds_through_refused_compiles(self):
+        """A refused compile counts nothing, so ``misses - evictions -
+        plans == cleared`` holds through refusals, evictions and a
+        clear."""
+        cache = PlanCache(max_plans=1)
+        refused = _sig(8, 8, 8, backend="substrate")
+
+        def refuse():
+            with pytest.raises(ArgumentError):
+                cache.get_or_compile(refused)
+
+        cache.get_or_compile(_sig(8, 8, 8))
+        refuse()
+        cache.get_or_compile(_sig(10, 10, 10))      # evicts 8x8x8
+        refuse()
+        cache.clear()
+        refuse()
+        cache.get_or_compile(_sig(12, 12, 12))
+        s = cache.stats()
+        assert (s["misses"], s["evictions"], s["plans"], s["cleared"]) == (
+            3, 1, 1, 1)
+        assert s["misses"] - s["evictions"] - s["plans"] == s["cleared"]
 
     def test_thread_safety_compiles_once(self, rng):
         import threading
@@ -771,66 +794,3 @@ class TestWarmFrontDoors:
         with GemmService(workers=1, backend=backend) as svc:
             self._repeat(tally, lambda: svc.submit(a, b, c, 1.0, 0.5)
                          .result(timeout=30))
-
-    def test_routing_signature(self, tally):
-        from repro.api.router import routing_signature
-
-        g = dict(m=49, k=21, n=78, transa=False, transb=True, alpha=1.0,
-                 beta=0.0, dtype="complex128", scheme="auto", peel="tail",
-                 tau=16, accuracy=None)
-        self._repeat(tally, lambda: routing_signature(g))
-
-
-#: routing keys of serve-small requests, pinned byte for byte (and their
-#: shard on a two-shard ring): a changed key moves a signature's shard
-ROUTING_KEYS = [
-    (dict(m=7, k=96, n=26, transa=False, transb=False, beta=0.0,
-          dtype="float64"), 1,
-     "PlanSignature(m=7, k=96, n=26, transa=False, transb=False, "
-     "alpha_zero=False, beta_zero=True, scheme='auto', peel='tail', "
-     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
-     "nb=160, backend='substrate', dtype='float64', accuracy='fast', "
-     "depth=0)"),
-    (dict(m=31, k=7, n=20, transa=True, transb=True, beta=0.5,
-          dtype="float64"), 0,
-     "PlanSignature(m=31, k=7, n=20, transa=True, transb=True, "
-     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
-     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
-     "nb=160, backend='substrate', dtype='float64', accuracy='fast', "
-     "depth=0)"),
-    (dict(m=34, k=48, n=10, transa=False, transb=False, beta=0.5,
-          dtype="float32"), 0,
-     "PlanSignature(m=34, k=48, n=10, transa=False, transb=False, "
-     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
-     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
-     "nb=160, backend='substrate', dtype='float32', accuracy='fast', "
-     "depth=0)"),
-    (dict(m=49, k=15, n=59, transa=True, transb=False, beta=0.5,
-          dtype="complex128"), 1,
-     "PlanSignature(m=49, k=15, n=59, transa=True, transb=False, "
-     "alpha_zero=False, beta_zero=False, scheme='auto', peel='tail', "
-     "cutoff=HybridCutoff(tau=128, tau_m=96, tau_k=96, tau_n=96), "
-     "nb=160, backend='substrate', dtype='complex128', "
-     "accuracy='fast', depth=0)"),
-    (dict(m=12, k=30, n=7, transa=False, transb=True, beta=0.5,
-          dtype="float32", scheme="strassen2", peel="head", tau=8,
-          accuracy="compensated"), None,
-     "PlanSignature(m=12, k=30, n=7, transa=False, transb=True, "
-     "alpha_zero=False, beta_zero=False, scheme='strassen2', "
-     "peel='head', cutoff=SimpleCutoff(tau=8), nb=160, "
-     "backend='substrate', dtype='float32', accuracy='compensated', "
-     "depth=0)"),
-]
-
-
-@pytest.mark.parametrize("fields,shard,key", ROUTING_KEYS)
-def test_routing_keys_pinned(fields, shard, key):
-    from repro.api.router import HashRing, routing_signature
-
-    g = dict(alpha=1.0, scheme="auto", peel="tail", tau=None,
-             accuracy=None)
-    g.update(fields)
-    for _ in range(2):                 # cold, then from the memos
-        assert routing_signature(g) == key
-    if shard is not None:
-        assert HashRing(2).lookup(key) == shard

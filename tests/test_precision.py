@@ -430,22 +430,6 @@ class TestWireAccuracy:
         with pytest.raises(ProtocolError):
             validate_gemm(hdr, [b"", b""])
 
-    def test_routing_signature_keys_on_accuracy(self):
-        from repro.api.router import routing_signature
-
-        def g(**kw):
-            base = dict(m=24, k=24, n=24, transa=False, transb=False,
-                        alpha=1.0, beta=0.0, dtype="float64",
-                        scheme="auto", peel="tail", tau=None,
-                        accuracy=None)
-            base.update(kw)
-            return base
-
-        key = routing_signature(g())
-        assert routing_signature(g(accuracy="compensated")) != key
-        # None resolves to the dtype default, which for float64 is fast
-        assert routing_signature(g(accuracy="fast")) == key
-
 
 class TestTunedProfileAccuracy:
     def test_roundtrip_and_legacy_decode(self):

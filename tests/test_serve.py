@@ -197,18 +197,26 @@ class TestAdmissionQueue:
         assert shed is first
         assert q.depth == 2
 
-    def test_batch_groups_same_signature_fifo(self):
+    def test_batch_is_oldest_requests_across_signatures(self):
+        """A batch is the oldest queued requests, up to max_batch,
+        whatever their signatures."""
         q = AdmissionQueue(capacity=16)
-        r_big = _req(m=12, k=12, n=12, seed=1)   # different signature
-        small = [_req(seed=i) for i in range(3)]
-        q.put(small[0])
-        q.put(r_big)
-        q.put(small[1])
-        q.put(small[2])
-        batch = q.take_batch(8, timeout=1.0)
-        # head is globally oldest (small[0]); same-signature mates join
-        assert batch == small
-        assert q.take_batch(8, timeout=1.0) == [r_big]
+        reqs = [_req(seed=0), _req(m=12, k=12, n=12, seed=1),
+                _req(seed=2), _req(k=5, seed=3), _req(seed=4)]
+        for r in reqs:
+            q.put(r)
+        assert q.take_batch(3, timeout=1.0) == reqs[:3]
+        assert q.take_batch(3, timeout=1.0) == reqs[3:]
+
+    def test_degenerate_requests_batch_in_arrival_order(self):
+        q = AdmissionQueue(capacity=16)
+        reqs = [_req(m=0, seed=0), _req(m=0, seed=1), _req(seed=2),
+                _req(k=0, seed=3), _req(m=12, k=12, n=12, seed=4)]
+        assert [r.call is None for r in reqs] == [True, True, False,
+                                                  True, False]
+        for r in reqs:
+            q.put(r)
+        assert q.take_batch(8, timeout=1.0) == reqs
 
     def test_batch_respects_max_batch(self):
         q = AdmissionQueue(capacity=16)
@@ -217,15 +225,6 @@ class TestAdmissionQueue:
             q.put(r)
         assert q.take_batch(2, timeout=1.0) == reqs[:2]
         assert q.take_batch(2, timeout=1.0) == reqs[2:4]
-
-    def test_degenerate_requests_never_batch(self):
-        q = AdmissionQueue(capacity=16)
-        reqs = [_req(m=0, seed=i) for i in range(3)]
-        assert all(r.signature is None for r in reqs)
-        for r in reqs:
-            q.put(r)
-        assert q.take_batch(8, timeout=1.0) == [reqs[0]]
-        assert q.take_batch(8, timeout=1.0) == [reqs[1]]
 
     def test_take_batch_timeout_returns_empty(self):
         q = AdmissionQueue()
@@ -279,12 +278,12 @@ class TestRequestValidation:
                 svc.submit(a20, a20, nb=2.5)
 
     def test_degenerate_signature_none(self):
-        assert _req(m=0).signature is None
-        assert _req(k=0).signature is None
+        assert _req(m=0).call is None
+        assert _req(k=0).call is None
         rng = np.random.default_rng(0)
         a, b = rng.standard_normal((4, 5)), rng.standard_normal((5, 3))
-        assert GemmRequest(a, b, alpha=0.0, cutoff=CUT).signature is None
-        assert GemmRequest(a, b, cutoff=CUT).signature is not None
+        assert GemmRequest(a, b, alpha=0.0, cutoff=CUT).call is None
+        assert GemmRequest(a, b, cutoff=CUT).call is not None
 
     def test_future_result_timeout(self):
         r = _req()
@@ -818,6 +817,32 @@ class TestSignatureBreakdown:
             svc.submit(np.zeros((0, 4)), np.zeros((4, 3))).result(30.0)
             st = svc.stats()
         assert st["signatures"]["degenerate"]["count"] == 1
+
+    def test_admission_builds_no_plan_signature(self, monkeypatch):
+        """The labels come from each request's call: with signature_for
+        raising, a recursing substrate request and a base-case vendor
+        request are still served and labelled."""
+        from repro.plan import compiler
+        from repro.tune import ProfileStore, TunedProfile, class_key
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("built a PlanSignature")
+
+        store = ProfileStore()
+        store.put(TunedProfile(key=class_key(16, 16, 16), backend="vendor"))
+        rng = np.random.default_rng(3)
+        sub = rng.standard_normal((24, 24))
+        ven = rng.standard_normal((16, 16))
+        want_sub = _direct(sub, sub, None, 1.0, 0.0)
+        want_ven = _direct(ven, ven, None, 1.0, 0.0, cutoff=None,
+                           backend="vendor")
+        monkeypatch.setattr(compiler, "signature_for", refuse)
+        with GemmService(workers=1, cutoff=CUT, profiles=store) as svc:
+            assert np.array_equal(svc.call(sub, sub), want_sub)
+            assert np.array_equal(svc.call(ven, ven), want_ven)
+            sigs = svc.stats()["signatures"]
+        assert set(sigs) == {"24x24x24:float64:b0:auto:substrate:fast",
+                             "16x16x16:float64:b0:auto:vendor:fast"}
 
     def test_stats_profiles_section_mirrors_store(self):
         from repro.tune import ProfileStore
