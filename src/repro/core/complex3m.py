@@ -19,8 +19,9 @@ the imaginary part's error bound involves ||A|| ||B|| rather than
 the tests verify empirically.
 
 :func:`zgefmm_3m` is an alternative to :func:`repro.core.dgefmm.zgefmm`
-(which runs the schedules natively on complex128 and performs 4-real-
-multiply-equivalent work inside each complex scalar multiply).
+(which runs the schedules natively on complex128, and whose substrate
+leaf computes each complex tile as four real products on op(A)'s
+interleaved real view; see :func:`repro.blas.level3._tile`).
 """
 
 from __future__ import annotations

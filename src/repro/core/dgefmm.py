@@ -191,11 +191,11 @@ def dgefmm(
         fused plan (:mod:`repro.plan.fuse`) from the cache, compiled on
         the first call of its shape; the result is bit-identical to the
         walk.  The cache's counters then land in
-        ``ctx.stats["plan_cache"]``.  Every other call walks the
-        recursion and never touches the cache: a base-case root, the
+        ``ctx.stats["plan_cache"]``.  No other call touches the
+        cache: a base-case root is one ``dgemm`` call, and the
         substrate backend, a non-fast accuracy, an explicit
         ``workspace``, object dtype, and a context that dry-runs,
-        traces or holds a machine model.
+        traces or holds a machine model walk the recursion.
     fuse:
         Alias for ``backend="vendor"``, kept for callers that still
         spell it.
@@ -369,21 +369,32 @@ def _serial(
     the root node (``root``, when the caller has already decided it);
     also the path of every product below a ``pdgefmm`` parallel level.
 
-    A base-case root walks with no pool checkout.  A recursing root
-    replays its fused plan from ``plan_cache`` when the config is
-    fusable (vendor leaves, fast accuracy), the call has no explicit
-    ``workspace`` and runs typed, and the context neither traces nor
-    holds a machine model (they record each node's events and charge
-    each kernel call's modelled time, which only the walk does); every
-    other call walks, in a pooled arena when ``pool`` is given and the
-    call runs typed."""
+    A base-case root is one :func:`dgemm` call: no workspace, binding,
+    pool checkout or walker frame (its ``base`` event is recorded when
+    the context traces).  A recursing root replays its fused plan from
+    ``plan_cache`` when the config is fusable (vendor leaves, fast
+    accuracy), the call has no explicit ``workspace`` and runs typed,
+    and the context neither traces nor holds a machine model (they
+    record each node's events and charge each kernel call's modelled
+    time, which only the walk does); every other recursing root walks,
+    in a pooled arena when ``pool`` is given and the call runs typed."""
     if root is None:
         root = call.root()
+    if isinstance(root, Base):
+        cfg = call.cfg
+        if ctx.trace:
+            m, k = call.a.shape
+            ctx.record(RecursionEvent("base", m, k, call.b.shape[1],
+                                      call.depth))
+        dgemm(call.a, call.b, c, call.alpha, call.beta, ctx=ctx, nb=cfg.nb,
+              backend=cfg.backend, accuracy=cfg.accuracy)
+        ctx.stats_max("workspace_peak_bytes",
+                      0 if workspace is None else workspace.peak_bytes)
+        return c
     # pooled arenas and plan temporaries carve typed views out of a byte
     # buffer — fine for every fixed-width dtype, impossible for object
     # arrays (and pointless in dry mode, where temporaries cost nothing)
-    if (workspace is None and not isinstance(root, Base) and not ctx.dry
-            and call.cfg.dtype != "object"):
+    if workspace is None and not ctx.dry and call.cfg.dtype != "object":
         if (plan_cache is not None and call.cfg.fusable and not ctx.trace
                 and ctx.machine is None):
             # lazy import: repro.plan compiles through this module's walker
@@ -404,8 +415,8 @@ def _serial(
 
 def _walk(call: _Call, c: Any, ctx: ExecutionContext, ws: Workspace,
           root: Any) -> Any:
-    """Run :func:`_rec` from the decided ``root`` with the numeric
-    binding; report the peak."""
+    """Run :func:`_rec` from the decided, recursing ``root`` with the
+    numeric binding; report the peak."""
     _rec(call.a, call.b, c, call.alpha, call.beta, call.depth,
          call.cfg.scheme, _NumericBinding(call.cfg, ctx, ws), root)
     ctx.stats_max("workspace_peak_bytes", ws.peak_bytes)

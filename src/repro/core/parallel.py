@@ -19,8 +19,8 @@ parallel level records the ``peel``/``recurse`` trace events of
 :func:`repro.core.dgefmm._rec` at its true depth.  Below the parallel
 region each product is a ``dgefmm`` call at its true depth with the
 node's child scheme (:func:`repro.core.dgefmm._serial`), so it gets
-exactly ``dgefmm``'s engine choice: a base-case root walks without a
-pool, a recursing vendor root under fast accuracy replays its fused
+exactly ``dgefmm``'s engine choice: a base-case root is one ``dgemm``
+call, a recursing vendor root under fast accuracy replays its fused
 plan from ``plan_cache``, and every other product walks, in a pooled
 arena when ``pool`` is given.  Only a top-level base case takes
 ``dgefmm``'s path whole.

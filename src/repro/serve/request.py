@@ -15,7 +15,8 @@ until the worker publishes the output array or the failure
 (:class:`~repro.errors.ServiceOverloaded` when shed,
 :class:`~repro.errors.ServiceTimeout` on deadline expiry, or whatever
 the execution raised).  Completed futures also expose the per-request
-latency split — ``wait_s`` in queue versus ``compute_s`` on a worker —
+latency split — ``wait_s`` before its own execution starts versus
+``compute_s`` on a worker, which sum to its service latency —
 and the size of the batch they rode in; ``add_done_callback(fn)`` runs
 ``fn(future)`` on the thread that completes it.
 """
@@ -52,7 +53,8 @@ class GemmFuture:
         self._result: Optional[np.ndarray] = None
         self._exception: Optional[BaseException] = None
         self._callbacks: List[Callable[["GemmFuture"], Any]] = []
-        #: seconds spent queued before a worker picked the request up
+        #: seconds from submission to the start of this request's own
+        #: execution, the time behind its batch mates included
         self.wait_s: Optional[float] = None
         #: seconds of worker execution for this request alone
         self.compute_s: Optional[float] = None

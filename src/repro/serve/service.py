@@ -354,7 +354,6 @@ class GemmService:
     def _execute_batch(
         self, batch: List[GemmRequest], wctx: ExecutionContext
     ) -> None:
-        t_start = time.monotonic()
         self._m_batches.inc()
         self._h_batch.observe(len(batch))
 
@@ -379,7 +378,9 @@ class GemmService:
                 continue
             t1 = time.monotonic()
             fut = req.future
-            fut.wait_s = t_start - req.t_submit
+            # stamped at the request's own start, so the time behind
+            # its batch mates is wait: wait + compute is the latency
+            fut.wait_s = t0 - req.t_submit
             fut.compute_s = t1 - t0
             fut.batch_size = len(batch)
             self._h_wait.observe(fut.wait_s * 1e3)

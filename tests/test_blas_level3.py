@@ -274,3 +274,170 @@ class TestBackends:
         wide = np.empty((30, 20), order="F")
         np.matmul(a.astype(np.float64), b.astype(np.float64), out=wide)
         assert np.array_equal(c, wide.astype(np.float32))
+
+
+def _two_real_einsums(a, b):
+    """One tile of ``a @ b`` by the complex substrate's contract: both
+    operands promoted to the product dtype, ``a`` copied to Fortran
+    order unless its rows are unit-stride, its interleaved real view
+    (rows alternating real and imaginary parts) contracted with
+    ``b.real`` and ``b.imag`` into F-ordered ``X`` and ``Y``, then
+    ``Re = X[0::2] - Y[1::2]`` and ``Im = X[1::2] + Y[0::2]``."""
+    pdt = np.result_type(a, b)
+    a, b = a.astype(pdt, copy=False), b.astype(pdt, copy=False)
+    if a.strides[0] != a.itemsize:
+        a = np.asfortranarray(a)
+    rdt = b.real.dtype
+    a2 = a.T.view(rdt).T
+    x = np.empty((a2.shape[0], b.shape[1]), dtype=rdt, order="F")
+    y = np.empty((a2.shape[0], b.shape[1]), dtype=rdt, order="F")
+    np.einsum("ik,kj->ij", a2, b.real, out=x)
+    np.einsum("ik,kj->ij", a2, b.imag, out=y)
+    out = np.empty((a.shape[0], b.shape[1]), dtype=pdt, order="F")
+    out.real = x[0::2] - y[1::2]
+    out.imag = x[1::2] + y[0::2]
+    return out
+
+
+def _complex_reference(a, b, nb, kahan=False):
+    """``a @ b`` over k-tiles of :func:`_two_real_einsums` (m, n <= nb),
+    summed plainly or by Kahan's two-sum as the substrate sums them."""
+    k = a.shape[1]
+    acc = comp = None
+    for l0 in range(0, k, nb):
+        tile = _two_real_einsums(a[:, l0:l0 + nb], b[l0:l0 + nb, :])
+        if acc is None:
+            acc = tile
+        elif not kahan:
+            acc = acc + tile
+        else:
+            if comp is None:
+                comp = np.zeros_like(tile)
+            y = tile - comp
+            t = acc + y
+            comp = (t - acc) - y
+            acc = t
+    return acc
+
+
+class TestComplexSubstrate:
+    """A complex substrate tile is four real products on the
+    interleaved real view of op(A): bit-identical to the two-real-
+    einsum formula, within rounding of ``np.matmul``."""
+
+    NB = 16
+    M, N = 9, 11
+
+    # stored operand for an op(X) of the given shape, and its trans flag
+    LAYOUTS = {
+        "F": lambda x: (np.asfortranarray(x), False),
+        "C": lambda x: (np.ascontiguousarray(x), False),
+        "T": lambda x: (np.asfortranarray(x.T), True),
+        "negative": lambda x: (
+            np.asfortranarray(x[::-1, ::-1])[::-1, ::-1], False),
+        "sliced": lambda x: (
+            np.asfortranarray(np.repeat(x, 2, axis=1))[:, ::2], False),
+        "row-sliced": lambda x: (
+            np.asfortranarray(np.repeat(x, 2, axis=0))[::2, :], False),
+    }
+
+    @staticmethod
+    def _complex(rng, shape, dtype):
+        x = rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return x.astype(dtype)
+
+    def _check(self, opa, opb, la, lb, accuracy="fast"):
+        a, ta = self.LAYOUTS[la](opa)
+        b, tb = self.LAYOUTS[lb](opb)
+        pdt = np.result_type(a, b)
+        c = np.full(
+            (opa.shape[0], opb.shape[1]), np.nan, dtype=pdt, order="F")
+        dgemm(a, b, c, transa=ta, transb=tb, nb=self.NB,
+              accuracy=accuracy)
+        want = _complex_reference(opa, opb, self.NB,
+                                  kahan=accuracy == "compensated")
+        assert np.array_equal(c, want)
+        wide = opa.astype(np.complex128) @ opb.astype(np.complex128)
+        rtol = 1e-13 if pdt == np.complex128 else 1e-5
+        np.testing.assert_allclose(
+            c, wide, atol=rtol * np.abs(wide).max(), rtol=0)
+
+    @pytest.mark.parametrize("dtype", [np.complex128, np.complex64])
+    @pytest.mark.parametrize("k", [7, 37])
+    @pytest.mark.parametrize("lb", ["F", "T", "negative", "sliced"])
+    @pytest.mark.parametrize("la", sorted(LAYOUTS))
+    def test_layouts_and_tiling(self, rng, dtype, k, la, lb):
+        opa = self._complex(rng, (self.M, k), dtype)
+        opb = self._complex(rng, (k, self.N), dtype)
+        self._check(opa, opb, la, lb)
+
+    @pytest.mark.parametrize("la", ["F", "T", "negative"])
+    def test_kahan_tiles(self, rng, la):
+        opa = self._complex(rng, (self.M, 53), np.complex128)
+        opb = self._complex(rng, (53, self.N), np.complex128)
+        self._check(opa, opb, la, "F", accuracy="compensated")
+
+    @pytest.mark.parametrize("k", [7, 37])
+    @pytest.mark.parametrize("da,db", [
+        (np.complex128, np.float64), (np.float64, np.complex128),
+        (np.complex64, np.complex128), (np.complex64, np.float64),
+        (np.float32, np.complex64), (np.complex64, np.float32),
+    ])
+    def test_mixed_operand_dtypes(self, rng, da, db, k):
+        def draw(shape, dt):
+            if np.dtype(dt).kind == "c":
+                return self._complex(rng, shape, dt)
+            return rng.standard_normal(shape).astype(dt)
+
+        self._check(draw((self.M, k), da), draw((k, self.N), db), "T", "F")
+
+    def test_general_scalars(self, rng):
+        opa = self._complex(rng, (self.M, 37), np.complex128)
+        opb = self._complex(rng, (37, self.N), np.complex128)
+        c0 = self._complex(rng, (self.M, self.N), np.complex128)
+        c = np.asfortranarray(c0.copy())
+        alpha, beta = 0.5 - 1.5j, 2.0 + 0.25j
+        dgemm(opa, opb, c, alpha, beta, nb=self.NB)
+        # the product is scaled in place, then added to C scaled in place
+        prod = _complex_reference(opa, opb, self.NB)
+        prod *= alpha
+        want = np.asfortranarray(c0.copy())
+        want *= beta
+        want += prod
+        assert np.array_equal(c, want)
+
+    def test_no_complex_operand_reaches_einsum(self, rng, monkeypatch):
+        """A complex ``dgefmm`` that recurses, peels and accumulates
+        (beta != 0) hands ``einsum`` only real operands."""
+        import repro.blas.level3 as level3
+        from repro.core.cutoff import SimpleCutoff
+        from repro.core.dgefmm import dgefmm
+
+        seen = []
+
+        class Spy:
+            def __getattr__(self, name):
+                return getattr(np, name)
+
+            @staticmethod
+            def einsum(*args, **kw):
+                seen.extend(x.dtype for x in (*args, kw.get("out"))
+                            if isinstance(x, np.ndarray))
+                return np.einsum(*args, **kw)
+
+        monkeypatch.setattr(level3, "np", Spy())
+        for dtype in (np.complex128, np.complex64):
+            a = self._complex(rng, (67, 45), dtype)
+            b = self._complex(rng, (45, 53), dtype)
+            c0 = np.asfortranarray(self._complex(rng, (67, 53), dtype))
+            c = c0.copy(order="F")
+            ctx = ExecutionContext(trace=True)
+            dgefmm(a, b, c, 1.0, 0.5, cutoff=SimpleCutoff(16), ctx=ctx)
+            actions = {e.action for e in ctx.events}
+            assert {"recurse", "peel", "base"} <= actions
+            want = a.astype(np.complex128) @ b + 0.5 * c0
+            rtol = 1e-12 if dtype == np.complex128 else 1e-4
+            np.testing.assert_allclose(
+                c, want, atol=rtol * np.abs(want).max(), rtol=0)
+        assert seen
+        assert all(dt.kind == "f" for dt in seen), set(seen)

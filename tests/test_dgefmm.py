@@ -1,5 +1,6 @@
 """DGEFMM driver: the full DGEMM-replacement contract."""
 
+import importlib
 import json
 import pathlib
 from types import SimpleNamespace
@@ -214,6 +215,142 @@ class TestRecursionStructure:
             dgefmm(Phantom(64, 64), Phantom(64, 64), Phantom(64, 64),
                    cutoff=SimpleCutoff(16), ctx=ctx, workspace=ws)
         assert ws.live_bytes == 0  # all frames released between calls
+
+
+class TestBaseCaseRoot:
+    """A base-case root is one ``dgemm`` call: the walker, its binding
+    and a workspace are never built, and the answer, tallies, event and
+    peak are those of the walk's single base case."""
+
+    # (dtype, backend, beta): beta is integral under exact accuracy
+    CASES = [
+        ("float64", "substrate", 0.0), ("float64", "vendor", 0.5),
+        ("float32", "substrate", 0.5), ("complex128", "substrate", 0.5),
+        ("complex64", "vendor", 0.0), ("int64", "substrate", 2),
+        ("object", "substrate", 0),
+    ]
+
+    @staticmethod
+    def _forbid_walk(monkeypatch):
+        # the module, not the ``repro.core.dgefmm`` function it exports
+        mod = importlib.import_module("repro.core.dgefmm")
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("a base-case root built a walk")
+
+        monkeypatch.setattr(mod, "_walk", refuse)
+        monkeypatch.setattr(mod, "Workspace", refuse)
+
+    @staticmethod
+    def _operands(rng, dtype, m=7, k=5, n=6):
+        def draw(shape):
+            if dtype in ("int64", "object"):
+                return np.asfortranarray(
+                    rng.integers(-9, 9, shape).astype(dtype))
+            x = rng.standard_normal(shape)
+            if dtype.startswith("complex"):
+                x = x + 1j * rng.standard_normal(shape)
+            return np.asfortranarray(x.astype(dtype))
+
+        # op(A) = A^T: a transposed operand rides the base case too
+        return draw((k, m)), draw((k, n)), draw((m, n))
+
+    @staticmethod
+    def _direct(a, b, c0, beta, backend, dtype):
+        """The walk's base case, called directly."""
+        from repro.blas.level3 import dgemm
+
+        exact = dtype in ("int64", "object")
+        c = c0.copy(order="F")
+        ctx = ExecutionContext()
+        dgemm(a.T, b, c, 1 if exact else 1.0, beta, ctx=ctx,
+              backend=backend, accuracy="exact" if exact else "fast")
+        return c, ctx
+
+    @pytest.mark.parametrize("dtype,backend,beta", CASES)
+    def test_drivers_answer_without_a_walk(self, rng, monkeypatch, dtype,
+                                           backend, beta):
+        from repro.core.parallel import pdgefmm
+
+        a, b, c0 = self._operands(rng, dtype)
+        want, ref = self._direct(a, b, c0, beta, backend, dtype)
+        self._forbid_walk(monkeypatch)
+        one = 1 if dtype in ("int64", "object") else 1.0
+        for run in ("dgefmm", "pdgefmm", "service"):
+            c = c0.copy(order="F")
+            ctx = ExecutionContext()
+            if run == "dgefmm":
+                dgefmm(a, b, c, one, beta, transa=True, ctx=ctx,
+                       backend=backend)
+            elif run == "pdgefmm":
+                pdgefmm(a, b, c, one, beta, transa=True, ctx=ctx,
+                        backend=backend, workers=2)
+            else:
+                with GemmService(workers=1, backend=backend) as svc:
+                    c = svc.call(a, b, c, one, beta, transa=True,
+                                 timeout=30.0)
+                    svc.close()
+                    ctx = svc.context()
+            assert np.array_equal(c, want), run
+            assert c.dtype == want.dtype, run
+            assert ctx.kernel_calls == ref.kernel_calls, run
+            assert ctx.flops == ref.flops, run
+            if run != "service":    # the service merges tallies only
+                assert ctx.stats["workspace_peak_bytes"] == 0, run
+
+    def test_products_below_a_parallel_level(self, rng, monkeypatch):
+        """Each product of a parallel level is a base case here, and
+        reaches it through the same single ``dgemm`` call."""
+        from repro.core.parallel import pdgefmm
+
+        a, b, c0 = (np.asfortranarray(rng.standard_normal((48, 48)))
+                    for _ in range(3))
+        want = c0.copy(order="F")
+        ref = ExecutionContext(trace=True)
+        pdgefmm(a, b, want, 1.0, 0.5, cutoff=SimpleCutoff(32), ctx=ref,
+                workers=2)
+        self._forbid_walk(monkeypatch)
+        c = c0.copy(order="F")
+        ctx = ExecutionContext(trace=True)
+        pdgefmm(a, b, c, 1.0, 0.5, cutoff=SimpleCutoff(32), ctx=ctx,
+                workers=2)
+        assert np.array_equal(c, want)
+        assert ctx.kernel_calls == ref.kernel_calls
+        assert ctx.stats["workspace_peak_bytes"] == \
+            ref.stats["workspace_peak_bytes"]
+        assert ctx.events == ref.events
+        assert sum(e.action == "base" for e in ctx.events) == 7
+
+    def test_traced_call_records_one_base_event(self, rng, monkeypatch):
+        from repro.context import RecursionEvent
+        from repro.core.parallel import pdgefmm
+
+        a, b, c0 = self._operands(rng, "float64")
+        self._forbid_walk(monkeypatch)
+        for driver in (dgefmm, pdgefmm):
+            ctx = ExecutionContext(trace=True)
+            driver(a, b, c0.copy(order="F"), transa=True, ctx=ctx)
+            assert ctx.events == [RecursionEvent("base", 7, 5, 6, 0)]
+        untraced = ExecutionContext()
+        dgefmm(a, b, c0.copy(order="F"), transa=True, ctx=untraced)
+        assert untraced.events == []
+
+    def test_explicit_workspace_reports_its_peak(self, rng, monkeypatch):
+        a, b, c0 = self._operands(rng, "float64")
+        big = np.asfortranarray(rng.standard_normal((64, 64)))
+        ws = Workspace()
+        dgefmm(big, big, np.zeros((64, 64), order="F"), cutoff=CUT,
+               workspace=ws)
+        assert ws.peak_bytes > 0
+        self._forbid_walk(monkeypatch)
+        ctx = ExecutionContext()
+        dgefmm(a, b, c0.copy(order="F"), transa=True, ctx=ctx,
+               workspace=ws)
+        assert ctx.stats["workspace_peak_bytes"] == ws.peak_bytes
+        dry = ExecutionContext(dry=True)
+        dgefmm(Phantom(7, 5), Phantom(5, 6), Phantom(7, 6), ctx=dry)
+        assert dry.kernel_calls == {"dgemm": 1}
+        assert dry.stats["workspace_peak_bytes"] == 0
 
 
 class TestMemoryCoefficients:

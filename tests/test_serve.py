@@ -562,6 +562,40 @@ class TestGemmService:
         lat = st["histograms"]["latency_ms"]
         assert lat["count"] == 6 and lat["p50"] is not None
 
+    def test_wait_plus_compute_is_service_latency(self):
+        """``wait_s`` runs to the request's own start, so the time it
+        spends behind a batch mate is wait, not lost: for every request
+        ``wait_s + compute_s`` is the time from submit to completion."""
+        rng = np.random.default_rng(12)
+        big = [np.asfortranarray(rng.standard_normal((256, 256)))
+               for _ in range(2)]
+        small = np.asfortranarray(rng.standard_normal((8, 8)))
+        t_submit, t_done, futs = {}, {}, {}
+
+        def submit(name, a, b):
+            t_submit[name] = time.monotonic()
+            fut = svc.submit(a, b)
+            fut.add_done_callback(
+                lambda f: t_done.__setitem__(name, time.monotonic()))
+            futs[name] = fut
+
+        with GemmService(workers=1) as svc:
+            submit("first", big[0], big[1])
+            deadline = time.monotonic() + 30.0
+            while svc.queue_depth and time.monotonic() < deadline:
+                time.sleep(1e-4)
+            # the worker runs the first request: the other two queue
+            # behind it and are taken as one batch, 256³ first, so the
+            # small one waits behind its batch mate
+            submit("second", big[1], big[0])
+            submit("small", small, small)
+            for fut in futs.values():
+                fut.result(timeout=60.0)
+        for name, fut in futs.items():
+            latency = t_done[name] - t_submit[name]
+            assert abs(fut.wait_s + fut.compute_s - latency) <= 1e-3, (
+                name, fut.wait_s, fut.compute_s, latency)
+
     def test_stats_json_serializable(self):
         with GemmService(workers=1, cutoff=CUT) as svc:
             svc.call(np.ones((4, 4)), np.ones((4, 4)), timeout=30.0)
